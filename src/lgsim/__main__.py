@@ -1,0 +1,8 @@
+"""``python -m lgsim``: the dataset command line of ``lgsim.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,8 +10,9 @@ transverse components at rate gamma:
 
 The microscopic route evolves the joint ancilla (x) system state under the
 block-diagonal two-branch Hamiltonian with independent sigma_z dephasing on
-both qubits, then post-selects the ancilla on |+> exactly as the circuit
-would. Both reduce to the unitary picture at gamma = 0, which the tests pin.
+both qubits, exactly through one eigendecomposition of its time-independent
+Liouvillian, then post-selects the ancilla on |+> as the circuit would. Both
+reduce to the unitary picture at gamma = 0, which the tests pin.
 
 K3 keeps the stationary grid (0, t, 2t): K3(t) = 2 sz(t) - sz(2t) for the
 Bloch route and 2 C(t) - C(2t) with the post-selected correlator C for the
@@ -22,18 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
-from .ancilla import PROJ0, PROJ1, KET_PLUS, PostSelectionStarved, ancilla_state, project_ancilla
+from .ancilla import (POSTSELECT_FLOOR, PROJ0, PROJ1, KET_PLUS, PostSelectionStarved,
+                      ancilla_state, project_ancilla)
 from .linalg import ID2, SIGMA_Z, Z_AXIS, is_density_matrix, kron, pauli
 from .superpose import SuperpositionConfig, axis_theta, planar, soe
 
-SOLVERS = ("auto", "rk4_fixed", "rk45_adaptive")
-
+BLOCH_TOL = 1e-10
 SCAN_OMEGA_STEP = 1e-2
 BISECT_REL_TOL = 1e-6
 LIFETIME_HORIZON_OVER_GAMMA = 50.0
@@ -46,44 +45,18 @@ class NoCrossing(RuntimeError):
 
 
 class SolverDiverged(RuntimeError):
-    """The ODE integration failed or produced non-finite values."""
+    """The Bloch-equation integration failed."""
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Dephasing rate plus integrator selection.
-
-    solver "auto" picks the adaptive integrator for the Bloch equation (its
-    generator is time-dependent) and the fixed-step one for the joint-state
-    equation (time-independent generator, checked against an exact
-    exponential). step=None means min(0.01/omega, 0.01/gamma).
-    """
+    """Pure-dephasing rate gamma, applied to every qubit of the model."""
 
     gamma: float
-    solver: str = "auto"
-    step: float | None = None
-    tol: float = 1e-10
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-
-    def resolved_solver(self, default: str) -> str:
-        return default if self.solver == "auto" else self.solver
-
-
-def default_step(cfg: SuperpositionConfig, noise: NoiseConfig) -> float:
-    """Fixed integration step resolving both the drive and the damping scale."""
-    h = 0.01 / cfg.omega
-    if noise.gamma > 0.0:
-        h = min(h, 0.01 / noise.gamma)
-    return h
 
 
 # --- Bloch route ------------------------------------------------------------
@@ -99,53 +72,6 @@ def bloch_rhs(s, t: float, cfg: SuperpositionConfig, noise: NoiseConfig) -> np.n
     axis = np.array([np.cos(theta), np.sin(theta), 0.0])
     g = soe(cfg, t)
     return g * np.cross(axis, s) - noise.gamma * np.array([s[0], s[1], 0.0])
-
-
-class _HermiteTable:
-    """Fixed-step RK4 trajectory with cubic Hermite queries between nodes.
-
-    Works for any ndarray-valued state (Bloch vectors and density matrices
-    alike). Nodes and node derivatives are stored, so dense queries cost one
-    cubic per component and never re-integrate.
-    """
-
-    def __init__(self, rhs, y0: np.ndarray, step: float):
-        self._rhs = rhs
-        self._h = float(step)
-        self._y = [np.array(y0)]
-        self._f = [np.asarray(rhs(0.0, self._y[0]))]
-
-    @property
-    def t_end(self) -> float:
-        return (len(self._y) - 1) * self._h
-
-    def extend(self, t_target: float) -> None:
-        h = self._h
-        while self.t_end < t_target:
-            t, y, k1 = self.t_end, self._y[-1], self._f[-1]
-            k2 = self._rhs(t + h / 2, y + (h / 2) * k1)
-            k3 = self._rhs(t + h / 2, y + (h / 2) * k2)
-            k4 = self._rhs(t + h, y + h * k3)
-            y_next = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y_next)):
-                raise SolverDiverged(f"non-finite state at t = {t + h!r}")
-            self._y.append(y_next)
-            self._f.append(np.asarray(self._rhs(t + h, y_next)))
-
-    def __call__(self, t: float) -> np.ndarray:
-        if t < -1e-12 or t > self.t_end + 1e-9:
-            raise ValueError(f"t = {t!r} outside the integrated range [0, {self.t_end!r}]")
-        if t <= 0.0 or len(self._y) == 1:
-            return self._y[0]
-        h = self._h
-        k = min(int(t / h), len(self._y) - 2)
-        u = (t - k * h) / h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        return (h00 * self._y[k] + h * h10 * self._f[k]
-                + h01 * self._y[k + 1] + h * h11 * self._f[k + 1])
 
 
 class _DenseTrajectory:
@@ -181,12 +107,8 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     def rhs(t, s):
         return soe(cfg, t) * np.cross(axis, s) - gamma * np.array([s[0], s[1], 0.0])
 
-    if noise.resolved_solver("rk45_adaptive") == "rk4_fixed":
-        table = _HermiteTable(rhs, s0, noise.step or default_step(cfg, noise))
-        table.extend(t_end)
-        return table
     sol = solve_ivp(rhs, (0.0, t_end), s0, method="RK45",
-                    rtol=noise.tol, atol=noise.tol, dense_output=True)
+                    rtol=BLOCH_TOL, atol=BLOCH_TOL, dense_output=True)
     if not sol.success:
         raise SolverDiverged(f"adaptive integration failed: {sol.message}")
     return _DenseTrajectory(sol.sol, t_end)
@@ -219,27 +141,39 @@ def hamiltonian_as(cfg: SuperpositionConfig) -> np.ndarray:
     return kron(PROJ0, half * pauli(cfg.n_axis)) + kron(PROJ1, half * pauli(cfg.m_axis))
 
 
-def lindblad_rhs(rho: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
-    """Generator of the dephasing master equation on the joint state."""
-    rho = np.asarray(rho, dtype=complex)
+def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
+    """16x16 superoperator of the master equation on row-major vec(rho).
+
+    vec(A rho B) = kron(A, B^T) vec(rho) for C-ordered ravel (the convention
+    of Havel, J. Math. Phys. 44, 534 (2003)). The generator is
+    time-independent, so one eigendecomposition of it gives the exact
+    propagator behind every joint-state evolution here.
+    """
     h = hamiltonian_as(cfg)
-    out = -1j * (h @ rho - rho @ h)
+    eye = np.eye(4, dtype=complex)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for op in (_DEPHASER_S, _DEPHASER_A):
-        out = out + (0.5 * noise.gamma) * (op @ rho @ op - rho)
-    return out
+        lv += (0.5 * noise.gamma) * (np.kron(op, op.T) - np.eye(16, dtype=complex))
+    return lv
 
 
-def _lindblad_rhs_fn(cfg: SuperpositionConfig, noise: NoiseConfig):
-    h = hamiltonian_as(cfg)
-    gamma = noise.gamma
+def _propagator(cfg: SuperpositionConfig, noise: NoiseConfig):
+    """Exact rho(t) = V diag(exp(lam t)) V^-1 vec(rho0) from L = V diag(lam) V^-1.
 
-    def rhs(t, rho):
-        out = -1j * (h @ rho - rho @ h)
-        out += (0.5 * gamma) * (_DEPHASER_S @ rho @ _DEPHASER_S - rho)
-        out += (0.5 * gamma) * (_DEPHASER_A @ rho @ _DEPHASER_A - rho)
-        return out
+    L is diagonalized in the eigenbasis of the Hamiltonian, where its unitary
+    part is diagonal: at gamma = 0 its spectrum is degenerate, and eig in the
+    computational basis returns cond(V) ~ 1e8 there (errors ~ 1e-8).
+    """
+    _, w = np.linalg.eigh(hamiltonian_as(cfg))
+    basis = np.kron(w, w.conj())
+    lam, v = np.linalg.eig(basis.conj().T @ liouvillian(cfg, noise) @ basis)
+    v = basis @ v
+    v_inv = np.linalg.inv(v)
 
-    return rhs
+    def propagate(rho0: np.ndarray, t: float) -> np.ndarray:
+        return (v @ (np.exp(lam * t) * (v_inv @ rho0.ravel()))).reshape(4, 4)
+
+    return propagate
 
 
 def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConfig,
@@ -252,56 +186,7 @@ def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConf
         raise ValueError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return rho0.copy()
-    rhs = _lindblad_rhs_fn(cfg, noise)
-    if noise.resolved_solver("rk4_fixed") == "rk4_fixed":
-        return _rk4_to(rhs, rho0, t, noise.step or default_step(cfg, noise))
-    sol = solve_ivp(lambda tt, y: rhs(tt, y.reshape(4, 4)).ravel(),
-                    (0.0, t), rho0.ravel(), method="RK45",
-                    rtol=noise.tol, atol=noise.tol)
-    if not sol.success:
-        raise SolverDiverged(f"adaptive integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(4, 4)
-
-
-def _rk4_to(rhs, y0: np.ndarray, t: float, h: float) -> np.ndarray:
-    """Classic RK4 to exactly t: uniform steps of h plus one remainder step."""
-    y, now = np.array(y0), 0.0
-    n_full = int(t / h)
-    for k in range(n_full + 1):
-        dt = h if k < n_full else t - n_full * h
-        if dt <= 0.0:
-            break
-        k1 = rhs(now, y)
-        k2 = rhs(now + dt / 2, y + (dt / 2) * k1)
-        k3 = rhs(now + dt / 2, y + (dt / 2) * k2)
-        k4 = rhs(now + dt, y + dt * k3)
-        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        now += dt
-        if not np.all(np.isfinite(y)):
-            raise SolverDiverged(f"non-finite state at t = {now!r}")
-    return y
-
-
-def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
-    """16x16 superoperator of the master equation on row-major vec(rho).
-
-    vec(A rho B) = kron(A, B^T) vec(rho) for C-ordered ravel. The generator is
-    time-independent, so expm(liouvillian * t) is an exact propagator and the
-    reference for the step integrators.
-    """
-    h = hamiltonian_as(cfg)
-    eye = np.eye(4, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in (_DEPHASER_S, _DEPHASER_A):
-        lv += (0.5 * noise.gamma) * (np.kron(op, op.T) - np.eye(16, dtype=complex))
-    return lv
-
-
-def evolve_lindblad_exact(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConfig,
-                          t: float) -> np.ndarray:
-    """Exact superoperator-exponential propagation (reference route)."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    return (expm(liouvillian(cfg, noise) * t) @ rho0.ravel()).reshape(4, 4)
+    return _propagator(cfg, noise)(rho0, t)
 
 
 def _branch_states(cfg: SuperpositionConfig) -> list[tuple[int, np.ndarray]]:
@@ -318,34 +203,19 @@ def _postselected_moments(rho_as: np.ndarray) -> tuple[float, float]:
     return prob, moment
 
 
-def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float, tj: float,
-                     mode: str = "per_branch") -> float:
+def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
+                     tj: float) -> float:
     """Two-time correlator with the ancilla channel evolved under dephasing.
 
     Each sigma_z eigenstate of S is evolved jointly with a fresh ancilla for
     the duration tj - ti, the ancilla is post-selected on |+>, and the signed
-    halves of <sigma_z> are summed. mode picks the renormalization:
-    "per_branch" divides each branch by its own post-selection probability
-    (reduces exactly to the unitary correlator at gamma = 0, where that
-    probability is state-independent); "global" divides both branches by the
-    mean probability instead.
+    halves of <sigma_z> are summed, each divided by its own branch's
+    post-selection probability. At gamma = 0 that probability is
+    state-independent and the result is exactly the unitary correlator.
     """
     if tj < ti:
         raise ValueError("tj must be >= ti")
-    if mode not in ("per_branch", "global"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    probs, moments, signs = [], [], []
-    for q, rho0 in _branch_states(cfg):
-        prob, moment = _postselected_moments(evolve_lindblad(rho0, cfg, noise, tj - ti))
-        if prob < 1e-12:
-            raise PostSelectionStarved(f"branch q = {q} probability {prob!r} below floor")
-        probs.append(prob)
-        moments.append(moment)
-        signs.append(q)
-    if mode == "per_branch":
-        return float(sum(q * 0.5 * m / p for q, m, p in zip(signs, moments, probs)))
-    mean_prob = 0.5 * (probs[0] + probs[1])
-    return float(sum(q * 0.5 * m / mean_prob for q, m in zip(signs, moments)))
+    return float(_LindbladK3(cfg, noise).correlator(tj - ti))
 
 
 # --- lifetime of the K3 > 1 violation ---------------------------------------
@@ -369,19 +239,18 @@ class _BlochK3:
 
 
 class _LindbladK3:
-    """K3(t) evaluator from two extendable joint-state trajectories."""
+    """K3(t) evaluator propagating both branch states exactly."""
 
     def __init__(self, cfg: SuperpositionConfig, noise: NoiseConfig):
-        rhs = _lindblad_rhs_fn(cfg, noise)
-        h = noise.step or default_step(cfg, noise)
-        self._tables = [(q, _HermiteTable(rhs, rho0, h)) for q, rho0 in _branch_states(cfg)]
+        self._propagate = _propagator(cfg, noise)
+        self._branches = _branch_states(cfg)
 
-    def _corr(self, delta: float) -> float:
+    def correlator(self, delta: float) -> float:
+        """Post-selected correlator over the delay delta (see noisy_correlator)."""
         total = 0.0
-        for q, table in self._tables:
-            table.extend(delta)
-            prob, moment = _postselected_moments(table(delta))
-            if prob < 1e-12:
+        for q, rho0 in self._branches:
+            prob, moment = _postselected_moments(self._propagate(rho0, delta))
+            if prob < POSTSELECT_FLOOR:
                 raise PostSelectionStarved(f"branch q = {q} probability {prob!r} below floor")
             total += q * 0.5 * moment / prob
         return total
@@ -389,7 +258,7 @@ class _LindbladK3:
     def __call__(self, t: float) -> float:
         if t <= 0.0:
             return 1.0
-        return 2.0 * self._corr(t) - self._corr(2.0 * t)
+        return 2.0 * self.correlator(t) - self.correlator(2.0 * t)
 
 
 def _k3_evaluator(cfg: SuperpositionConfig, noise: NoiseConfig, model: str):
@@ -474,7 +343,7 @@ class GainPoint:
 
 
 def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bloch",
-               omega: float = 1.0, threads: int = 1) -> list[GainPoint]:
+               omega: float = 1.0) -> list[GainPoint]:
     """Lifetime gain against the superposition weight at fixed branch angle.
 
     phi is the planar angle between the two rotation axes, in radians. Rows
@@ -491,7 +360,4 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
             return GainPoint(alpha=alpha, tau_alpha=None, gain=None, status="no-crossing")
         return GainPoint(alpha=alpha, tau_alpha=res.tau_alpha, gain=res.gain, status="ok")
 
-    if threads <= 1:
-        return [one(a) for a in alphas]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, alphas))
+    return [one(a) for a in alphas]

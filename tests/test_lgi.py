@@ -138,15 +138,6 @@ def test_ttb_map_analytic_profile():
     assert np.all(dev < 1e-3)
 
 
-def test_thread_count_never_changes_results():
-    etas = np.linspace(0.0, np.pi, 5)
-    xis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
-    serial = ttb_map(etas, xis, threads=1)
-    threaded = ttb_map(etas, xis, threads=3)
-    assert np.array_equal(serial.k3max, threaded.k3max)
-    assert np.array_equal(serial.argmax_omega_t, threaded.argmax_omega_t)
-
-
 def test_k3max_surface_growth_with_mixing():
     alphas = np.linspace(0.0, np.pi / 4, 5)
     phis = np.deg2rad([90.0, 135.0, 165.0])
@@ -159,13 +150,6 @@ def test_k3max_surface_growth_with_mixing():
     # spot agreement with the pointwise maximizer
     assert np.isclose(surf.k3max[-1][0], k3_max(planar(np.pi / 4, np.pi / 2))[0],
                       atol=1e-12)
-
-
-def test_k3max_surface_threads_match():
-    alphas = np.linspace(0.0, np.pi / 4, 3)
-    phis = np.deg2rad([90.0, 150.0])
-    assert np.array_equal(k3max_surface(alphas, phis, threads=1).k3max,
-                          k3max_surface(alphas, phis, threads=4).k3max)
 
 
 def test_k3_curve_sampling():
