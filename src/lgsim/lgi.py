@@ -8,6 +8,11 @@ superposed rotation U is
 and K3 = C12 + C23 - C13 on the stationary grid t1 = 0, t2 = t, t3 = 2t
 (so C12 = C23). For a single rotation (alpha = 0) the maximum of K3 over t is
 bounded by 1.5; superpositions push it toward the algebraic bound of 3.
+
+`correlator` and `k3_at` evaluate the trace. Everything that scans omega*t
+(k3_max, ttb_map, k3max_surface, k3_curve) uses the equivalent closed form,
+in which a config enters through three scalars only, and searches for maxima
+over a whole batch of configs at once.
 """
 
 from __future__ import annotations
@@ -16,12 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Z_AXIS, as_unit_vector, dagger, pauli
-from .superpose import SuperpositionConfig, superposed_unitary
+from .linalg import X_AXIS, Z_AXIS, as_unit_vector, dagger, pauli
+from .superpose import SuperpositionConfig, UnsupportedGeometry, superposed_unitary
 
 GOLDEN_TOL = 1e-6
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Points per block of the coarse K3 scan: 32 configs of the default 2000-point
+# grid, about 0.5 MB per float64 temporary.
+_SCAN_BLOCK = 64_000
 
 
 @dataclass(frozen=True)
@@ -67,28 +76,107 @@ def correlator(cfg: SuperpositionConfig, ti: float, tj: float, q_axis=Z_AXIS) ->
     return float(min(1.0, max(-1.0, c)))
 
 
-def _correlator_values(cfg: SuperpositionConfig, omega_dt: np.ndarray, q_axis=Z_AXIS) -> np.ndarray:
-    """Vectorized correlator over an array of omega*(tj - ti).
+def _dot3(a, b) -> np.ndarray:
+    """Row-wise dot product of (..., 3) arrays.
 
-    Uses the rotation-matrix element q.R(U)q of U = c*1 - i w.sigma, which
-    equals the trace formula exactly: C = (c^2 - |w|^2 + 2 (w.q)^2) / N^2.
+    Summed in a fixed order, so a row's value does not depend on the shape
+    of the batch it sits in.
     """
-    q = as_unit_vector(q_axis)
-    x = 0.5 * np.asarray(omega_dt, dtype=float)
-    sa, ca = np.sin(cfg.alpha), np.cos(cfg.alpha)
-    axis_mix = sa * cfg.n_axis + ca * cfg.m_axis
-    c = (sa + ca) * np.cos(x)
-    w = np.sin(x)[..., None] * axis_mix
-    w_sq = (w**2).sum(axis=-1)
-    wq = w @ q
-    nsq = c**2 + w_sq
-    return (c**2 - w_sq + 2.0 * wq**2) / nsq
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _k3_values(cfg: SuperpositionConfig, omega_t: np.ndarray, q_axis=Z_AXIS) -> np.ndarray:
-    """K3 on the stationary grid, vectorized over omega*t."""
-    u = np.asarray(omega_t, dtype=float)
-    return 2.0 * _correlator_values(cfg, u, q_axis) - _correlator_values(cfg, 2.0 * u, q_axis)
+def _coefficients(alpha, n_axes, m_axes, q_axis=Z_AXIS):
+    """The three scalars through which each config of a batch enters C.
+
+    With x = omega*d / 2, U = c 1 - i w.sigma has c = c0 cos x and
+    w = sin x v, where v = sin(alpha) n + cos(alpha) m. Returns the arrays
+    c0 = sin(alpha) + cos(alpha), m2 = |v|^2 and mq = v.q, one entry per
+    row of alpha (shape (B,)) and of the (B, 3) axis arrays.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    v = sa[:, None] * n_axes + ca[:, None] * m_axes
+    return sa + ca, _dot3(v, v), _dot3(v, as_unit_vector(q_axis))
+
+
+def _config_coefficients(cfg: SuperpositionConfig, q_axis=Z_AXIS):
+    return _coefficients([cfg.alpha], cfg.n_axis[None], cfg.m_axis[None], q_axis)
+
+
+def _trig(omega_t):
+    """cos and sin of the half angles of C(t) and C(2t): omega*t/2 and omega*t."""
+    half = 0.5 * omega_t
+    return np.cos(half), np.sin(half), np.cos(omega_t), np.sin(omega_t)
+
+
+def _correlator_terms(coef, cos_x, sin_x):
+    """C = (c^2 - |w|^2 + 2 (w.q)^2) / N^2 from the coefficients of a config.
+
+    This is the rotation-matrix element q.R(U)q of U = c 1 - i w.sigma, equal
+    to the trace formula of `correlator` up to rounding.
+    """
+    c0, m2, mq = coef
+    c_sq = (c0 * cos_x) ** 2
+    w_sq = m2 * sin_x**2
+    wq = mq * sin_x
+    return (c_sq - w_sq + 2.0 * wq**2) / (c_sq + w_sq)
+
+
+def _k3_terms(coef, trig):
+    """K3 = 2 C(t) - C(2t) on the stationary grid, broadcast over coef and trig."""
+    cos_h, sin_h, cos_f, sin_f = trig
+    return 2.0 * _correlator_terms(coef, cos_h, sin_h) - _correlator_terms(coef, cos_f, sin_f)
+
+
+def _k3_maxima(coef, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max over omega*t of K3 and its location, for a batch of B configs.
+
+    coef holds (c0, m2, mq), each of shape (B,). A coarse scan over `grid`
+    takes each config's first-occurrence argmax; the scan runs in blocks of
+    configs so that no temporary exceeds _SCAN_BLOCK points. A golden-section
+    search then shrinks every config's bracket [grid[i-1], grid[i+1]] at once
+    down to width GOLDEN_TOL. A config leaves the search as soon as its own
+    bracket is narrow enough, so each takes the steps a search on it alone
+    would take and its result does not depend on the rest of the batch.
+    Where the scan value beats the refined one, the scan point is returned.
+    """
+    c0, m2, mq = coef
+    count = len(grid)
+    grid_trig = _trig(grid)
+    i = np.empty(len(c0), dtype=np.intp)
+    peak = np.empty(len(c0))
+    step = max(1, _SCAN_BLOCK // count)
+    for lo in range(0, len(c0), step):
+        block = slice(lo, lo + step)
+        vals = _k3_terms((c0[block, None], m2[block, None], mq[block, None]), grid_trig)
+        i[block] = np.argmax(vals, axis=1)
+        peak[block] = vals.max(axis=1)
+
+    def f(u):
+        return _k3_terms(coef, _trig(u))
+
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, count - 1)]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    active = (b - a) > GOLDEN_TOL
+    while active.any():
+        left = active & (fc >= fd)  # keep [a, d]
+        right = active & ~left      # keep [c, b]
+        a = np.where(right, c, a)
+        b = np.where(left, d, b)
+        c, d = (np.where(left, b - _INV_GOLDEN * (b - a), np.where(right, d, c)),
+                np.where(right, a + _INV_GOLDEN * (b - a), np.where(left, c, d)))
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        f_new = f(np.where(left, c, d))
+        fc = np.where(left, f_new, fc)
+        fd = np.where(right, f_new, fd)
+        active = (b - a) > GOLDEN_TOL
+    u_star = 0.5 * (a + b)
+    f_star = f(u_star)
+    scan_wins = peak > f_star
+    return np.where(scan_wins, peak, f_star), np.where(scan_wins, grid[i], u_star)
 
 
 def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS) -> CorrelatorSet:
@@ -111,37 +199,21 @@ def default_omega_t_grid(count: int = 2000) -> np.ndarray:
 def k3_max(cfg: SuperpositionConfig, omega_t_grid=None, q_axis=Z_AXIS) -> tuple[float, float]:
     """Maximum of K3 over omega*t and its location.
 
-    Coarse grid scan (first-occurrence argmax, so ties resolve to the smallest
-    omega*t) followed by golden-section refinement of the bracketing interval
-    down to width GOLDEN_TOL. Returns (k3_maximum, omega_t_at_maximum).
+    Coarse grid scan followed by golden-section refinement of the bracketing
+    interval down to width GOLDEN_TOL; the one-config call of the batched
+    kernel behind ttb_map and k3max_surface. K3 is symmetric about
+    omega*t = pi, so either of the twin peaks u* and 2 pi - u* may be
+    reported: their grid values tie to within rounding.
+    Returns (k3_maximum, omega_t_at_maximum).
     """
     grid = default_omega_t_grid() if omega_t_grid is None else _grid_values(omega_t_grid)
-    vals = _k3_values(cfg, grid, q_axis)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    value, loc = _k3_maxima(_config_coefficients(cfg, q_axis), grid)
+    return float(value[0]), float(loc[0])
 
-    def f(u: float) -> float:
-        return float(_k3_values(cfg, np.array([u]), q_axis)[0])
 
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    u_star = 0.5 * (a + b)
-    f_star = f(u_star)
-    if float(vals[i]) > f_star:
-        return float(vals[i]), float(grid[i])
-    return f_star, float(u_star)
+def _check_omega(omega: float) -> None:
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
 
 
 @dataclass(frozen=True)
@@ -160,21 +232,23 @@ def ttb_map(eta_grid, xi_grid, omega: float = 1.0) -> TemporalBoundMap:
     The observable stays along z; the single rotation axis points at
     (sin eta cos xi, sin eta sin xi, cos eta). Every entry is bounded by 1.5
     (the temporal analogue of the Tsirelson bound) and depends on eta only.
+    All cells go through the batched kernel at once; as in k3_max, an
+    argmax entry may be either twin peak u* or 2 pi - u*.
     """
+    _check_omega(omega)
     etas = _grid_values(eta_grid)
     xis = _grid_values(xi_grid)
 
-    k3m = np.empty((len(etas), len(xis)))
-    arg = np.empty_like(k3m)
-    for i, eta in enumerate(etas):
-        for j, xi in enumerate(xis):
-            axis = np.array([np.sin(eta) * np.cos(xi),
-                             np.sin(eta) * np.sin(xi),
-                             np.cos(eta)])
-            axis /= np.linalg.norm(axis)
-            cfg = SuperpositionConfig(alpha=0.0, n_axis=axis, m_axis=axis, omega=omega)
-            k3m[i, j], arg[i, j] = k3_max(cfg)
-    return TemporalBoundMap(eta=etas, xi=xis, k3max=k3m, argmax_omega_t=arg)
+    axes = np.empty((len(etas), len(xis), 3))
+    axes[..., 0] = np.sin(etas)[:, None] * np.cos(xis)
+    axes[..., 1] = np.sin(etas)[:, None] * np.sin(xis)
+    axes[..., 2] = np.cos(etas)[:, None]
+    axes = axes.reshape(-1, 3)
+    k3m, arg = _k3_maxima(_coefficients(np.zeros(len(axes)), axes, axes),
+                          default_omega_t_grid())
+    shape = (len(etas), len(xis))
+    return TemporalBoundMap(eta=etas, xi=xis, k3max=k3m.reshape(shape),
+                            argmax_omega_t=arg.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -187,14 +261,23 @@ class K3MaxSurface:
 
 
 def k3max_surface(alpha_grid, phi_grid, omega: float = 1.0) -> K3MaxSurface:
-    """max_t K3 for every (alpha, phi) pair of planar configurations."""
-    from .superpose import planar
+    """max_t K3 for every (alpha, phi) pair of planar configurations.
 
+    Entry (i, j) is k3_max(planar(alpha_i, phi_j, omega))[0]; the whole grid
+    goes through the batched kernel at once.
+    """
+    _check_omega(omega)
     alphas = _grid_values(alpha_grid)
     phis = _grid_values(phi_grid)
+    if not np.all((alphas >= 0.0) & (alphas <= np.pi / 2)):
+        raise ValueError(f"alpha must lie in [0, pi/2], got {alphas!r}")
+    if not np.all((phis >= 0.0) & (phis < np.pi)):
+        raise UnsupportedGeometry(f"planar longitude must lie in [0, pi), got {phis!r}")
 
-    rows = [[k3_max(planar(alpha, phi, omega))[0] for phi in phis] for alpha in alphas]
-    return K3MaxSurface(alpha=alphas, phi=phis, k3max=np.array(rows))
+    n_axes = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=-1)
+    coef = _coefficients(np.repeat(alphas, len(phis)), np.tile(n_axes, (len(alphas), 1)), X_AXIS)
+    k3m, _ = _k3_maxima(coef, default_omega_t_grid())
+    return K3MaxSurface(alpha=alphas, phi=phis, k3max=k3m.reshape(len(alphas), len(phis)))
 
 
 @dataclass(frozen=True)
@@ -208,10 +291,10 @@ class K3Curve:
 
 
 def k3_curve(cfg: SuperpositionConfig, omega_t_grid, q_axis=Z_AXIS) -> K3Curve:
-    """Sample k3_at over a grid of omega*t (pure sampling, no refinement)."""
+    """Sample C12, C13 and K3 over a grid of omega*t (pure sampling, no refinement)."""
     us = _grid_values(omega_t_grid)
-    sets = [k3_at(cfg, u / cfg.omega, q_axis) for u in us]
-    return K3Curve(omega_t=us,
-                   c12=np.array([s.c12 for s in sets]),
-                   c13=np.array([s.c13 for s in sets]),
-                   k3=np.array([s.k3 for s in sets]))
+    cos_h, sin_h, cos_f, sin_f = _trig(us)
+    coef = _config_coefficients(cfg, q_axis)
+    c12 = _correlator_terms(coef, cos_h, sin_h)
+    c13 = _correlator_terms(coef, cos_f, sin_f)
+    return K3Curve(omega_t=us, c12=c12, c13=c13, k3=2.0 * c12 - c13)

@@ -61,17 +61,25 @@ class NoiseConfig:
 
 # --- Bloch route ------------------------------------------------------------
 
-def bloch_rhs(s, t: float, cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
-    """Right-hand side of the damped Bloch equation.
+def _bloch_rhs_fn(cfg: SuperpositionConfig, noise: NoiseConfig):
+    """Damped Bloch right-hand side rhs(t, s), with the axis and gamma bound once.
 
     The damping acts on the transverse components only, so the poles are
     fixed points of the noise alone and the equator is damped hardest.
     """
-    s = np.asarray(s, dtype=float)
     theta = axis_theta(cfg)
     axis = np.array([np.cos(theta), np.sin(theta), 0.0])
-    g = soe(cfg, t)
-    return g * np.cross(axis, s) - noise.gamma * np.array([s[0], s[1], 0.0])
+    gamma = noise.gamma
+
+    def rhs(t, s):
+        return soe(cfg, t) * np.cross(axis, s) - gamma * np.array([s[0], s[1], 0.0])
+
+    return rhs
+
+
+def bloch_rhs(s, t: float, cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
+    """Right-hand side of the damped Bloch equation at (s, t)."""
+    return _bloch_rhs_fn(cfg, noise)(t, np.asarray(s, dtype=float))
 
 
 class _DenseTrajectory:
@@ -100,14 +108,7 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     if s0.shape != (3,):
         raise ValueError("initial Bloch vector must have shape (3,)")
 
-    theta = axis_theta(cfg)
-    axis = np.array([np.cos(theta), np.sin(theta), 0.0])
-    gamma = noise.gamma
-
-    def rhs(t, s):
-        return soe(cfg, t) * np.cross(axis, s) - gamma * np.array([s[0], s[1], 0.0])
-
-    sol = solve_ivp(rhs, (0.0, t_end), s0, method="RK45",
+    sol = solve_ivp(_bloch_rhs_fn(cfg, noise), (0.0, t_end), s0, method="RK45",
                     rtol=BLOCH_TOL, atol=BLOCH_TOL, dense_output=True)
     if not sol.success:
         raise SolverDiverged(f"adaptive integration failed: {sol.message}")

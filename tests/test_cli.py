@@ -124,6 +124,23 @@ def test_ttb_map_small_grid(tmp_path, capsys):
     assert k3max.max() <= 1.5 + 1e-9
 
 
+def test_ttb_map_odd_grid(tmp_path, capsys):
+    # linspace(0, pi, 8) misses eta = pi/2, so the peak is the grid's own
+    # closed-form maximum, below 1.5
+    out = tmp_path / "ttb.csv"
+    code = run(RunConfig(experiment="ttb-map", grid=7, out=str(out)))
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert "PASS ttb-map: peak equals the closed-form maximum on the eta grid" in stdout
+    assert "3/3 checks passed" in stdout
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 8 * 7
+    k3max = np.array([float(r.split(",")[2]) for r in rows])
+    eta = np.linspace(0.0, np.pi, 8)
+    assert abs(k3max.max() - (1.0 + 0.5 * np.sin(eta) ** 2).max()) < 1e-6
+    assert k3max.max() < 1.5 - 1e-3
+
+
 def test_lifetime_single_phi(tmp_path, capsys):
     out = tmp_path / "life.csv"
     code = run(RunConfig(experiment="lifetime-bloch", phi=115.0, grid=2, out=str(out)))

@@ -1,8 +1,11 @@
 """Two-time correlators, K3, and its maxima over time and parameters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lgsim import lgi
 from lgsim.lgi import (
     CorrelatorSet,
     SweepGrid,
@@ -15,7 +18,7 @@ from lgsim.lgi import (
     ttb_map,
 )
 from lgsim.linalg import X_AXIS, Z_AXIS
-from lgsim.superpose import f_of_t, planar
+from lgsim.superpose import SuperpositionConfig, UnsupportedGeometry, f_of_t, planar
 
 # dense-scan oracle values at alpha = pi/4 (step 1e-4 with parabolic
 # refinement): {phi degrees: (max K3, omega*t at the max)}
@@ -150,6 +153,119 @@ def test_k3max_surface_growth_with_mixing():
     # spot agreement with the pointwise maximizer
     assert np.isclose(surf.k3max[-1][0], k3_max(planar(np.pi / 4, np.pi / 2))[0],
                       atol=1e-12)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _trace_k3(cfg, u, q_axis):
+    return 2.0 * correlator(cfg, 0.0, u, q_axis) - correlator(cfg, 0.0, 2.0 * u, q_axis)
+
+
+def _dense_k3_max(cfg, q_axis):
+    """Independent maximum of K3 through the trace-route correlator.
+
+    A 500-point scan over one cycle, then four zooms of 41 points onto the
+    best point found so far, each one spanning two steps of the previous.
+    """
+    us = np.linspace(0.0, 2.0 * np.pi, 500)
+    best = max(us, key=lambda u: _trace_k3(cfg, u, q_axis))
+    step = us[1] - us[0]
+    for _ in range(4):
+        us = np.linspace(best - step, best + step, 41)
+        best = max(us, key=lambda u: _trace_k3(cfg, u, q_axis))
+        step = us[1] - us[0]
+    return _trace_k3(cfg, best, q_axis)
+
+
+def test_k3_max_matches_dense_trace_scan():
+    rng = np.random.default_rng(8)
+    cases = [
+        # a non-planar axis pair read out along a tilted observable
+        (SuperpositionConfig(np.pi / 4, _unit([0.2, 0.9, 0.4]), _unit([1.0, -0.3, 0.5])),
+         _unit([0.3, -0.5, 0.8])),
+        (planar(np.pi / 4, np.deg2rad(135.0)), Z_AXIS),
+    ]
+    while len(cases) < 20:
+        n, m = _unit(rng.normal(size=3)), _unit(rng.normal(size=3))
+        if n @ m < -0.9:
+            continue
+        q = Z_AXIS if len(cases) % 2 else _unit(rng.normal(size=3))
+        cases.append((SuperpositionConfig(rng.uniform(0.0, np.pi / 2), n, m), q))
+    for cfg, q in cases:
+        value, loc = k3_max(cfg, q_axis=q)
+        assert abs(value - _dense_k3_max(cfg, q)) < 1e-9
+        assert abs(_trace_k3(cfg, loc, q) - value) < 1e-9
+
+
+def test_batched_maxima_equal_single_config_calls_bitwise():
+    # more configs than one scan block holds, on irregular grids: neither the
+    # block boundaries nor the neighbours in a batch may change an entry
+    etas = np.array([0.0, 0.13, 0.7, 1.1, np.pi / 2, 2.2, 3.0])
+    xis = np.array([0.0, 0.4, 1.9, 2.05, 4.4, 6.1])
+    tm = ttb_map(etas, xis)
+    for i, eta in enumerate(etas):
+        for j, xi in enumerate(xis):
+            axis = np.array([np.sin(eta) * np.cos(xi), np.sin(eta) * np.sin(xi), np.cos(eta)])
+            cfg = SuperpositionConfig(alpha=0.0, n_axis=axis, m_axis=axis)
+            assert (tm.k3max[i, j], tm.argmax_omega_t[i, j]) == k3_max(cfg)
+    alphas = np.array([0.0, 0.05, 0.3, 0.61, 0.785, np.pi / 2])
+    phis = np.array([0.0, 0.2, 1.0, np.pi / 2, 2.3, 2.9, 3.1])
+    surf = k3max_surface(alphas, phis)
+    for i, alpha in enumerate(alphas):
+        for j, phi in enumerate(phis):
+            assert surf.k3max[i, j] == k3_max(planar(alpha, phi))[0]
+
+
+def test_golden_section_steps_do_not_depend_on_the_batch():
+    # on this grid the steps are ten times finer below omega*t = 1.2, so the
+    # configs that peak there (near pi/3) start from narrower brackets and
+    # need fewer golden-section steps than those peaking above (near 1.5)
+    grid = np.concatenate([np.linspace(0.0, 1.2, 500, endpoint=False),
+                           np.linspace(1.2, 2 * np.pi, 200)])
+    cfgs = [planar(alpha, phi) for alpha in (0.0, 0.1, np.pi / 4)
+            for phi in (0.5, 1.5, 2.4, 3.0)]
+    coef = [np.concatenate(c) for c in zip(*(lgi._config_coefficients(cfg) for cfg in cfgs))]
+    values, locs = lgi._k3_maxima(coef, grid)
+    singles = [k3_max(cfg, omega_t_grid=grid) for cfg in cfgs]
+    assert min(loc for _, loc in singles) < 1.2 < max(loc for _, loc in singles)
+    assert list(zip(values, locs)) == singles
+
+
+def test_k3max_surface_memory_is_bounded():
+    # the coarse scan runs in blocks of configs; one unblocked (3600 x 2000)
+    # float64 temporary alone would take 57.6 MB
+    alphas = np.linspace(0.0, np.pi / 4, 60)
+    phis = np.linspace(0.0, np.pi, 60, endpoint=False)
+    tracemalloc.start()
+    try:
+        k3max_surface(alphas, phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_batched_maps_validate_inputs():
+    with pytest.raises(ValueError):
+        k3max_surface([0.0, 2.0], [1.0])
+    with pytest.raises(UnsupportedGeometry):
+        k3max_surface([0.0], [np.pi])
+    with pytest.raises(ValueError):
+        ttb_map([0.0, 1.0], [0.0], omega=0.0)
+
+
+def test_k3_curve_matches_trace_route():
+    us = np.linspace(0.0, 2 * np.pi, 301)
+    tilted = SuperpositionConfig(0.4, _unit([0.2, 0.9, 0.4]), _unit([1.0, -0.3, 0.5]), omega=1.7)
+    for cfg, q in ((planar(np.pi / 4, 2.8), Z_AXIS), (tilted, _unit([0.3, -0.5, 0.8]))):
+        curve = k3_curve(cfg, us, q_axis=q)
+        sets = [k3_at(cfg, u / cfg.omega, q) for u in us]
+        assert np.allclose(curve.c12, [s.c12 for s in sets], rtol=0, atol=1e-12)
+        assert np.allclose(curve.c13, [s.c13 for s in sets], rtol=0, atol=1e-12)
+        assert np.allclose(curve.k3, [s.k3 for s in sets], rtol=0, atol=1e-12)
 
 
 def test_k3_curve_sampling():
