@@ -27,9 +27,8 @@ from .ancilla import (AncillaCircuit, Coupling, InterferometerSignal, LibraryEnt
                       interferometer_signal, normalization_signal, postselect_map,
                       project_ancilla, u_tilde_pm, verify_pulse_sequences)
 from .noise import (DEFAULT_ALPHA_GRID, GainPoint, LifetimeResult, NoCrossing,
-                    NoiseConfig, SolverDiverged, bloch_rhs, evolve_lindblad, gain_curve,
-                    hamiltonian_as, integrate_bloch, k3_bloch, lifetime, liouvillian,
-                    noisy_correlator)
+                    NoiseConfig, evolve_lindblad, gain_curve, hamiltonian_as,
+                    integrate_bloch, k3_bloch, lifetime, liouvillian, noisy_correlator)
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,7 @@ __all__ = [
     "normalization_signal", "postselect_map", "project_ancilla", "u_tilde_pm",
     "verify_pulse_sequences",
     "DEFAULT_ALPHA_GRID", "GainPoint", "LifetimeResult", "NoCrossing", "NoiseConfig",
-    "SolverDiverged", "bloch_rhs", "evolve_lindblad", "gain_curve", "hamiltonian_as",
-    "integrate_bloch", "k3_bloch", "lifetime", "liouvillian", "noisy_correlator",
+    "evolve_lindblad", "gain_curve", "hamiltonian_as", "integrate_bloch", "k3_bloch",
+    "lifetime", "liouvillian", "noisy_correlator",
     "__version__",
 ]

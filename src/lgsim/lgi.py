@@ -211,11 +211,6 @@ def k3_max(cfg: SuperpositionConfig, omega_t_grid=None, q_axis=Z_AXIS) -> tuple[
     return float(value[0]), float(loc[0])
 
 
-def _check_omega(omega: float) -> None:
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-
-
 @dataclass(frozen=True)
 class TemporalBoundMap:
     """K3 maxima for a single rotation axis swept over the sphere (alpha = 0)."""
@@ -226,16 +221,16 @@ class TemporalBoundMap:
     argmax_omega_t: np.ndarray  # same shape
 
 
-def ttb_map(eta_grid, xi_grid, omega: float = 1.0) -> TemporalBoundMap:
-    """Map of max_t K3 against the rotation-axis polar angles, at alpha = 0.
+def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
+    """Map of max over omega*t of K3 against the rotation-axis polar angles, at alpha = 0.
 
     The observable stays along z; the single rotation axis points at
     (sin eta cos xi, sin eta sin xi, cos eta). Every entry is bounded by 1.5
     (the temporal analogue of the Tsirelson bound) and depends on eta only.
-    All cells go through the batched kernel at once; as in k3_max, an
-    argmax entry may be either twin peak u* or 2 pi - u*.
+    The map is in units of omega*t, so the rate does not enter. All cells go
+    through the batched kernel at once; as in k3_max, an argmax entry may be
+    either twin peak u* or 2 pi - u*.
     """
-    _check_omega(omega)
     etas = _grid_values(eta_grid)
     xis = _grid_values(xi_grid)
 
@@ -260,13 +255,12 @@ class K3MaxSurface:
     k3max: np.ndarray  # shape (len(alpha), len(phi))
 
 
-def k3max_surface(alpha_grid, phi_grid, omega: float = 1.0) -> K3MaxSurface:
-    """max_t K3 for every (alpha, phi) pair of planar configurations.
+def k3max_surface(alpha_grid, phi_grid) -> K3MaxSurface:
+    """max over omega*t of K3 for every (alpha, phi) pair of planar configurations.
 
-    Entry (i, j) is k3_max(planar(alpha_i, phi_j, omega))[0]; the whole grid
-    goes through the batched kernel at once.
+    Entry (i, j) is k3_max(planar(alpha_i, phi_j, omega))[0] for any omega;
+    the whole grid goes through the batched kernel at once.
     """
-    _check_omega(omega)
     alphas = _grid_values(alpha_grid)
     phis = _grid_values(phi_grid)
     if not np.all((alphas >= 0.0) & (alphas <= np.pi / 2)):

@@ -8,6 +8,10 @@ transverse components at rate gamma:
 
     ds/dt = g(t) axis x s - gamma (sx, sy, 0)
 
+The equation is linear with a generator of period T = 2 pi / omega, so it is
+solved in Floquet form from one period of its fundamental matrix, built from
+4th-order Magnus steps (see _BlochK3); no adaptive solver is involved.
+
 The microscopic route evolves the joint ancilla (x) system state under the
 block-diagonal two-branch Hamiltonian with independent sigma_z dephasing on
 both qubits, exactly through one eigendecomposition of its time-independent
@@ -21,18 +25,20 @@ Lindblad route. The lifetime is the first time K3 drops through 1.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ancilla import (POSTSELECT_FLOOR, PROJ0, PROJ1, KET_PLUS, PostSelectionStarved,
                       ancilla_state, project_ancilla)
 from .linalg import ID2, SIGMA_Z, Z_AXIS, is_density_matrix, kron, pauli
-from .superpose import SuperpositionConfig, axis_theta, planar, soe
+from .superpose import SuperpositionConfig, _half_angle_coeffs, axis_theta, planar
 
-BLOCH_TOL = 1e-10
+MAGNUS_TOL = 1e-10
+MAGNUS_MAX_STEPS = 2 ** 15
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 SCAN_OMEGA_STEP = 1e-2
 BISECT_REL_TOL = 1e-6
 LIFETIME_HORIZON_OVER_GAMMA = 50.0
@@ -42,10 +48,6 @@ DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
 
 class NoCrossing(RuntimeError):
     """K3 never dropped through 1 inside the search horizon."""
-
-
-class SolverDiverged(RuntimeError):
-    """The Bloch-equation integration failed."""
 
 
 @dataclass(frozen=True)
@@ -61,68 +63,107 @@ class NoiseConfig:
 
 # --- Bloch route ------------------------------------------------------------
 
-def _bloch_rhs_fn(cfg: SuperpositionConfig, noise: NoiseConfig):
-    """Damped Bloch right-hand side rhs(t, s), with the axis and gamma bound once.
+class _BlochK3:
+    """Floquet form of the Bloch flow of one (cfg, noise); K3(t) when called.
 
-    The damping acts on the transverse components only, so the poles are
-    fixed points of the noise alone and the equator is damped hardest.
+    In the frame (a, b = z x a, z) of the axis a, s_a decays as exp(-gamma t) and
+    (s_b, s_z) obeys [[-gamma, -g], [g, 0]]. Its fundamental matrix Phi is tabulated
+    over one period T on Magnus-4 steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+    151 (2009)) uniform in f, so short where the rate spikes; then (s_b, s_z)(t) =
+    E(u - t_j) Phi_j M^k (s_b, s_z)(0), M = Phi(T), t = kT + u with u in step j
+    (Floquet, Ann. Sci. ENS 12, 47 (1883)). The step count doubles from 64 until
+    Phi moves by at most MAGNUS_TOL at the shared nodes (the error falls as
+    steps^-4) or reaches MAGNUS_MAX_STEPS; at gamma = 0 or A = B one step is exact.
     """
-    theta = axis_theta(cfg)
-    axis = np.array([np.cos(theta), np.sin(theta), 0.0])
-    gamma = noise.gamma
 
-    def rhs(t, s):
-        return soe(cfg, t) * np.cross(axis, s) - gamma * np.array([s[0], s[1], 0.0])
+    def __init__(self, cfg: SuperpositionConfig, noise: NoiseConfig):
+        self._a, self._b, _ = _half_angle_coeffs(cfg)
+        self._omega, self._gamma, self._period = cfg.omega, noise.gamma, 2.0 * np.pi / cfg.omega
+        cos_t, sin_t = np.cos(axis_theta(cfg)), np.sin(axis_theta(cfg))
+        self._frame = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
+        n = 1 if self._gamma == 0.0 or self._a == self._b else 64
+        self._t, self._phi = self._table(n)
+        while 1 < n < MAGNUS_MAX_STEPS:
+            n, coarse = 2 * n, self._phi
+            self._t, self._phi = self._table(n)
+            if np.abs(self._phi[::2] - coarse).max() <= MAGNUS_TOL:
+                break
 
-    return rhs
+    def _steps(self, t0, t1) -> np.ndarray:
+        """exp(Omega), shape (..., 2, 2), of the steps [t0, t1] within one period.
 
+        Omega = [[-gamma h, c - df], [c + df, 0]] = mu I + N, where df is the exact
+        rotation angle, c = (sqrt 3 / 12) h^2 gamma (g1 - g2) the commutator term (g1,
+        g2 the rates at the Gauss points), mu = -gamma h / 2 and N^2 = r^2 I. So
+        exp(Omega) = e^(mu + r) [(1 + e^-2r) / 2 I + (1 - e^-2r) / 2r N] with complex r;
+        mu + r = (c^2 - df^2) / (r - mu) is capped at 0 (the exact flow never lengthens
+        s): no cancellation, and no overflow however large gamma h is.
+        """
+        h = t1 - t0
+        x = (0.5 * self._omega) * np.stack([t0, t1, t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h])
+        ca, sb = self._a * np.cos(x), self._b * np.sin(x)
+        df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
+        g = self._omega * self._a * self._b / (ca[2:] ** 2 + sb[2:] ** 2)
+        c = (np.sqrt(3.0) / 12.0) * h * h * self._gamma * (g[0] - g[1])
+        mu = -0.5 * self._gamma * h
+        r = np.sqrt(mu * mu + c * c - df * df + 0j)
+        lead = (c * c - df * df) / np.where(r == mu, 1.0, r - mu)
+        lead = np.exp(np.minimum(lead.real, 0.0) + 1j * lead.imag)
+        q = np.where(r == 0.0, 1.0, -np.expm1(-2.0 * r) / np.where(r == 0.0, 1.0, 2.0 * r))
+        half = 0.5 + 0.5 * np.exp(-2.0 * r)
+        parts = np.stack([half + mu * q, q * (c - df), q * (c + df), half - mu * q], axis=-1)
+        return (lead[..., None] * parts).real.reshape(h.shape + (2, 2))
 
-def bloch_rhs(s, t: float, cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
-    """Right-hand side of the damped Bloch equation at (s, t)."""
-    return _bloch_rhs_fn(cfg, noise)(t, np.asarray(s, dtype=float))
+    def _table(self, n: int):
+        psi = np.linspace(0.0, np.pi, n + 1)  # f / 2
+        t = (2.0 / self._omega) * np.arctan2(self._a * np.sin(psi), self._b * np.cos(psi))
+        phi = np.concatenate([np.eye(2)[None], self._steps(t[:-1], t[1:])])
+        for span in (1 << k for k in range(n.bit_length())):  # prefix products, log2(n) passes
+            phi[span:] = phi[span:] @ phi[:-span]
+        return t, phi
 
+    def evolve(self, t: np.ndarray, s0) -> np.ndarray:
+        """Bloch vectors at the times t (1-d array) from s(0) = s0."""
+        s_a, s_b, s_z = self._frame @ s0
+        k = np.floor(t / self._period)
+        u = np.clip(t - k * self._period, 0.0, self._period)
+        j = np.clip(np.searchsorted(self._t, u, side="right") - 1, 0, len(self._t) - 2)
+        v = np.array([np.linalg.matrix_power(self._phi[-1], int(p)) @ (s_b, s_z) for p in k])
+        bz = (self._steps(self._t[j], u) @ self._phi[j] @ v[..., None])[..., 0]
+        return np.column_stack([np.exp(-self._gamma * t) * s_a, bz]) @ self._frame
 
-class _DenseTrajectory:
-    """Query wrapper around a solve_ivp dense-output solution."""
-
-    def __init__(self, interpolant, t_end: float):
-        self._sol = interpolant
-        self.t_end = float(t_end)
-
-    def __call__(self, t: float) -> np.ndarray:
-        if t < -1e-12 or t > self.t_end + 1e-9:
-            raise ValueError(f"t = {t!r} outside the integrated range [0, {self.t_end!r}]")
-        return self._sol(min(max(t, 0.0), self.t_end))
+    def __call__(self, t: float) -> float:
+        if t <= 0.0:
+            return 1.0
+        s_z = self.evolve(np.array([t, 2.0 * t]), Z_AXIS)[:, 2]
+        return float(2.0 * s_z[0] - s_z[1])
 
 
 def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, s0=None):
-    """Dense Bloch trajectory on [0, t_end], starting at the north pole.
+    """Bloch trajectory(t) -> (sx, sy, sz) on [0, t_end] from s0 (default the north pole).
 
-    Returns a callable trajectory(t) -> (sx, sy, sz). At gamma = 0 the result
-    matches the algebraic rotation of the start vector about the fixed
-    superposition axis by the accumulated angle f_of_t.
+    At gamma = 0 it is the rigid rotation of s0 about the superposition axis by f_of_t.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     s0 = Z_AXIS if s0 is None else np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError("initial Bloch vector must have shape (3,)")
+    flow = _BlochK3(cfg, noise)
 
-    sol = solve_ivp(_bloch_rhs_fn(cfg, noise), (0.0, t_end), s0, method="RK45",
-                    rtol=BLOCH_TOL, atol=BLOCH_TOL, dense_output=True)
-    if not sol.success:
-        raise SolverDiverged(f"adaptive integration failed: {sol.message}")
-    return _DenseTrajectory(sol.sol, t_end)
+    def trajectory(t: float) -> np.ndarray:
+        if t < -1e-12 or t > t_end + 1e-9:
+            raise ValueError(f"t = {t!r} outside the integrated range [0, {t_end!r}]")
+        return flow.evolve(np.array([min(max(t, 0.0), t_end)]), s0)[0]
+
+    return trajectory
 
 
 def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t: float) -> float:
-    """K3 on the stationary grid from one Bloch trajectory out to 2t."""
+    """K3 on the stationary grid from the Bloch state at t and 2t."""
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
-        return 1.0
-    traj = integrate_bloch(cfg, noise, 2.0 * t)
-    return float(2.0 * traj(t)[2] - traj(2.0 * t)[2])
+    return _BlochK3(cfg, noise)(t)
 
 
 # --- Lindblad route ---------------------------------------------------------
@@ -185,23 +226,7 @@ def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConf
         raise ValueError("rho0 must be a 4x4 density matrix")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
-        return rho0.copy()
-    return _propagator(cfg, noise)(rho0, t)
-
-
-def _branch_states(cfg: SuperpositionConfig) -> list[tuple[int, np.ndarray]]:
-    anc = ancilla_state(cfg.alpha)
-    rho_a = np.outer(anc, anc.conj())
-    return [(+1, kron(rho_a, PROJ0)), (-1, kron(rho_a, PROJ1))]
-
-
-def _postselected_moments(rho_as: np.ndarray) -> tuple[float, float]:
-    """(probability, unnormalized <sigma_z>) after projecting A on |+>."""
-    block = project_ancilla(rho_as, KET_PLUS)
-    prob = float(np.trace(block).real)
-    moment = float(np.trace(SIGMA_Z @ block).real)
-    return prob, moment
+    return rho0.copy() if t == 0.0 else _propagator(cfg, noise)(rho0, t)
 
 
 def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
@@ -221,39 +246,24 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
 
 # --- lifetime of the K3 > 1 violation ---------------------------------------
 
-class _BlochK3:
-    """K3(t) evaluator reusing one trajectory, re-integrated as it grows."""
-
-    def __init__(self, cfg: SuperpositionConfig, noise: NoiseConfig):
-        self._cfg, self._noise = cfg, noise
-        self._horizon = 4.0 * np.pi / cfg.omega
-        self._traj = integrate_bloch(cfg, noise, self._horizon)
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        if 2.0 * t > self._horizon:
-            while self._horizon < 2.0 * t:
-                self._horizon *= 2.0
-            self._traj = integrate_bloch(self._cfg, self._noise, self._horizon)
-        return float(2.0 * self._traj(t)[2] - self._traj(2.0 * t)[2])
-
-
 class _LindbladK3:
     """K3(t) evaluator propagating both branch states exactly."""
 
     def __init__(self, cfg: SuperpositionConfig, noise: NoiseConfig):
         self._propagate = _propagator(cfg, noise)
-        self._branches = _branch_states(cfg)
+        anc = ancilla_state(cfg.alpha)
+        rho_a = np.outer(anc, anc.conj())
+        self._branches = [(+1, kron(rho_a, PROJ0)), (-1, kron(rho_a, PROJ1))]
 
     def correlator(self, delta: float) -> float:
         """Post-selected correlator over the delay delta (see noisy_correlator)."""
         total = 0.0
         for q, rho0 in self._branches:
-            prob, moment = _postselected_moments(self._propagate(rho0, delta))
+            block = project_ancilla(self._propagate(rho0, delta), KET_PLUS)
+            prob = float(np.trace(block).real)
             if prob < POSTSELECT_FLOOR:
                 raise PostSelectionStarved(f"branch q = {q} probability {prob!r} below floor")
-            total += q * 0.5 * moment / prob
+            total += q * 0.5 * float(np.trace(SIGMA_Z @ block).real) / prob
         return total
 
     def __call__(self, t: float) -> float:
@@ -262,12 +272,7 @@ class _LindbladK3:
         return 2.0 * self.correlator(t) - self.correlator(2.0 * t)
 
 
-def _k3_evaluator(cfg: SuperpositionConfig, noise: NoiseConfig, model: str):
-    if model == "bloch":
-        return _BlochK3(cfg, noise)
-    if model == "lindblad":
-        return _LindbladK3(cfg, noise)
-    raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
+_K3_MODELS = {"bloch": _BlochK3, "lindblad": _LindbladK3}
 
 
 @dataclass(frozen=True)
@@ -283,8 +288,7 @@ class LifetimeResult:
 def _first_crossing(k3, step: float, t_max: float) -> tuple[float, float]:
     """Bracket the first downward crossing of K3 = 1 by forward scanning."""
     t_prev, v_prev = 0.0, 1.0
-    k = 1
-    while True:
+    for k in itertools.count(1):
         t = k * step
         if t > t_max:
             raise NoCrossing(f"K3 stayed above 1 on every scan point up to t = {t_max!r}")
@@ -292,16 +296,12 @@ def _first_crossing(k3, step: float, t_max: float) -> tuple[float, float]:
         if v_prev >= 1.0 > v:
             return t_prev, t
         t_prev, v_prev = t, v
-        k += 1
 
 
 def _bisect_crossing(k3, lo: float, hi: float) -> tuple[float, float]:
     while (hi - lo) > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if k3(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if k3(mid) >= 1.0 else (lo, mid)
     return lo, hi
 
 
@@ -315,10 +315,11 @@ def lifetime(cfg: SuperpositionConfig, noise: NoiseConfig, model: str = "bloch",
     """
     if not noise.gamma > 0.0:
         raise ValueError("lifetime needs gamma > 0 (the noiseless K3 never decays)")
-    k3 = _k3_evaluator(cfg, noise, model)
-    step = SCAN_OMEGA_STEP / cfg.omega
-    t_max = LIFETIME_HORIZON_OVER_GAMMA / noise.gamma
-    lo, hi = _first_crossing(k3, step, t_max)
+    if model not in _K3_MODELS:
+        raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
+    k3 = _K3_MODELS[model](cfg, noise)
+    lo, hi = _first_crossing(k3, SCAN_OMEGA_STEP / cfg.omega,
+                             LIFETIME_HORIZON_OVER_GAMMA / noise.gamma)
     lo, hi = _bisect_crossing(k3, lo, hi)
     tau = 0.5 * (lo + hi)
     if tau_ref is not None:
@@ -326,9 +327,7 @@ def lifetime(cfg: SuperpositionConfig, noise: NoiseConfig, model: str = "bloch",
     elif cfg.alpha == 0.0:
         tau_0 = tau
     else:
-        base = SuperpositionConfig(alpha=0.0, n_axis=cfg.n_axis, m_axis=cfg.m_axis,
-                                   omega=cfg.omega)
-        tau_0 = lifetime(base, noise, model=model).tau_alpha
+        tau_0 = lifetime(replace(cfg, alpha=0.0), noise, model=model).tau_alpha
     return LifetimeResult(tau_alpha=tau, tau_0=tau_0, gain=tau / tau_0,
                           crossing_bracket=(lo, hi))
 

@@ -4,12 +4,17 @@ import csv
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lgsim.cli as cli
-from lgsim.cli import DEFAULT_GAMMA, EXPERIMENTS, RunConfig, build_parser, emit_series, main, run
+from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_MAP_CELLS, RunConfig, build_parser,
+                       emit_series, main, run)
+from lgsim.superpose import SOEProfile
 
 
 def test_run_config_validation():
@@ -99,6 +104,71 @@ def test_soe_profiles_runs_clean(tmp_path, capsys):
     assert f"wrote {out}" in stdout
     header = out.read_text().splitlines()[0]
     assert header.startswith("# lgsim soe-profiles")
+
+
+def test_soe_profiles_derivative_check_near_antiparallel_axes(tmp_path, capsys):
+    # the rate spike at omega*t = pi narrows to ~B/A; the stencil resolves it
+    # on any output grid
+    for phi, grid in ((170.0, None), (179.0, 100), (150.0, 4000)):
+        out = tmp_path / "soe.csv"
+        assert run(RunConfig(experiment="soe-profiles", phi=phi, grid=grid, out=str(out))) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_soe_profiles_derivative_check_catches_a_wrong_rate(tmp_path, monkeypatch, capsys):
+    # mutation: a rate 0.1 % off the derivative of f must still fail the check
+    real = cli.soe_profile
+
+    def skewed(cfg):
+        prof = real(cfg)
+        return SOEProfile(theta=prof.theta, f=prof.f, g=lambda t: prof.g(t) * (1.0 + 1e-3))
+
+    monkeypatch.setattr(cli, "soe_profile", skewed)
+    code = run(RunConfig(experiment="soe-profiles", phi=170.0, out=str(tmp_path / "s.csv")))
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert stdout.count("FAIL soe-profiles: rate is the derivative of the accumulated angle") == 3
+
+
+def test_map_grids_are_bounded_before_allocation(tmp_path, capsys):
+    limit = max(g for g in range(2, 2000) if (g + 1) * g <= MAX_MAP_CELLS)
+    RunConfig(experiment="ttb-map", grid=limit)
+    RunConfig(experiment="k3-curves", grid=100000)  # only the two maps are bounded
+    tracemalloc.start()
+    try:
+        for exp in ("ttb-map", "k3-surface"):
+            with pytest.raises(ValueError):
+                RunConfig(experiment=exp, grid=limit + 1)
+            out = tmp_path / f"{exp}.csv"
+            assert main([exp, "--grid", "100000", "--out", str(out)]) == 2
+            assert not out.exists()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert "map cells" in capsys.readouterr().err
+
+
+def test_stiff_lifetime_bloch_exits_cleanly(tmp_path, capsys):
+    # gamma = 1e6 once hung in an explicit solver; now a clean NoCrossing exit
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["lifetime-bloch", "--gamma", "1e6", "--out", str(tmp_path / "b.csv")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "K3 stayed above 1" in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert elapsed < 10.0
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, lgsim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_k3_curves_single_phi_columns(tmp_path):

@@ -253,8 +253,6 @@ def test_batched_maps_validate_inputs():
         k3max_surface([0.0, 2.0], [1.0])
     with pytest.raises(UnsupportedGeometry):
         k3max_surface([0.0], [np.pi])
-    with pytest.raises(ValueError):
-        ttb_map([0.0, 1.0], [0.0], omega=0.0)
 
 
 def test_k3_curve_matches_trace_route():

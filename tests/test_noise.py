@@ -1,6 +1,8 @@
 """Dephasing models: damped Bloch dynamics, the joint master equation, and
 the lifetime of the K3 > 1 violation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,8 +15,6 @@ from lgsim.noise import (
     DEFAULT_ALPHA_GRID,
     NoCrossing,
     NoiseConfig,
-    SolverDiverged,
-    bloch_rhs,
     evolve_lindblad,
     gain_curve,
     hamiltonian_as,
@@ -24,7 +24,7 @@ from lgsim.noise import (
     liouvillian,
     noisy_correlator,
 )
-from lgsim.superpose import axis_theta, f_of_t, planar
+from lgsim.superpose import axis_theta, f_of_t, planar, planar_angle
 
 GAMMA_REF = 1.0 / (4.0 * np.pi)
 
@@ -40,6 +40,34 @@ def _random_joint_density(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def _bloch_rhs_fn(cfg, noise):
+    """Damped Bloch right-hand side rhs(t, s) = g(t) axis x s - gamma (sx, sy, 0).
+
+    Written in plain floats from the closed forms g = omega A B / N^2(t) and
+    the axis longitude, so that the tight DOP853 oracle below stays cheap.
+    """
+    phi, alpha, omega, gamma = planar_angle(cfg), cfg.alpha, cfg.omega, noise.gamma
+    a = math.cos(alpha) + math.sin(alpha)
+    b = math.sqrt(1.0 + math.cos(phi) * math.sin(2.0 * alpha))
+    ax, ay = math.cos(axis_theta(cfg)), math.sin(axis_theta(cfg))
+
+    def rhs(t, s):
+        x = 0.5 * omega * t
+        g = omega * a * b / ((a * math.cos(x)) ** 2 + (b * math.sin(x)) ** 2)
+        return [g * ay * s[2] - gamma * s[0], -g * ax * s[2] - gamma * s[1],
+                g * (ax * s[1] - ay * s[0])]
+
+    return rhs
+
+
+def _bloch_oracle(cfg, noise, t_end, s0=(0.0, 0.0, 1.0), tol=1e-13):
+    """Dense DOP853 solution of the damped Bloch equation on [0, t_end]."""
+    sol = solve_ivp(_bloch_rhs_fn(cfg, noise), (0.0, t_end), list(s0), method="DOP853",
+                    rtol=tol, atol=tol, dense_output=True)
+    assert sol.success
+    return sol.sol
 
 
 def _lindblad_rhs(rho, cfg, noise):
@@ -65,16 +93,20 @@ def test_noise_config_validation():
         NoiseConfig(gamma=np.nan)
 
 
+def _bloch_rhs(s, t, cfg, noise):
+    return np.array(_bloch_rhs_fn(cfg, noise)(t, s))
+
+
 def test_poles_are_untouched_by_damping():
     cfg = planar(np.pi / 8, 1.3)
     pole = np.array([0.0, 0.0, 1.0])
-    quiet = bloch_rhs(pole, 0.7, cfg, NoiseConfig(gamma=0.0))
-    noisy = bloch_rhs(pole, 0.7, cfg, NoiseConfig(gamma=5.0))
+    quiet = _bloch_rhs(pole, 0.7, cfg, NoiseConfig(gamma=0.0))
+    noisy = _bloch_rhs(pole, 0.7, cfg, NoiseConfig(gamma=5.0))
     assert np.allclose(quiet, noisy)
     # transverse components are damped straight toward the axis
     flat = np.array([1.0, 1.0, 0.0])
-    diff = bloch_rhs(flat, 0.7, cfg, NoiseConfig(gamma=2.0)) \
-        - bloch_rhs(flat, 0.7, cfg, NoiseConfig(gamma=0.0))
+    diff = _bloch_rhs(flat, 0.7, cfg, NoiseConfig(gamma=2.0)) \
+        - _bloch_rhs(flat, 0.7, cfg, NoiseConfig(gamma=0.0))
     assert np.allclose(diff, -2.0 * flat)
 
 
@@ -91,6 +123,73 @@ def test_noiseless_bloch_matches_algebraic_rotation():
         assert np.allclose(traj(t), expect, atol=1e-8)
 
 
+def test_noiseless_bloch_is_the_rigid_rotation_to_rounding():
+    # gamma = 0: one exact step per period, so the Floquet form is the rotation
+    # by f(t) itself, over many periods and from any start vector
+    for cfg in (planar(np.pi / 4, 2.0), planar(np.pi / 8, np.deg2rad(175.0), omega=1.7)):
+        theta = axis_theta(cfg)
+        axis = np.array([np.cos(theta), np.sin(theta), 0.0])
+        for s0 in (np.array([0.0, 0.0, 1.0]), np.array([0.48, -0.6, 0.64])):
+            traj = integrate_bloch(cfg, NoiseConfig(gamma=0.0), 40.0, s0=s0)
+            for t in (0.0, 0.37, 3.1, 9.9, 26.0, 40.0):
+                f = f_of_t(cfg, t)
+                expect = (np.cos(f) * s0 + np.sin(f) * np.cross(axis, s0)
+                          + (1.0 - np.cos(f)) * np.dot(axis, s0) * axis)
+                assert np.abs(traj(t) - expect).max() < 1e-12
+
+
+def test_bloch_kernel_matches_dop853_on_corner_matrix():
+    # s(t) and K3 against a DOP853 integration at rtol = atol = 1e-13, t <= 8
+    ts = np.linspace(0.05, 8.0, 24)
+    for phi_deg in (30.0, 90.0, 140.0, 175.0):
+        for alpha in (np.pi / 8, np.pi / 4):
+            for gamma in (1e-3, GAMMA_REF, 1.0, 10.0, 100.0):
+                cfg = planar(alpha, np.deg2rad(phi_deg))
+                noise = NoiseConfig(gamma=gamma)
+                ref = _bloch_oracle(cfg, noise, 8.0)
+                traj = integrate_bloch(cfg, noise, 8.0)
+                for t in ts:
+                    assert np.abs(traj(t) - ref(t)).max() < 1e-10, (phi_deg, alpha, gamma, t)
+                for t in ts[ts <= 4.0]:
+                    k3 = 2.0 * ref(t)[2] - ref(2.0 * t)[2]
+                    assert abs(2.0 * traj(t)[2] - traj(2.0 * t)[2] - k3) < 1e-10
+                t = ts[7]
+                k3 = 2.0 * ref(t)[2] - ref(2.0 * t)[2]
+                assert abs(k3_bloch(cfg, noise, t) - k3) < 1e-10, (phi_deg, alpha, gamma)
+
+
+def test_bloch_floquet_form_across_periods():
+    # t = 5T + 0.3 goes through M^5; the oracle integrates straight through
+    cfg = planar(np.pi / 4, np.deg2rad(140.0), omega=1.3)
+    noise = NoiseConfig(gamma=0.05)
+    t = 5.0 * 2.0 * np.pi / cfg.omega + 0.3
+    ref = _bloch_oracle(cfg, noise, t)
+    traj = integrate_bloch(cfg, noise, t)
+    assert np.abs(traj(t) - ref(t)).max() < 1e-10
+    assert np.abs(traj(t - 0.3) - ref(t - 0.3)).max() < 1e-10
+    assert abs(k3_bloch(cfg, noise, 0.5 * t) - (2.0 * ref(0.5 * t)[2] - ref(t)[2])) < 1e-10
+
+
+def test_bloch_non_polar_start():
+    cfg = planar(np.pi / 8, np.deg2rad(115.0))
+    noise = NoiseConfig(gamma=0.3)
+    s0 = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    ref = _bloch_oracle(cfg, noise, 8.0, s0=s0)
+    traj = integrate_bloch(cfg, noise, 8.0, s0=s0)
+    for t in (0.0, 0.7, 3.1, 7.9):
+        assert np.abs(traj(t) - ref(t)).max() < 1e-10
+
+
+def test_stiff_bloch_stays_finite_and_bounded():
+    # gamma h >> 1 in every step: the closed-form exponential must not overflow
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for gamma in (1e3, 1e6, 1e12):
+            traj = integrate_bloch(planar(np.pi / 4, np.deg2rad(175.0)), NoiseConfig(gamma), 7.0)
+            for t in (0.001, 0.5, 7.0):
+                s = traj(t)
+                assert np.all(np.isfinite(s)) and np.linalg.norm(s) <= 1.0 + 1e-9
+
+
 def test_bloch_norm_behavior():
     cfg = planar(np.pi / 8, 1.0)
     quiet = integrate_bloch(cfg, NoiseConfig(gamma=0.0), 10.0)
@@ -103,12 +202,12 @@ def test_bloch_norm_behavior():
 
 
 def test_bloch_solvers_agree():
-    # the production RK45 trajectory against an independent tight DOP853 one
+    # the production Floquet-Magnus trajectory against an independent DOP853 one
     cfg = planar(np.pi / 4, 2.4)
     noise = NoiseConfig(gamma=0.2)
     traj = integrate_bloch(cfg, noise, 6.0)
     ts = (0.5, 2.2, 4.8, 6.0)
-    ref = solve_ivp(lambda t, s: bloch_rhs(s, t, cfg, noise), (0.0, 6.0), [0.0, 0.0, 1.0],
+    ref = solve_ivp(lambda t, s: _bloch_rhs(s, t, cfg, noise), (0.0, 6.0), [0.0, 0.0, 1.0],
                     method="DOP853", rtol=1e-12, atol=1e-12, t_eval=ts)
     for k, t in enumerate(ts):
         assert np.allclose(traj(t), ref.y[:, k], atol=1e-8)
