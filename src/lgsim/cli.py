@@ -29,7 +29,7 @@ from .ancilla import AncillaCircuit, interferometer_signal, normalization_signal
     postselect_map, verify_pulse_sequences
 from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
 from .linalg import dagger, dist_upto_phase, rot
-from .noise import NoiseConfig, NoCrossing, evolve_lindblad, gain_curve, integrate_bloch, \
+from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
     k3_bloch, liouvillian, noisy_correlator
 from .superpose import DegenerateSuperposition, SuperpositionConfig, UnsupportedGeometry, \
     f_of_t, norm_factor_sq, planar, soe_profile, soe_span, superposed_unitary, \
@@ -464,7 +464,7 @@ def run(config: RunConfig) -> int:
     """Execute one experiment; return the process exit code."""
     try:
         columns, rows, meta, checks = _RUNNERS[config.experiment](config)
-    except (DegenerateSuperposition, UnsupportedGeometry, NoCrossing, ValueError) as exc:
+    except (DegenerateSuperposition, UnsupportedGeometry, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fmt = config.format or _DEFAULT_FORMATS.get(config.experiment, "csv")

@@ -15,24 +15,30 @@ solved in Floquet form from one period of its fundamental matrix, built from
 The microscopic route evolves the joint ancilla (x) system state under the
 block-diagonal two-branch Hamiltonian with independent sigma_z dephasing on
 both qubits, exactly through one eigendecomposition of its time-independent
-Liouvillian, then post-selects the ancilla on |+> as the circuit would. Both
-reduce to the unitary picture at gamma = 0, which the tests pin.
+Liouvillian, then post-selects the ancilla on |+> as the circuit would. Each
+branch's post-selection probability and sigma_z moment is then a sum of 16
+exponentials in t (see _LindbladK3). Both reduce to the unitary picture at
+gamma = 0, which the tests pin.
 
 K3 keeps the stationary grid (0, t, 2t): K3(t) = 2 sz(t) - sz(2t) for the
 Bloch route and 2 C(t) - C(2t) with the post-selected correlator C for the
-Lindblad route. The lifetime is the first time K3 drops through 1.
+Lindblad route. The lifetime is the first time K3 drops through 1. Both models
+evaluate K3 on a whole (rows x t) block of configs and times in a few numpy
+calls, and one engine (_first_crossings) finds the lifetimes of a batch of
+configs together: a forward scan in chunks of (active rows x scan points) and
+a bisection vectorised over rows, in which every row takes exactly the steps
+it would take alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ancilla import (POSTSELECT_FLOOR, PROJ0, PROJ1, KET_PLUS, PostSelectionStarved,
-                      ancilla_state, project_ancilla)
+                      ancilla_state)
 from .linalg import ID2, SIGMA_Z, Z_AXIS, is_density_matrix, kron, pauli
 from .superpose import SuperpositionConfig, _half_angle_coeffs, axis_theta, planar
 
@@ -42,6 +48,8 @@ _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 SCAN_OMEGA_STEP = 1e-2
 BISECT_REL_TOL = 1e-6
 LIFETIME_HORIZON_OVER_GAMMA = 50.0
+_SCAN_FIRST_CHUNK = 16  # scan points per row in the first chunk; crossings mostly fall within ~200
+_SCAN_BLOCK = 1024      # (rows x points) per chunk at most: the Lindblad exponentials stay < 1 MB
 
 DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
 
@@ -63,80 +71,112 @@ class NoiseConfig:
 
 # --- Bloch route ------------------------------------------------------------
 
+def _magnus_steps(a, b, omega, gamma, t0, t1) -> np.ndarray:
+    """exp(Omega), shape t0.shape + (2, 2), of the steps [t0, t1] within one period.
+
+    a, b and omega broadcast against t0 and t1. Omega = [[-gamma h, c - df],
+    [c + df, 0]] = mu I + N, where df is the exact rotation angle, c = (sqrt 3 /
+    12) h^2 gamma (g1 - g2) the commutator term (g1, g2 the rates at the Gauss
+    points), mu = -gamma h / 2 and N^2 = r^2 I. So exp(Omega) = e^(mu + r) [(1 +
+    e^-2r) / 2 I + (1 - e^-2r) / 2r N] with complex r; mu + r = (c^2 - df^2) /
+    (r - mu) is capped at 0 (the exact flow never lengthens s): no cancellation.
+    The squares are taken of mu, c and df scaled by the power of two s >= 1 that
+    brings them below 1, so none overflows however large gamma h is; scaling by
+    a power of two is exact short of underflow, so the result keeps its bits.
+    """
+    h = t1 - t0
+    x = (0.5 * omega) * np.stack([t0, t1, t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h])
+    ca, sb = a * np.cos(x), b * np.sin(x)
+    df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
+    g = omega * a * b / (ca[2:] ** 2 + sb[2:] ** 2)
+    c = (np.sqrt(3.0) / 12.0) * h * h * gamma * (g[0] - g[1])
+    mu = -0.5 * gamma * h
+    largest = np.maximum(np.maximum(abs(mu), abs(c)), abs(df))
+    s = np.ldexp(1.0, np.maximum(np.frexp(largest)[1], 0))
+    mu_s, c_s, df_s = mu / s, c / s, df / s
+    r_s = np.sqrt(mu_s * mu_s + c_s * c_s - df_s * df_s + 0j)
+    r = s * r_s
+    lead = s * ((c_s * c_s - df_s * df_s) / np.where(r_s == mu_s, 1.0, r_s - mu_s))
+    lead = np.exp(np.minimum(lead.real, 0.0) + 1j * lead.imag)
+    q = np.where(r == 0.0, 1.0, -np.expm1(-2.0 * r) / np.where(r == 0.0, 1.0, 2.0 * r))
+    half = 0.5 + 0.5 * np.exp(-2.0 * r)
+    parts = np.stack([half + mu * q, q * (c - df), q * (c + df), half - mu * q], axis=-1)
+    return (lead[..., None] * parts).real.reshape(h.shape + (2, 2))
+
+
+def _powers(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """m[i]^k[i, j], shape k.shape + (2, 2): one stacked matrix_power per distinct k."""
+    out = np.empty(k.shape + (2, 2))
+    for p in set(k.ravel().tolist()):  # np.unique would import numpy.ma on first use
+        i, j = np.nonzero(k == p)
+        out[i, j] = np.linalg.matrix_power(m, int(p))[i]
+    return out
+
+
 class _BlochK3:
-    """Floquet form of the Bloch flow of one (cfg, noise); K3(t) when called.
+    """Floquet form of the Bloch flows of a batch of configs under one noise.
 
     In the frame (a, b = z x a, z) of the axis a, s_a decays as exp(-gamma t) and
-    (s_b, s_z) obeys [[-gamma, -g], [g, 0]]. Its fundamental matrix Phi is tabulated
-    over one period T on Magnus-4 steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-    151 (2009)) uniform in f, so short where the rate spikes; then (s_b, s_z)(t) =
-    E(u - t_j) Phi_j M^k (s_b, s_z)(0), M = Phi(T), t = kT + u with u in step j
-    (Floquet, Ann. Sci. ENS 12, 47 (1883)). The step count doubles from 64 until
-    Phi moves by at most MAGNUS_TOL at the shared nodes (the error falls as
-    steps^-4) or reaches MAGNUS_MAX_STEPS; at gamma = 0 or A = B one step is exact.
+    (s_b, s_z) obeys [[-gamma, -g], [g, 0]]. For each row its fundamental matrix Phi
+    is tabulated over one period T on Magnus-4 steps (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)) uniform in f, so short where the rate spikes; then
+    (s_b, s_z)(t) = E(u - t_j) Phi_j M^k (s_b, s_z)(0), M = Phi(T), t = kT + u with
+    u in step j (Floquet, Ann. Sci. ENS 12, 47 (1883)). A row's step count doubles
+    from 64 until its Phi moves by at most MAGNUS_TOL at the shared nodes (the error
+    falls as steps^-4) or reaches MAGNUS_MAX_STEPS; at gamma = 0 or A = B one step
+    is exact. Called with row indices and a (rows x t) block of times, it returns
+    K3 there and no post-selection probability (the Bloch route has none).
     """
 
-    def __init__(self, cfg: SuperpositionConfig, noise: NoiseConfig):
-        self._a, self._b, _ = _half_angle_coeffs(cfg)
-        self._omega, self._gamma, self._period = cfg.omega, noise.gamma, 2.0 * np.pi / cfg.omega
-        cos_t, sin_t = np.cos(axis_theta(cfg)), np.sin(axis_theta(cfg))
-        self._frame = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
-        n = 1 if self._gamma == 0.0 or self._a == self._b else 64
-        self._t, self._phi = self._table(n)
+    def __init__(self, cfgs, noise: NoiseConfig):
+        self._gamma = noise.gamma
+        ab = np.array([_half_angle_coeffs(cfg)[:2] for cfg in cfgs])
+        self._a, self._b = ab[:, 0], ab[:, 1]
+        self._omega = np.array([cfg.omega for cfg in cfgs], dtype=float)
+        self._period = 2.0 * np.pi / self._omega
+        self._tables = [self._converged_table(r) for r in range(len(cfgs))]
+        self._monodromy = np.array([phi[-1] for _, phi in self._tables])
+
+    def _converged_table(self, row: int):
+        a, b = self._a[row], self._b[row]
+        n = 1 if self._gamma == 0.0 or a == b else 64
+        t, phi = self._table(row, n)
         while 1 < n < MAGNUS_MAX_STEPS:
-            n, coarse = 2 * n, self._phi
-            self._t, self._phi = self._table(n)
-            if np.abs(self._phi[::2] - coarse).max() <= MAGNUS_TOL:
+            n, coarse = 2 * n, phi
+            t, phi = self._table(row, n)
+            if np.abs(phi[::2] - coarse).max() <= MAGNUS_TOL:
                 break
+        return t, phi
 
-    def _steps(self, t0, t1) -> np.ndarray:
-        """exp(Omega), shape (..., 2, 2), of the steps [t0, t1] within one period.
-
-        Omega = [[-gamma h, c - df], [c + df, 0]] = mu I + N, where df is the exact
-        rotation angle, c = (sqrt 3 / 12) h^2 gamma (g1 - g2) the commutator term (g1,
-        g2 the rates at the Gauss points), mu = -gamma h / 2 and N^2 = r^2 I. So
-        exp(Omega) = e^(mu + r) [(1 + e^-2r) / 2 I + (1 - e^-2r) / 2r N] with complex r;
-        mu + r = (c^2 - df^2) / (r - mu) is capped at 0 (the exact flow never lengthens
-        s): no cancellation, and no overflow however large gamma h is.
-        """
-        h = t1 - t0
-        x = (0.5 * self._omega) * np.stack([t0, t1, t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h])
-        ca, sb = self._a * np.cos(x), self._b * np.sin(x)
-        df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
-        g = self._omega * self._a * self._b / (ca[2:] ** 2 + sb[2:] ** 2)
-        c = (np.sqrt(3.0) / 12.0) * h * h * self._gamma * (g[0] - g[1])
-        mu = -0.5 * self._gamma * h
-        r = np.sqrt(mu * mu + c * c - df * df + 0j)
-        lead = (c * c - df * df) / np.where(r == mu, 1.0, r - mu)
-        lead = np.exp(np.minimum(lead.real, 0.0) + 1j * lead.imag)
-        q = np.where(r == 0.0, 1.0, -np.expm1(-2.0 * r) / np.where(r == 0.0, 1.0, 2.0 * r))
-        half = 0.5 + 0.5 * np.exp(-2.0 * r)
-        parts = np.stack([half + mu * q, q * (c - df), q * (c + df), half - mu * q], axis=-1)
-        return (lead[..., None] * parts).real.reshape(h.shape + (2, 2))
-
-    def _table(self, n: int):
+    def _table(self, row: int, n: int):
+        a, b, omega = self._a[row], self._b[row], self._omega[row]
         psi = np.linspace(0.0, np.pi, n + 1)  # f / 2
-        t = (2.0 / self._omega) * np.arctan2(self._a * np.sin(psi), self._b * np.cos(psi))
-        phi = np.concatenate([np.eye(2)[None], self._steps(t[:-1], t[1:])])
+        t = (2.0 / omega) * np.arctan2(a * np.sin(psi), b * np.cos(psi))
+        phi = np.concatenate([np.eye(2)[None], _magnus_steps(a, b, omega, self._gamma,
+                                                             t[:-1], t[1:])])
         for span in (1 << k for k in range(n.bit_length())):  # prefix products, log2(n) passes
             phi[span:] = phi[span:] @ phi[:-span]
         return t, phi
 
-    def evolve(self, t: np.ndarray, s0) -> np.ndarray:
-        """Bloch vectors at the times t (1-d array) from s(0) = s0."""
-        s_a, s_b, s_z = self._frame @ s0
-        k = np.floor(t / self._period)
-        u = np.clip(t - k * self._period, 0.0, self._period)
-        j = np.clip(np.searchsorted(self._t, u, side="right") - 1, 0, len(self._t) - 2)
-        v = np.array([np.linalg.matrix_power(self._phi[-1], int(p)) @ (s_b, s_z) for p in k])
-        bz = (self._steps(self._t[j], u) @ self._phi[j] @ v[..., None])[..., 0]
-        return np.column_stack([np.exp(-self._gamma * t) * s_a, bz]) @ self._frame
+    def flow(self, rows: np.ndarray, t: np.ndarray, sbz: np.ndarray) -> np.ndarray:
+        """(s_b, s_z) of each row at its times t (rows x m) from sbz (rows x 2) at t = 0."""
+        period = self._period[rows, None]
+        k = np.floor(t / period)
+        u = np.clip(t - k * period, 0.0, period)
+        t_j, phi_j = np.empty(u.shape), np.empty(u.shape + (2, 2))
+        for i, row in enumerate(rows):
+            nodes, phi = self._tables[row]
+            j = np.clip(np.searchsorted(nodes, u[i], side="right") - 1, 0, len(nodes) - 2)
+            t_j[i], phi_j[i] = nodes[j], phi[j]
+        v = _powers(self._monodromy[rows], k) @ sbz[:, None, :, None]
+        steps = _magnus_steps(self._a[rows, None], self._b[rows, None], self._omega[rows, None],
+                              self._gamma, t_j, u)
+        return (steps @ phi_j @ v)[..., 0]
 
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        s_z = self.evolve(np.array([t, 2.0 * t]), Z_AXIS)[:, 2]
-        return float(2.0 * s_z[0] - s_z[1])
+    def __call__(self, rows: np.ndarray, t: np.ndarray):
+        pole = np.broadcast_to([0.0, 1.0], (len(rows), 2))  # Z_AXIS in every row's frame
+        s_z = self.flow(rows, np.concatenate([t, 2.0 * t], axis=1), pole)[..., 1]
+        return 2.0 * s_z[:, :t.shape[1]] - s_z[:, t.shape[1]:], None
 
 
 def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, s0=None):
@@ -149,12 +189,17 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     s0 = Z_AXIS if s0 is None else np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError("initial Bloch vector must have shape (3,)")
-    flow = _BlochK3(cfg, noise)
+    flow = _BlochK3([cfg], noise)
+    cos_t, sin_t = np.cos(axis_theta(cfg)), np.sin(axis_theta(cfg))
+    frame = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
+    s_a, s_b, s_z = frame @ s0
 
     def trajectory(t: float) -> np.ndarray:
         if t < -1e-12 or t > t_end + 1e-9:
             raise ValueError(f"t = {t!r} outside the integrated range [0, {t_end!r}]")
-        return flow.evolve(np.array([min(max(t, 0.0), t_end)]), s0)[0]
+        t = np.array([[min(max(t, 0.0), t_end)]])
+        bz = flow.flow(np.array([0]), t, np.array([[s_b, s_z]]))[0]
+        return (np.column_stack([np.exp(-noise.gamma * t[0]) * s_a, bz]) @ frame)[0]
 
     return trajectory
 
@@ -163,13 +208,19 @@ def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t: float) -> float:
     """K3 on the stationary grid from the Bloch state at t and 2t."""
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    return _BlochK3(cfg, noise)(t)
+    if t == 0.0:
+        return 1.0
+    return float(_BlochK3([cfg], noise)(np.array([0]), np.array([[t]]))[0][0, 0])
 
 
 # --- Lindblad route ---------------------------------------------------------
 
 _DEPHASER_A = kron(SIGMA_Z, ID2)
 _DEPHASER_S = kron(ID2, SIGMA_Z)
+_PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
+# tr(O rho) = vec(O^T) . vec(rho): the post-selection probability tr <+|rho|+> and
+# the sigma_z moment tr sigma_z <+|rho|+> of a joint state
+_POSTSELECTED = np.stack([kron(_PLUS, ID2).T.ravel(), kron(_PLUS, SIGMA_Z).T.ravel()])
 
 
 def hamiltonian_as(cfg: SuperpositionConfig) -> np.ndarray:
@@ -199,8 +250,8 @@ def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
     return lv
 
 
-def _propagator(cfg: SuperpositionConfig, noise: NoiseConfig):
-    """Exact rho(t) = V diag(exp(lam t)) V^-1 vec(rho0) from L = V diag(lam) V^-1.
+def _eigensystem(cfg: SuperpositionConfig, noise: NoiseConfig):
+    """(lam, V, V^-1) with L = V diag(lam) V^-1, so vec rho(t) = V e^(lam t) V^-1 vec rho0.
 
     L is diagonalized in the eigenbasis of the Hamiltonian, where its unitary
     part is diagonal: at gamma = 0 its spectrum is degenerate, and eig in the
@@ -210,12 +261,7 @@ def _propagator(cfg: SuperpositionConfig, noise: NoiseConfig):
     basis = np.kron(w, w.conj())
     lam, v = np.linalg.eig(basis.conj().T @ liouvillian(cfg, noise) @ basis)
     v = basis @ v
-    v_inv = np.linalg.inv(v)
-
-    def propagate(rho0: np.ndarray, t: float) -> np.ndarray:
-        return (v @ (np.exp(lam * t) * (v_inv @ rho0.ravel()))).reshape(4, 4)
-
-    return propagate
+    return lam, v, np.linalg.inv(v)
 
 
 def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConfig,
@@ -226,7 +272,10 @@ def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConf
         raise ValueError("rho0 must be a 4x4 density matrix")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    return rho0.copy() if t == 0.0 else _propagator(cfg, noise)(rho0, t)
+    if t == 0.0:
+        return rho0.copy()
+    lam, v, v_inv = _eigensystem(cfg, noise)
+    return (v @ (np.exp(lam * t) * (v_inv @ rho0.ravel()))).reshape(4, 4)
 
 
 def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
@@ -241,38 +290,119 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
     """
     if tj < ti:
         raise ValueError("tj must be >= ti")
-    return float(_LindbladK3(cfg, noise).correlator(tj - ti))
+    t = np.array([[tj - ti]])
+    c, prob = _LindbladK3([cfg], noise).correlator(np.array([0]), t)
+    _check_postselection(prob, t)
+    return float(c[0, 0])
+
+
+class _LindbladK3:
+    """K3 of the post-selected joint model for a batch of configs under one noise.
+
+    Each branch q = +1, -1 starts from rho_q = |anc><anc| (x) |q><q|, and vec
+    rho_q(t) = V e^(lam t) V^-1 vec rho_q. Its post-selection probability and
+    sigma_z moment are linear functionals w . vec rho_q(t) = sum_i (w V)_i (V^-1
+    vec rho_q)_i e^(lam_i t): per row, four 16-vectors (functional * coeffs)
+    against e^(lam t). Called with row indices and a (rows x t) block of times,
+    it returns K3 there and the smallest post-selection probability behind each
+    value.
+    """
+
+    def __init__(self, cfgs, noise: NoiseConfig):
+        lam, terms = [], []
+        for cfg in cfgs:
+            vals, v, v_inv = _eigensystem(cfg, noise)
+            anc = ancilla_state(cfg.alpha)
+            rho_a = np.outer(anc, anc.conj())
+            coeffs = [v_inv @ kron(rho_a, proj).ravel() for proj in (PROJ0, PROJ1)]
+            lam.append(vals)
+            terms.append([w * c for c in coeffs for w in _POSTSELECTED @ v])
+        self._lam, self._terms = np.array(lam), np.array(terms)
+
+    def moments(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(prob, moment) of branch q = +1, then of q = -1: shape (rows, 4, m) for t (rows x m)."""
+        return (self._terms[rows] @ np.exp(self._lam[rows, :, None] * t[:, None, :])).real
+
+    def correlator(self, rows: np.ndarray, t: np.ndarray):
+        """(C, smallest branch probability), each of t's shape (rows x m)."""
+        f = self.moments(rows, t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # starved points raise in the caller
+            c = (0.5 * f[:, 1]) / f[:, 0] - (0.5 * f[:, 3]) / f[:, 2]
+        return c, np.minimum(f[:, 0], f[:, 2])
+
+    def __call__(self, rows: np.ndarray, t: np.ndarray):
+        c, prob = self.correlator(rows, np.concatenate([t, 2.0 * t], axis=1))
+        m = t.shape[1]
+        return 2.0 * c[:, :m] - c[:, m:], np.minimum(prob[:, :m], prob[:, m:])
+
+
+_K3_MODELS = {"bloch": _BlochK3, "lindblad": _LindbladK3}
 
 
 # --- lifetime of the K3 > 1 violation ---------------------------------------
 
-class _LindbladK3:
-    """K3(t) evaluator propagating both branch states exactly."""
-
-    def __init__(self, cfg: SuperpositionConfig, noise: NoiseConfig):
-        self._propagate = _propagator(cfg, noise)
-        anc = ancilla_state(cfg.alpha)
-        rho_a = np.outer(anc, anc.conj())
-        self._branches = [(+1, kron(rho_a, PROJ0)), (-1, kron(rho_a, PROJ1))]
-
-    def correlator(self, delta: float) -> float:
-        """Post-selected correlator over the delay delta (see noisy_correlator)."""
-        total = 0.0
-        for q, rho0 in self._branches:
-            block = project_ancilla(self._propagate(rho0, delta), KET_PLUS)
-            prob = float(np.trace(block).real)
-            if prob < POSTSELECT_FLOOR:
-                raise PostSelectionStarved(f"branch q = {q} probability {prob!r} below floor")
-            total += q * 0.5 * float(np.trace(SIGMA_Z @ block).real) / prob
-        return total
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        return 2.0 * self.correlator(t) - self.correlator(2.0 * t)
+def _check_postselection(prob, t: np.ndarray, visited=True) -> None:
+    """Raise PostSelectionStarved where a visited point's probability is below the floor."""
+    if prob is None:
+        return
+    starved = visited & (prob < POSTSELECT_FLOOR)
+    if starved.any():
+        i, j = np.argwhere(starved)[0]
+        raise PostSelectionStarved(f"branch probability {prob[i, j]!r} below floor "
+                                   f"at t = {t[i, j]!r}")
 
 
-_K3_MODELS = {"bloch": _BlochK3, "lindblad": _LindbladK3}
+def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
+    """Brackets (lo, hi) of the first downward crossing of K3 = 1 for every row.
+
+    k3(rows, t) gives (K3, probability or None) on a (len(rows) x m) block of
+    times. The scan points are k * step, k = 1, 2, ..., up to t_max (per-row
+    arrays); a row leaves the scan at its first point with K3 < 1, and rows that
+    reach t_max first get NaN brackets. The chunk of points per row starts at
+    _SCAN_FIRST_CHUNK and doubles, with at most _SCAN_BLOCK points over all
+    active rows. Each bracket is then bisected to a relative width of
+    BISECT_REL_TOL; the per-row active mask gives every row exactly the steps
+    it would take alone, so a row's result does not depend on its batch. The
+    post-selection floor is checked at the points a one-row scan and bisection
+    evaluate, never past a row's crossing.
+    """
+    lo, hi = np.full(len(step), np.nan), np.full(len(step), np.nan)
+    k0, chunk = 1, _SCAN_FIRST_CHUNK
+    active = np.flatnonzero(step <= t_max)
+    while active.size:
+        chunk = min(chunk, max(1, _SCAN_BLOCK // active.size))
+        k = np.arange(k0, k0 + chunk)
+        t = k * step[active, None]
+        inside = t <= t_max[active, None]
+        v, prob = k3(active, t)
+        hit = (v < 1.0) & inside
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), chunk)
+        _check_postselection(prob, t, inside & (np.arange(chunk) <= first[:, None]))
+        found = first < chunk
+        done, kc = active[found], k0 + first[found]
+        lo[done], hi[done] = (kc - 1) * step[done], kc * step[done]
+        active = active[~found & inside[:, -1]]
+        k0, chunk = k0 + chunk, 2 * chunk
+    rows = np.flatnonzero(hi - lo > BISECT_REL_TOL * hi)  # False on NaN
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        v, prob = k3(rows, mid[:, None])
+        _check_postselection(prob, mid[:, None])
+        up = v[:, 0] >= 1.0
+        lo[rows[up]], hi[rows[~up]] = mid[up], mid[~up]
+        rows = rows[hi[rows] - lo[rows] > BISECT_REL_TOL * hi[rows]]
+    return lo, hi
+
+
+def _brackets(cfgs, noise: NoiseConfig, model: str):
+    """_first_crossings for a batch of configs under one noise and model."""
+    if not noise.gamma > 0.0:
+        raise ValueError("lifetime needs gamma > 0 (the noiseless K3 never decays)")
+    if model not in _K3_MODELS:
+        raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
+    step = np.array([SCAN_OMEGA_STEP / cfg.omega for cfg in cfgs])
+    t_max = np.full(len(cfgs), LIFETIME_HORIZON_OVER_GAMMA / noise.gamma)
+    return _first_crossings(_K3_MODELS[model](cfgs, noise), step, t_max)
 
 
 @dataclass(frozen=True)
@@ -285,56 +415,34 @@ class LifetimeResult:
     crossing_bracket: tuple[float, float] = field(repr=False)
 
 
-def _first_crossing(k3, step: float, t_max: float) -> tuple[float, float]:
-    """Bracket the first downward crossing of K3 = 1 by forward scanning."""
-    t_prev, v_prev = 0.0, 1.0
-    for k in itertools.count(1):
-        t = k * step
-        if t > t_max:
-            raise NoCrossing(f"K3 stayed above 1 on every scan point up to t = {t_max!r}")
-        v = k3(t)
-        if v_prev >= 1.0 > v:
-            return t_prev, t
-        t_prev, v_prev = t, v
-
-
-def _bisect_crossing(k3, lo: float, hi: float) -> tuple[float, float]:
-    while (hi - lo) > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if k3(mid) >= 1.0 else (lo, mid)
-    return lo, hi
-
-
 def lifetime(cfg: SuperpositionConfig, noise: NoiseConfig, model: str = "bloch",
              tau_ref: float | None = None) -> LifetimeResult:
     """Duration of the K3 > 1 violation and its gain over the alpha = 0 case.
 
-    Scans forward in steps of 0.01/omega, then bisects the first bracket where
-    K3 drops through 1 to a relative width of 1e-6. tau_ref short-circuits the
-    alpha = 0 reference computation when the caller already has it.
+    Scans forward in steps of 0.01/omega out to 50/gamma, then bisects the
+    first bracket where K3 drops through 1 to a relative width of 1e-6 (see
+    _first_crossings; cfg is a one-row batch, or two rows with its alpha = 0
+    reference). tau_ref short-circuits the reference computation when the
+    caller already has it. Raises NoCrossing when either scan finds none.
     """
-    if not noise.gamma > 0.0:
-        raise ValueError("lifetime needs gamma > 0 (the noiseless K3 never decays)")
-    if model not in _K3_MODELS:
-        raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
-    k3 = _K3_MODELS[model](cfg, noise)
-    lo, hi = _first_crossing(k3, SCAN_OMEGA_STEP / cfg.omega,
-                             LIFETIME_HORIZON_OVER_GAMMA / noise.gamma)
-    lo, hi = _bisect_crossing(k3, lo, hi)
-    tau = 0.5 * (lo + hi)
-    if tau_ref is not None:
-        tau_0 = float(tau_ref)
-    elif cfg.alpha == 0.0:
-        tau_0 = tau
-    else:
-        tau_0 = lifetime(replace(cfg, alpha=0.0), noise, model=model).tau_alpha
+    with_ref = tau_ref is None and cfg.alpha != 0.0
+    lo, hi = _brackets([cfg, replace(cfg, alpha=0.0)] if with_ref else [cfg], noise, model)
+    if np.isnan(lo).any():
+        raise NoCrossing("K3 stayed above 1 on every scan point up to "
+                         f"t = {LIFETIME_HORIZON_OVER_GAMMA / noise.gamma!r}")
+    tau = float(0.5 * (lo[0] + hi[0]))
+    tau_0 = float(tau_ref) if tau_ref is not None else float(0.5 * (lo[-1] + hi[-1]))
     return LifetimeResult(tau_alpha=tau, tau_0=tau_0, gain=tau / tau_0,
-                          crossing_bracket=(lo, hi))
+                          crossing_bracket=(float(lo[0]), float(hi[0])))
 
 
 @dataclass(frozen=True)
 class GainPoint:
-    """One row of a gain curve; tau_alpha and gain are None on no-crossing."""
+    """One row of a gain curve; gain is None unless status is "ok".
+
+    status "no-crossing": the row's own scan found no crossing (tau_alpha is
+    None); "no-reference": the row crossed but its alpha = 0 reference did not.
+    """
 
     alpha: float
     tau_alpha: float | None
@@ -346,18 +454,24 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
                omega: float = 1.0) -> list[GainPoint]:
     """Lifetime gain against the superposition weight at fixed branch angle.
 
-    phi is the planar angle between the two rotation axes, in radians. Rows
-    where the scan finds no crossing are flagged rather than fatal.
+    phi is the planar angle between the two rotation axes, in radians. Every
+    alpha of the grid is one row of a single _first_crossings batch, and the
+    alpha = 0 reference is an ordinary row of it (added when the grid lacks
+    it), computed once. Rows where the scan finds no crossing, or whose
+    reference found none, are flagged rather than fatal.
     """
     alphas = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
     alphas = [float(a) for a in np.asarray(alphas, dtype=float)]
-    tau_0 = lifetime(planar(0.0, phi, omega), noise, model=model).tau_alpha
+    rows = alphas if 0.0 in alphas else alphas + [0.0]
+    lo, hi = _brackets([planar(a, phi, omega) for a in rows], noise, model)
+    taus = [float(t) for t in 0.5 * (lo + hi)]
+    tau_0 = taus[rows.index(0.0)]
 
-    def one(alpha: float) -> GainPoint:
-        try:
-            res = lifetime(planar(alpha, phi, omega), noise, model=model, tau_ref=tau_0)
-        except NoCrossing:
+    def one(alpha: float, tau: float) -> GainPoint:
+        if math.isnan(tau):
             return GainPoint(alpha=alpha, tau_alpha=None, gain=None, status="no-crossing")
-        return GainPoint(alpha=alpha, tau_alpha=res.tau_alpha, gain=res.gain, status="ok")
+        if math.isnan(tau_0):
+            return GainPoint(alpha=alpha, tau_alpha=tau, gain=None, status="no-reference")
+        return GainPoint(alpha=alpha, tau_alpha=tau, gain=tau / tau_0, status="ok")
 
-    return [one(a) for a in alphas]
+    return [one(a, t) for a, t in zip(alphas, taus)]

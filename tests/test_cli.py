@@ -149,18 +149,36 @@ def test_map_grids_are_bounded_before_allocation(tmp_path, capsys):
     assert "map cells" in capsys.readouterr().err
 
 
+def _statuses(path):
+    with open(path, newline="") as fh:
+        return [row["status"] for row in csv.DictReader(line for line in fh
+                                                         if not line.startswith("#"))]
+
+
 def test_stiff_lifetime_bloch_exits_cleanly(tmp_path, capsys):
-    # gamma = 1e6 once hung in an explicit solver; now a clean NoCrossing exit
+    # gamma = 1e6 once hung in an explicit solver; now every row, the alpha = 0
+    # reference included, is flagged no-crossing and the run exits 1
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["lifetime-bloch", "--gamma", "1e6", "--out", str(tmp_path / "b.csv")])
     elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "K3 stayed above 1" in err and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "FAIL lifetime-bloch: every scan found a crossing" in out and "Traceback" not in err
+    assert set(_statuses(tmp_path / "b.csv")) == {"no-crossing"}
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert elapsed < 10.0
+
+
+def test_huge_gamma_lifetimes_run_without_warnings(tmp_path):
+    # gamma = 1e300 once overflowed while squaring -gamma h / 2 in the Magnus steps
+    for exp in ("lifetime-bloch", "lifetime-lindblad"):
+        out = tmp_path / f"{exp}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([exp, "--gamma", "1e300", "--phi", "175", "--out", str(out)]) == 1
+        assert set(_statuses(out)) == {"no-crossing"}
 
 
 def test_import_loads_no_scipy():
