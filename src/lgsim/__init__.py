@@ -9,15 +9,15 @@ both phenomenologically (damped Bloch equation) and microscopically (joint
 ancilla-system master equation).
 """
 
-from .linalg import (ALLOWED_DIMS, DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from .linalg import (DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                      X_AXIS, Y_AXIS, Z_AXIS, DimError, InvalidAxis, as_unit_vector,
                      dagger, dist_upto_phase, expm_hermitian_generator, is_density_matrix,
-                     is_hermitian, is_unitary, kron, pauli, rot, trace_real)
-from .superpose import (NORM_FLOOR, DegenerateSuperposition, SOEProfile,
-                        SuperpositionConfig, UnsupportedGeometry, axis_theta, f_of_t,
-                        norm_factor_sq, planar, planar_angle, soe, soe_profile,
-                        soe_span, superposed_unitary, unnormalized_superposed)
-from .lgi import (GOLDEN_TOL, CorrelatorSet, K3Curve, K3MaxSurface, SweepGrid,
+                     is_hermitian, is_unitary, kron, pauli, rot)
+from .superpose import (NORM_FLOOR, DegenerateSuperposition, SuperpositionConfig,
+                        UnsupportedGeometry, axis_theta, f_of_t, norm_factor_sq, planar,
+                        planar_angle, soe, soe_span, superposed_unitary,
+                        unnormalized_superposed)
+from .lgi import (GOLDEN_TOL, CorrelatorSet, K3Curve, K3MaxSurface,
                   TemporalBoundMap, correlator, default_omega_t_grid, k3_at, k3_curve,
                   k3_max, k3max_surface, ttb_map)
 from .ancilla import (AncillaCircuit, Coupling, InterferometerSignal, LibraryEntry,
@@ -26,22 +26,22 @@ from .ancilla import (AncillaCircuit, Coupling, InterferometerSignal, LibraryEnt
                       build_pulse_library, controlled_u_t0, controlled_u_t1,
                       interferometer_signal, normalization_signal, postselect_map,
                       project_ancilla, u_tilde_pm, verify_pulse_sequences)
-from .noise import (DEFAULT_ALPHA_GRID, GainPoint, LifetimeResult, NoCrossing,
-                    NoiseConfig, evolve_lindblad, gain_curve, hamiltonian_as,
-                    integrate_bloch, k3_bloch, lifetime, liouvillian, noisy_correlator)
+from .noise import (DEFAULT_ALPHA_GRID, GainPoint, NoiseConfig, evolve_lindblad,
+                    gain_curve, hamiltonian_as, integrate_bloch, k3_bloch, liouvillian,
+                    noisy_correlator)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALLOWED_DIMS", "DEFAULT_TOL", "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
+    "DEFAULT_TOL", "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "X_AXIS", "Y_AXIS", "Z_AXIS", "DimError", "InvalidAxis", "as_unit_vector",
     "dagger", "dist_upto_phase", "expm_hermitian_generator", "is_density_matrix",
-    "is_hermitian", "is_unitary", "kron", "pauli", "rot", "trace_real",
-    "NORM_FLOOR", "DegenerateSuperposition", "SOEProfile", "SuperpositionConfig",
+    "is_hermitian", "is_unitary", "kron", "pauli", "rot",
+    "NORM_FLOOR", "DegenerateSuperposition", "SuperpositionConfig",
     "UnsupportedGeometry", "axis_theta", "f_of_t", "norm_factor_sq", "planar",
-    "planar_angle", "soe", "soe_profile", "soe_span", "superposed_unitary",
+    "planar_angle", "soe", "soe_span", "superposed_unitary",
     "unnormalized_superposed",
-    "GOLDEN_TOL", "CorrelatorSet", "K3Curve", "K3MaxSurface", "SweepGrid",
+    "GOLDEN_TOL", "CorrelatorSet", "K3Curve", "K3MaxSurface",
     "TemporalBoundMap", "correlator", "default_omega_t_grid", "k3_at", "k3_curve",
     "k3_max", "k3max_surface", "ttb_map",
     "AncillaCircuit", "Coupling", "InterferometerSignal", "LibraryEntry",
@@ -50,8 +50,8 @@ __all__ = [
     "controlled_u_t0", "controlled_u_t1", "interferometer_signal",
     "normalization_signal", "postselect_map", "project_ancilla", "u_tilde_pm",
     "verify_pulse_sequences",
-    "DEFAULT_ALPHA_GRID", "GainPoint", "LifetimeResult", "NoCrossing", "NoiseConfig",
+    "DEFAULT_ALPHA_GRID", "GainPoint", "NoiseConfig",
     "evolve_lindblad", "gain_curve", "hamiltonian_as", "integrate_bloch", "k3_bloch",
-    "lifetime", "liouvillian", "noisy_correlator",
+    "liouvillian", "noisy_correlator",
     "__version__",
 ]

@@ -30,6 +30,7 @@ from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, dist_upto_phase,
 from .superpose import SuperpositionConfig
 
 POSTSELECT_FLOOR = 1e-12
+VERIFY_TOL = 1e-9  # largest pulse-program distance from its target that passes
 
 PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -332,18 +333,8 @@ class VerificationReport:
             lines.append("(empty grid: nothing to verify)")
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "max_distance": self.max_distance(),
-            "rows": [{"sequence": r.name, "phi": r.phi, "omega_t": r.omega_t,
-                      "distance": r.distance} for r in self.rows],
-        }
 
-
-def verify_pulse_sequences(phi_values, omega_t_values,
-                           tolerance: float = 1e-9) -> VerificationReport:
+def verify_pulse_sequences(phi_values, omega_t_values) -> VerificationReport:
     """Check every pulse program against its target over a parameter grid."""
     rows = []
     for phi in np.asarray(phi_values, dtype=float):
@@ -352,4 +343,4 @@ def verify_pulse_sequences(phi_values, omega_t_values,
                 d = dist_upto_phase(entry.sequence.matrix(), entry.target)
                 rows.append(SequenceCheck(name=entry.name, phi=float(phi),
                                           omega_t=float(omega_t), distance=float(d)))
-    return VerificationReport(rows=tuple(rows), tolerance=tolerance)
+    return VerificationReport(rows=tuple(rows), tolerance=VERIFY_TOL)

@@ -32,14 +32,13 @@ from .linalg import dagger, dist_upto_phase, rot
 from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
     k3_bloch, liouvillian, noisy_correlator
 from .superpose import DegenerateSuperposition, SuperpositionConfig, UnsupportedGeometry, \
-    f_of_t, norm_factor_sq, planar, soe_profile, soe_span, superposed_unitary, \
-    unnormalized_superposed
+    f_of_t, norm_factor_sq, planar, soe, soe_span, superposed_unitary, unnormalized_superposed
 
 EXPERIMENTS = ("ttb-map", "k3-surface", "k3-curves", "lifetime-bloch",
                "lifetime-lindblad", "soe-profiles", "verify-circuits", "selftest")
 
 DEFAULT_SEED = 12345
-MAX_MAP_CELLS = 250_000
+MAX_ROWS = 250_000
 DEFAULT_GAMMA = 1.0 / (4.0 * np.pi)
 
 _DEFAULT_FORMATS = {"verify-circuits": "json", "selftest": "json"}
@@ -70,10 +69,12 @@ class RunConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.grid is not None and self.grid < 2:
             raise ValueError(f"grid must be >= 2, got {self.grid!r}")
-        if self.experiment in ("ttb-map", "k3-surface") and self.grid is not None \
-                and (self.grid + 1) * self.grid > MAX_MAP_CELLS:
-            raise ValueError(f"grid {self.grid!r} gives {(self.grid + 1) * self.grid} map cells, "
-                             f"more than {MAX_MAP_CELLS}")
+        # dataset rows per grid; lifetime grids cost time, not memory, and are not capped
+        g = self.grid or 0
+        rows = {"ttb-map": (g + 1) * g, "k3-surface": (g + 1) * g, "k3-curves": g + 1,
+                "soe-profiles": g + 1, "verify-circuits": 3 * g * g}.get(self.experiment, 0)
+        if rows > MAX_ROWS:
+            raise ValueError(f"grid {g!r} gives {rows} dataset rows, more than {MAX_ROWS}")
         if not (np.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
 
@@ -272,9 +273,9 @@ def _run_soe_profiles(config: RunConfig):
     series = []
     checks = []
     for a in alphas:
-        prof = soe_profile(planar(a, phi, config.omega))
-        f_vals = np.asarray(prof.f(ts), dtype=float)
-        g_vals = np.asarray(prof.g(ts), dtype=float)
+        cfg = planar(a, phi, config.omega)
+        f_vals = np.asarray(f_of_t(cfg, ts), dtype=float)
+        g_vals = np.asarray(soe(cfg, ts), dtype=float)
         label = f"{a:.4f}"
         columns += [f"f_alpha{label}", f"g_alpha{label}"]
         series += [f_vals, g_vals]
@@ -285,8 +286,9 @@ def _run_soe_profiles(config: RunConfig):
                                 flat < 1e-12 and linear < 1e-9,
                                 f"max |g - omega| = {flat:.3e}, max |f - omega*t| = {linear:.3e}"))
         # 5-point stencil, offset fixed inside the rate spike (width ~ B/A = g(0) / omega)
-        d = 1e-3 * min(1.0, float(prof.g(0.0)) / config.omega) / config.omega
-        fd = (prof.f(ts - 2 * d) - 8 * prof.f(ts - d) + 8 * prof.f(ts + d) - prof.f(ts + 2 * d))
+        d = 1e-3 * min(1.0, float(soe(cfg, 0.0)) / config.omega) / config.omega
+        fd = (f_of_t(cfg, ts - 2 * d) - 8 * f_of_t(cfg, ts - d) + 8 * f_of_t(cfg, ts + d)
+              - f_of_t(cfg, ts + 2 * d))
         rel = float(np.abs(fd / (12.0 * d) - g_vals).max() / g_vals.min())
         checks.append(Check(f"rate is the derivative of the accumulated angle (alpha = {a:.4f})",
                             rel < 1e-4, f"max relative FD mismatch = {rel:.3e}"))
@@ -420,7 +422,7 @@ def _run_selftest(config: RunConfig):
     worst = 0.0
     for _ in range(15):
         cfg = random_planar()
-        t = rng.uniform(0.0, 12.0)
+        t = rng.uniform(0.0, 12.0) / omega  # omega*t in [0, 12], like the other draws
         worst = max(worst, abs(float(np.cos(f_of_t(cfg, t))) - correlator(cfg, 0.0, t)))
     checks.append(Check("accumulated angle reproduces the correlator", worst < 1e-10,
                         f"max = {worst:.3e}"))

@@ -1,18 +1,18 @@
 """Three-time correlators and the K3 Leggett-Garg quantity.
 
 The two-time correlator of a dichotomic observable Q under the normalized
-superposed rotation U is
+superposed rotation U = superposed_unitary(cfg, tj - ti) is
 
-    C(ti, tj) = (1/2) tr[Q U Q U^dag],   U = superposed_unitary(cfg, tj - ti)
+    C(ti, tj) = (1/2) tr[Q U Q U^dag]
 
 and K3 = C12 + C23 - C13 on the stationary grid t1 = 0, t2 = t, t3 = 2t
 (so C12 = C23). For a single rotation (alpha = 0) the maximum of K3 over t is
 bounded by 1.5; superpositions push it toward the algebraic bound of 3.
 
-`correlator` and `k3_at` evaluate the trace. Everything that scans omega*t
-(k3_max, ttb_map, k3max_surface, k3_curve) uses the equivalent closed form,
-in which a config enters through three scalars only, and searches for maxima
-over a whole batch of configs at once.
+U is again an SU(2) rotation, so C has a closed form in which a config enters
+through three scalars only; it is the one route here. `correlator` and `k3_at`
+are its one-point calls; k3_max, ttb_map, k3max_surface and k3_curve evaluate
+it over omega*t for whole batches of configs at once.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import X_AXIS, Z_AXIS, as_unit_vector, dagger, pauli
-from .superpose import SuperpositionConfig, UnsupportedGeometry, superposed_unitary
+from .linalg import X_AXIS, Z_AXIS, as_unit_vector
+from .superpose import SuperpositionConfig, UnsupportedGeometry, _checked_norm_sq
 
 GOLDEN_TOL = 1e-6
 
@@ -34,25 +34,6 @@ _SCAN_BLOCK = 64_000
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """Named inclusive 1-D parameter grid with a fixed point count."""
-
-    name: str
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"grid '{self.name}' needs at least 2 points, got {self.count}")
-        if not self.stop > self.start:
-            raise ValueError(f"grid '{self.name}' range must be ordered (start < stop)")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
 class CorrelatorSet:
     """Correlators on the t, 2t grid plus their K3 combination."""
 
@@ -60,20 +41,6 @@ class CorrelatorSet:
     c23: float
     c13: float
     k3: float
-
-
-def _grid_values(grid) -> np.ndarray:
-    if isinstance(grid, SweepGrid):
-        return grid.values()
-    return np.asarray(grid, dtype=float)
-
-
-def correlator(cfg: SuperpositionConfig, ti: float, tj: float, q_axis=Z_AXIS) -> float:
-    """Two-time correlator (1/2) tr[Q U Q U^dag] of the observable along q_axis."""
-    q = pauli(q_axis)
-    u = superposed_unitary(cfg, tj - ti)
-    c = 0.5 * np.trace(q @ u @ q @ dagger(u)).real
-    return float(min(1.0, max(-1.0, c)))
 
 
 def _dot3(a, b) -> np.ndarray:
@@ -113,13 +80,26 @@ def _correlator_terms(coef, cos_x, sin_x):
     """C = (c^2 - |w|^2 + 2 (w.q)^2) / N^2 from the coefficients of a config.
 
     This is the rotation-matrix element q.R(U)q of U = c 1 - i w.sigma, equal
-    to the trace formula of `correlator` up to rounding.
+    to the trace formula (1/2) tr[Q U Q U^dag] up to rounding.
     """
     c0, m2, mq = coef
     c_sq = (c0 * cos_x) ** 2
     w_sq = m2 * sin_x**2
     wq = mq * sin_x
     return (c_sq - w_sq + 2.0 * wq**2) / (c_sq + w_sq)
+
+
+def correlator(cfg: SuperpositionConfig, ti: float, tj: float, q_axis=Z_AXIS) -> float:
+    """Two-time correlator (1/2) tr[Q U Q U^dag] of the observable along q_axis.
+
+    The closed form at one point, clamped to [-1, 1]; raises
+    DegenerateSuperposition where superposed_unitary would.
+    """
+    delta = tj - ti
+    _checked_norm_sq(cfg, delta)
+    x = 0.5 * (cfg.omega * delta)
+    c = _correlator_terms(_config_coefficients(cfg, q_axis), np.cos(x), np.sin(x))[0]
+    return float(min(1.0, max(-1.0, c)))
 
 
 def _k3_terms(coef, trig):
@@ -206,7 +186,7 @@ def k3_max(cfg: SuperpositionConfig, omega_t_grid=None, q_axis=Z_AXIS) -> tuple[
     reported: their grid values tie to within rounding.
     Returns (k3_maximum, omega_t_at_maximum).
     """
-    grid = default_omega_t_grid() if omega_t_grid is None else _grid_values(omega_t_grid)
+    grid = default_omega_t_grid() if omega_t_grid is None else np.asarray(omega_t_grid, float)
     value, loc = _k3_maxima(_config_coefficients(cfg, q_axis), grid)
     return float(value[0]), float(loc[0])
 
@@ -231,8 +211,8 @@ def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
     through the batched kernel at once; as in k3_max, an argmax entry may be
     either twin peak u* or 2 pi - u*.
     """
-    etas = _grid_values(eta_grid)
-    xis = _grid_values(xi_grid)
+    etas = np.asarray(eta_grid, dtype=float)
+    xis = np.asarray(xi_grid, dtype=float)
 
     axes = np.empty((len(etas), len(xis), 3))
     axes[..., 0] = np.sin(etas)[:, None] * np.cos(xis)
@@ -261,8 +241,8 @@ def k3max_surface(alpha_grid, phi_grid) -> K3MaxSurface:
     Entry (i, j) is k3_max(planar(alpha_i, phi_j, omega))[0] for any omega;
     the whole grid goes through the batched kernel at once.
     """
-    alphas = _grid_values(alpha_grid)
-    phis = _grid_values(phi_grid)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    phis = np.asarray(phi_grid, dtype=float)
     if not np.all((alphas >= 0.0) & (alphas <= np.pi / 2)):
         raise ValueError(f"alpha must lie in [0, pi/2], got {alphas!r}")
     if not np.all((phis >= 0.0) & (phis < np.pi)):
@@ -286,7 +266,7 @@ class K3Curve:
 
 def k3_curve(cfg: SuperpositionConfig, omega_t_grid, q_axis=Z_AXIS) -> K3Curve:
     """Sample C12, C13 and K3 over a grid of omega*t (pure sampling, no refinement)."""
-    us = _grid_values(omega_t_grid)
+    us = np.asarray(omega_t_grid, dtype=float)
     cos_h, sin_h, cos_f, sin_f = _trig(us)
     coef = _config_coefficients(cfg, q_axis)
     c12 = _correlator_terms(coef, cos_h, sin_h)

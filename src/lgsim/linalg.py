@@ -3,8 +3,8 @@
 Matrices are plain complex numpy arrays of dimension 2, 4 or 8 and are treated
 as immutable values: every function returns a fresh array and never mutates its
 arguments. Composition, addition and scaling use the native operators
-(``a @ b``, ``a + b``, ``z * a``); :func:`dagger` and :func:`trace_real` cover
-the remaining everyday plumbing.
+(``a @ b``, ``a + b``, ``z * a``); :func:`dagger` covers the remaining
+everyday plumbing.
 
 Register convention used package-wide: multi-qubit operators are ordered
 measurement (x) ancilla (x) system, so ``kron(m_op, kron(a_op, s_op))``.
@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-
-ALLOWED_DIMS = (2, 4, 8)
 
 
 class InvalidAxis(ValueError):
@@ -87,11 +85,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def trace_real(a: np.ndarray) -> float:
-    """Real part of the trace (results that are real by symmetry)."""
-    return float(np.trace(a).real)
 
 
 def expm_hermitian_generator(h: np.ndarray) -> np.ndarray:

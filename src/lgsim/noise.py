@@ -33,7 +33,7 @@ it would take alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +52,6 @@ _SCAN_FIRST_CHUNK = 16  # scan points per row in the first chunk; crossings most
 _SCAN_BLOCK = 1024      # (rows x points) per chunk at most: the Lindblad exponentials stay < 1 MB
 
 DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
-
-
-class NoCrossing(RuntimeError):
-    """K3 never dropped through 1 inside the search horizon."""
 
 
 @dataclass(frozen=True)
@@ -406,37 +402,6 @@ def _brackets(cfgs, noise: NoiseConfig, model: str):
 
 
 @dataclass(frozen=True)
-class LifetimeResult:
-    """First time K3 drops through 1, its alpha = 0 reference, and the ratio."""
-
-    tau_alpha: float
-    tau_0: float
-    gain: float
-    crossing_bracket: tuple[float, float] = field(repr=False)
-
-
-def lifetime(cfg: SuperpositionConfig, noise: NoiseConfig, model: str = "bloch",
-             tau_ref: float | None = None) -> LifetimeResult:
-    """Duration of the K3 > 1 violation and its gain over the alpha = 0 case.
-
-    Scans forward in steps of 0.01/omega out to 50/gamma, then bisects the
-    first bracket where K3 drops through 1 to a relative width of 1e-6 (see
-    _first_crossings; cfg is a one-row batch, or two rows with its alpha = 0
-    reference). tau_ref short-circuits the reference computation when the
-    caller already has it. Raises NoCrossing when either scan finds none.
-    """
-    with_ref = tau_ref is None and cfg.alpha != 0.0
-    lo, hi = _brackets([cfg, replace(cfg, alpha=0.0)] if with_ref else [cfg], noise, model)
-    if np.isnan(lo).any():
-        raise NoCrossing("K3 stayed above 1 on every scan point up to "
-                         f"t = {LIFETIME_HORIZON_OVER_GAMMA / noise.gamma!r}")
-    tau = float(0.5 * (lo[0] + hi[0]))
-    tau_0 = float(tau_ref) if tau_ref is not None else float(0.5 * (lo[-1] + hi[-1]))
-    return LifetimeResult(tau_alpha=tau, tau_0=tau_0, gain=tau / tau_0,
-                          crossing_bracket=(float(lo[0]), float(hi[0])))
-
-
-@dataclass(frozen=True)
 class GainPoint:
     """One row of a gain curve; gain is None unless status is "ok".
 
@@ -454,11 +419,12 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
                omega: float = 1.0) -> list[GainPoint]:
     """Lifetime gain against the superposition weight at fixed branch angle.
 
-    phi is the planar angle between the two rotation axes, in radians. Every
-    alpha of the grid is one row of a single _first_crossings batch, and the
-    alpha = 0 reference is an ordinary row of it (added when the grid lacks
-    it), computed once. Rows where the scan finds no crossing, or whose
-    reference found none, are flagged rather than fatal.
+    The one public route to violation lifetimes. phi is the planar angle
+    between the two rotation axes, in radians. Every alpha of the grid is one
+    row of a single _first_crossings batch, and the alpha = 0 reference is an
+    ordinary row of it (added when the grid lacks it), computed once. Rows
+    where the scan finds no crossing, or whose reference found none, are
+    flagged rather than fatal.
     """
     alphas = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
     alphas = [float(a) for a in np.asarray(alphas, dtype=float)]

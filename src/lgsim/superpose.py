@@ -13,8 +13,7 @@ angular speed g(t) = df/dt, which is non-uniform in t whenever alpha > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,13 +107,18 @@ def norm_factor_sq(cfg: SuperpositionConfig, delta: float):
     return nsq if nsq.shape else float(nsq)
 
 
-def superposed_unitary(cfg: SuperpositionConfig, delta: float) -> np.ndarray:
-    """The normalized superposed rotation W(delta) / N(delta), an SU(2) element."""
+def _checked_norm_sq(cfg: SuperpositionConfig, delta: float) -> float:
+    """N^2(delta), raising DegenerateSuperposition where it falls below NORM_FLOOR."""
     nsq = norm_factor_sq(cfg, delta)
     if nsq < NORM_FLOOR:
         raise DegenerateSuperposition(
             f"superposition norm collapses at omega*delta = {cfg.omega * delta!r} (N^2 = {nsq!r})")
-    return unnormalized_superposed(cfg, delta) / np.sqrt(nsq)
+    return nsq
+
+
+def superposed_unitary(cfg: SuperpositionConfig, delta: float) -> np.ndarray:
+    """The normalized superposed rotation W(delta) / N(delta), an SU(2) element."""
+    return unnormalized_superposed(cfg, delta) / np.sqrt(_checked_norm_sq(cfg, delta))
 
 
 def _half_angle_coeffs(cfg: SuperpositionConfig) -> tuple[float, float, float]:
@@ -175,23 +179,3 @@ def soe_span(cfg: SuperpositionConfig) -> float:
     """
     a, b, _ = _half_angle_coeffs(cfg)
     return float(cfg.omega * (a / b - b / a))
-
-
-@dataclass(frozen=True)
-class SOEProfile:
-    """Bundled planar kinematics: axis longitude plus f and g as callables.
-
-    Satisfies f(0) = 0 and g = df/dt by construction.
-    """
-
-    theta: float
-    f: Callable = field(repr=False)
-    g: Callable = field(repr=False)
-
-
-def soe_profile(cfg: SuperpositionConfig) -> SOEProfile:
-    """Closed-form profile (theta, f, g) for a planar configuration."""
-    theta = axis_theta(cfg)
-    return SOEProfile(theta=theta,
-                      f=lambda t: f_of_t(cfg, t),
-                      g=lambda t: soe(cfg, t))

@@ -224,12 +224,12 @@ def test_pulse_targets_match_evolution_gates():
 
 
 def test_verification_report_shape():
-    report = verify_pulse_sequences([1.0], [0.5], tolerance=1e-9)
-    doc = report.to_json()
-    assert doc["passed"] is True
-    assert set(doc["max_distance"]) == {"controlled_sz", "controlled_evolution_0",
-                                        "controlled_evolution_1"}
-    assert len(doc["rows"]) == 3
+    report = verify_pulse_sequences([1.0], [0.5])
+    assert report.tolerance == 1e-9
+    assert report.passed is True
+    assert set(report.max_distance()) == {"controlled_sz", "controlled_evolution_0",
+                                          "controlled_evolution_1"}
+    assert len(report.rows) == 3
     assert "controlled_sz" in report.summary()
 
     empty = verify_pulse_sequences([], [])

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import lgsim.cli as cli
-from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_MAP_CELLS, RunConfig, build_parser,
-                       emit_series, main, run)
-from lgsim.superpose import SOEProfile
+from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
+                       main, run)
 
 
 def test_run_config_validation():
@@ -117,13 +116,8 @@ def test_soe_profiles_derivative_check_near_antiparallel_axes(tmp_path, capsys):
 
 def test_soe_profiles_derivative_check_catches_a_wrong_rate(tmp_path, monkeypatch, capsys):
     # mutation: a rate 0.1 % off the derivative of f must still fail the check
-    real = cli.soe_profile
-
-    def skewed(cfg):
-        prof = real(cfg)
-        return SOEProfile(theta=prof.theta, f=prof.f, g=lambda t: prof.g(t) * (1.0 + 1e-3))
-
-    monkeypatch.setattr(cli, "soe_profile", skewed)
+    real = cli.soe
+    monkeypatch.setattr(cli, "soe", lambda cfg, t: real(cfg, t) * (1.0 + 1e-3))
     code = run(RunConfig(experiment="soe-profiles", phi=170.0, out=str(tmp_path / "s.csv")))
     stdout = capsys.readouterr().out
     assert code == 1
@@ -131,22 +125,25 @@ def test_soe_profiles_derivative_check_catches_a_wrong_rate(tmp_path, monkeypatc
 
 
 def test_map_grids_are_bounded_before_allocation(tmp_path, capsys):
-    limit = max(g for g in range(2, 2000) if (g + 1) * g <= MAX_MAP_CELLS)
-    RunConfig(experiment="ttb-map", grid=limit)
-    RunConfig(experiment="k3-curves", grid=100000)  # only the two maps are bounded
+    # the largest grid within MAX_ROWS dataset rows: (g + 1) g for the maps,
+    # g + 1 for the curves, 3 g^2 for the circuits
+    limits = {"ttb-map": 499, "k3-surface": 499, "k3-curves": MAX_ROWS - 1,
+              "soe-profiles": MAX_ROWS - 1, "verify-circuits": 288}
+    RunConfig(experiment="lifetime-bloch", grid=100000)  # lifetime grids cost time, not memory
     tracemalloc.start()
     try:
-        for exp in ("ttb-map", "k3-surface"):
+        for exp, limit in limits.items():
+            RunConfig(experiment=exp, grid=limit)
             with pytest.raises(ValueError):
                 RunConfig(experiment=exp, grid=limit + 1)
             out = tmp_path / f"{exp}.csv"
-            assert main([exp, "--grid", "100000", "--out", str(out)]) == 2
+            assert main([exp, "--grid", "1000000", "--out", str(out)]) == 2
             assert not out.exists()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert "map cells" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("dataset rows, more than") == len(limits)
 
 
 def _statuses(path):
@@ -255,15 +252,17 @@ def test_verify_circuits_json_report(tmp_path):
 
 
 def test_selftest_passes(tmp_path, capsys):
-    out = tmp_path / "self.json"
-    code = run(RunConfig(experiment="selftest", out=str(out)))
-    assert code == 0
-    stdout = capsys.readouterr().out
-    pass_lines = [l for l in stdout.splitlines() if l.startswith("PASS selftest:")]
-    assert len(pass_lines) >= 10
-    assert "FAIL" not in stdout
-    doc = json.loads(out.read_text())
-    assert all(row[1] for row in doc["rows"])  # every check column is true
+    # at omega = 1e6 every random draw is in omega*t, so no check loses precision
+    for omega in (1.0, 1e6):
+        out = tmp_path / "self.json"
+        code = run(RunConfig(experiment="selftest", omega=omega, out=str(out)))
+        assert code == 0
+        stdout = capsys.readouterr().out
+        pass_lines = [l for l in stdout.splitlines() if l.startswith("PASS selftest:")]
+        assert len(pass_lines) >= 10
+        assert "FAIL" not in stdout
+        doc = json.loads(out.read_text())
+        assert all(row[1] for row in doc["rows"])  # every check column is true
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lgsim import lgi
 from lgsim.lgi import (
     CorrelatorSet,
-    SweepGrid,
     correlator,
     default_omega_t_grid,
     k3_at,
@@ -17,8 +17,9 @@ from lgsim.lgi import (
     k3max_surface,
     ttb_map,
 )
-from lgsim.linalg import X_AXIS, Z_AXIS
-from lgsim.superpose import SuperpositionConfig, UnsupportedGeometry, f_of_t, planar
+from lgsim.linalg import X_AXIS, Z_AXIS, dagger, pauli
+from lgsim.superpose import (SuperpositionConfig, UnsupportedGeometry, f_of_t, planar,
+                             superposed_unitary)
 
 # dense-scan oracle values at alpha = pi/4 (step 1e-4 with parabolic
 # refinement): {phi degrees: (max K3, omega*t at the max)}
@@ -111,7 +112,7 @@ def test_k3_max_single_rotation_is_bounded():
 def test_k3_max_grid_independence():
     cfg = planar(np.pi / 4, 3 * np.pi / 4)
     v_default, loc_default = k3_max(cfg)
-    v_alt, loc_alt = k3_max(cfg, omega_t_grid=SweepGrid("u", 0.0, 2 * np.pi, 1237))
+    v_alt, loc_alt = k3_max(cfg, omega_t_grid=np.linspace(0.0, 2 * np.pi, 1237))
     assert np.isclose(v_default, v_alt, atol=1e-9)
     # the curve is symmetric about omega*t = pi, so either twin peak is valid
     mirror = 2 * np.pi - loc_alt
@@ -160,8 +161,19 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _trace_correlator(cfg, delta, q_axis=Z_AXIS):
+    """(1/2) tr[Q U Q U^dag] with U = superposed_unitary(cfg, delta), unclamped.
+
+    The trace formula on the 2x2 matrices: the independent oracle for the
+    closed form behind every correlator and K3 of lgi.
+    """
+    q = pauli(q_axis)
+    u = superposed_unitary(cfg, delta)
+    return 0.5 * np.trace(q @ u @ q @ dagger(u)).real
+
+
 def _trace_k3(cfg, u, q_axis):
-    return 2.0 * correlator(cfg, 0.0, u, q_axis) - correlator(cfg, 0.0, 2.0 * u, q_axis)
+    return 2.0 * _trace_correlator(cfg, u, q_axis) - _trace_correlator(cfg, 2.0 * u, q_axis)
 
 
 def _dense_k3_max(cfg, q_axis):
@@ -260,10 +272,29 @@ def test_k3_curve_matches_trace_route():
     tilted = SuperpositionConfig(0.4, _unit([0.2, 0.9, 0.4]), _unit([1.0, -0.3, 0.5]), omega=1.7)
     for cfg, q in ((planar(np.pi / 4, 2.8), Z_AXIS), (tilted, _unit([0.3, -0.5, 0.8]))):
         curve = k3_curve(cfg, us, q_axis=q)
-        sets = [k3_at(cfg, u / cfg.omega, q) for u in us]
-        assert np.allclose(curve.c12, [s.c12 for s in sets], rtol=0, atol=1e-12)
-        assert np.allclose(curve.c13, [s.c13 for s in sets], rtol=0, atol=1e-12)
-        assert np.allclose(curve.k3, [s.k3 for s in sets], rtol=0, atol=1e-12)
+        c12 = np.array([_trace_correlator(cfg, u / cfg.omega, q) for u in us])
+        c13 = np.array([_trace_correlator(cfg, 2.0 * u / cfg.omega, q) for u in us])
+        assert np.allclose(curve.c12, c12, rtol=0, atol=1e-12)
+        assert np.allclose(curve.c13, c13, rtol=0, atol=1e-12)
+        assert np.allclose(curve.k3, 2.0 * c12 - c13, rtol=0, atol=1e-12)
+
+
+_AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=_AXES, m=_AXES, q=_AXES, alpha=st.floats(0.0, np.pi / 2),
+       omega=st.floats(0.1, 10.0), ti=st.floats(-20.0, 20.0), delay=st.floats(0.0, 20.0))
+def test_closed_form_correlator_matches_the_trace(n, m, q, alpha, omega, ti, delay):
+    n, m, q = _unit(n), _unit(m), _unit(q)
+    assume(n @ m > -0.9)
+    cfg = SuperpositionConfig(alpha, n, m, omega=omega)
+    tj = ti + delay
+    x = 0.5 * (omega * (tj - ti))
+    raw = lgi._correlator_terms(lgi._config_coefficients(cfg, q), np.cos(x), np.sin(x))[0]
+    assert abs(raw) <= 1.0 + 1e-15  # before the clamp
+    assert abs(raw - _trace_correlator(cfg, tj - ti, q)) <= 1e-12
+    assert correlator(cfg, ti, tj, q) == min(1.0, max(-1.0, raw))
 
 
 def test_k3_curve_sampling():
@@ -283,12 +314,3 @@ def test_k3_curve_rate_invariance():
     slow = k3_curve(planar(np.pi / 8, 2.0, omega=1.0), us)
     fast = k3_curve(planar(np.pi / 8, 2.0, omega=2.5), us)
     assert np.allclose(slow.k3, fast.k3, atol=1e-12)
-
-
-def test_sweep_grid():
-    g = SweepGrid("u", 0.0, 1.0, 11)
-    assert np.allclose(g.values(), np.linspace(0.0, 1.0, 11))
-    with pytest.raises(ValueError):
-        SweepGrid("u", 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        SweepGrid("u", 1.0, 0.0, 5)

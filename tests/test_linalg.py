@@ -21,7 +21,6 @@ from lgsim.linalg import (
     kron,
     pauli,
     rot,
-    trace_real,
 )
 
 
@@ -105,11 +104,9 @@ def test_kron_register_dimensions():
         kron(ID2, np.ones((2, 3)))
 
 
-def test_dagger_and_trace_real():
+def test_dagger():
     m = np.array([[1 + 2j, 3j], [0, 4]], dtype=complex)
     assert np.allclose(dagger(m), m.conj().T)
-    assert np.isclose(trace_real(m), 5.0)
-    assert isinstance(trace_real(m), float)
 
 
 def test_dist_upto_phase_ignores_global_phase():

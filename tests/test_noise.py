@@ -20,14 +20,12 @@ from lgsim.noise import (
     DEFAULT_ALPHA_GRID,
     LIFETIME_HORIZON_OVER_GAMMA,
     SCAN_OMEGA_STEP,
-    NoCrossing,
     NoiseConfig,
     evolve_lindblad,
     gain_curve,
     hamiltonian_as,
     integrate_bloch,
     k3_bloch,
-    lifetime,
     liouvillian,
     noisy_correlator,
 )
@@ -356,48 +354,41 @@ def test_lindblad_k3_reduces_to_algebraic_at_zero_noise():
 
 def test_lifetime_requires_noise():
     with pytest.raises(ValueError):
-        lifetime(planar(0.3, 1.0), NoiseConfig(gamma=0.0))
+        gain_curve(1.0, NoiseConfig(gamma=0.0), alpha_grid=(0.3,))
 
 
 def test_lifetime_without_superposition_has_unit_gain():
-    res = lifetime(planar(0.0, 2.0), NoiseConfig(gamma=GAMMA_REF))
-    assert res.gain == 1.0
-    assert res.tau_alpha == res.tau_0
-    lo, hi = res.crossing_bracket
-    assert lo <= res.tau_alpha <= hi
+    noise = NoiseConfig(gamma=GAMMA_REF)
+    (pt,) = gain_curve(2.0, noise, alpha_grid=(0.0,))
+    assert pt.status == "ok" and pt.gain == 1.0
+    lo, hi = noise_mod._brackets([planar(0.0, 2.0)], noise, "bloch")
+    assert lo[0] <= pt.tau_alpha <= hi[0]
 
 
 def test_lifetime_bloch_anchor():
-    res = lifetime(planar(np.pi / 4, np.deg2rad(115.0)), NoiseConfig(gamma=GAMMA_REF))
-    assert np.isclose(res.tau_alpha, BLOCH_TAU, atol=1e-8)
-    assert np.isclose(res.tau_0, BLOCH_TAU0, atol=1e-8)
-    assert np.isclose(res.gain, BLOCH_GAIN, atol=1e-8)
+    ref, pt = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF),
+                         alpha_grid=(0.0, np.pi / 4))
+    assert np.isclose(pt.tau_alpha, BLOCH_TAU, atol=1e-8)
+    assert np.isclose(ref.tau_alpha, BLOCH_TAU0, atol=1e-8)
+    assert np.isclose(pt.gain, BLOCH_GAIN, atol=1e-8)
 
 
 def test_lifetime_lindblad_anchor():
-    res = lifetime(planar(np.pi / 4, np.deg2rad(115.0)), NoiseConfig(gamma=GAMMA_REF),
-                   model="lindblad")
-    assert np.isclose(res.tau_alpha, LINDBLAD_TAU, atol=1e-8)
-    assert np.isclose(res.gain, LINDBLAD_GAIN, atol=1e-8)
-
-
-def test_lifetime_reference_shortcut():
-    cfg = planar(np.pi / 4, np.deg2rad(115.0))
-    noise = NoiseConfig(gamma=GAMMA_REF)
-    res = lifetime(cfg, noise, tau_ref=BLOCH_TAU0)
-    assert np.isclose(res.gain, BLOCH_TAU / BLOCH_TAU0, atol=1e-6)
-    assert res.tau_0 == BLOCH_TAU0
+    (pt,) = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alpha_grid=(np.pi / 4,),
+                       model="lindblad")
+    assert np.isclose(pt.tau_alpha, LINDBLAD_TAU, atol=1e-8)
+    assert np.isclose(pt.gain, LINDBLAD_GAIN, atol=1e-8)
 
 
 def test_lifetime_rejects_unknown_model():
     with pytest.raises(ValueError):
-        lifetime(planar(0.3, 1.0), NoiseConfig(gamma=0.1), model="exact")
+        gain_curve(1.0, NoiseConfig(gamma=0.1), alpha_grid=(0.3,), model="exact")
 
 
 def test_no_crossing_when_horizon_precedes_first_scan_point():
     # damping so fast that the 50/gamma horizon is shorter than one scan step
-    with pytest.raises(NoCrossing):
-        lifetime(planar(0.0, 1.0), NoiseConfig(gamma=1e4), model="lindblad")
+    (pt,) = gain_curve(1.0, NoiseConfig(gamma=1e4), alpha_grid=(0.0,), model="lindblad")
+    assert pt.status == "no-crossing" and pt.tau_alpha is None and pt.gain is None
 
 
 def test_gain_curve_shape_and_determinism():
@@ -465,12 +456,15 @@ def test_gain_curve_is_one_batch_with_one_reference(monkeypatch):
 # --- the batched lifetime engine against the one-row scan it replaced -------
 
 def _scalar_first_crossing(k3, step, t_max):
-    """Bracket the first downward crossing of K3 = 1 by forward scanning, one point at a time."""
+    """Bracket the first downward crossing of K3 = 1 by forward scanning, one point at a time.
+
+    None when K3 stays above 1 on every scan point up to t_max.
+    """
     t_prev, v_prev = 0.0, 1.0
     for k in itertools.count(1):
         t = k * step
         if t > t_max:
-            raise NoCrossing(f"K3 stayed above 1 on every scan point up to t = {t_max!r}")
+            return None
         v = k3(t)
         if v_prev >= 1.0 > v:
             return t_prev, t
@@ -519,13 +513,12 @@ def test_engine_matches_the_scalar_scan_and_bisection_bitwise():
             lo, hi = noise_mod._brackets(cfgs, noise, model)
             for row, cfg in enumerate(cfgs):
                 k3 = oracle(cfg, noise)
-                try:
-                    bracket = _scalar_bisect(k3, *_scalar_first_crossing(
-                        k3, SCAN_OMEGA_STEP, LIFETIME_HORIZON_OVER_GAMMA / gamma))
-                except NoCrossing:
+                scan = _scalar_first_crossing(k3, SCAN_OMEGA_STEP,
+                                              LIFETIME_HORIZON_OVER_GAMMA / gamma)
+                if scan is None:
                     assert np.isnan(lo[row]) and np.isnan(hi[row]), (model, gamma, row)
                     continue
-                assert (lo[row], hi[row]) == bracket, (model, gamma, row)
+                assert (lo[row], hi[row]) == _scalar_bisect(k3, *scan), (model, gamma, row)
             assert np.isnan(lo).all() == (gamma > 50.0)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lgsim.lgi import correlator
 from lgsim.linalg import ID2, X_AXIS, dagger, dist_upto_phase, is_unitary, rot
 from lgsim.superpose import (
     DegenerateSuperposition,
@@ -14,7 +15,6 @@ from lgsim.superpose import (
     planar,
     planar_angle,
     soe,
-    soe_profile,
     soe_span,
     superposed_unitary,
     unnormalized_superposed,
@@ -100,6 +100,8 @@ def test_norm_collapse_raises():
     cfg = planar(np.pi / 4, np.pi - 1e-7)
     with pytest.raises(DegenerateSuperposition):
         superposed_unitary(cfg, np.pi)
+    with pytest.raises(DegenerateSuperposition):
+        correlator(cfg, 1.0, 1.0 + np.pi)
     # same configuration is fine away from the collapse point
     assert is_unitary(superposed_unitary(cfg, 0.1))
 
@@ -173,12 +175,3 @@ def test_soe_positive_and_span():
         assert np.isclose(soe_span(cfg), g.max() - g.min(), atol=1e-6)
     assert np.isclose(soe_span(planar(np.pi / 4, np.pi / 2)), 1.0 / np.sqrt(2))
     assert np.isclose(soe_span(planar(0.0, 1.0)), 0.0)
-
-
-def test_profile_bundles_consistent_callables():
-    cfg = planar(np.pi / 8, 1.1)
-    prof = soe_profile(cfg)
-    assert np.isclose(prof.theta, axis_theta(cfg))
-    t = np.linspace(0.0, 5.0, 50)
-    assert np.allclose(prof.f(t), f_of_t(cfg, t))
-    assert np.allclose(prof.g(t), soe(cfg, t))
