@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, dist_upto_phase,
-                     is_density_matrix, kron, rot)
+from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, X_AXIS, Y_AXIS, Z_AXIS, dagger,
+                     dist_upto_phase, is_density_matrix, kron, rot)
 from .superpose import SuperpositionConfig
 
 POSTSELECT_FLOOR = 1e-12
@@ -217,9 +217,7 @@ class Coupling:
     angle: float
 
 
-_AXIS_VECTORS = {"x": np.array([1.0, 0.0, 0.0]),
-                 "y": np.array([0.0, 1.0, 0.0]),
-                 "z": np.array([0.0, 0.0, 1.0])}
+_AXIS_VECTORS = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
 @dataclass(frozen=True)
@@ -230,14 +228,15 @@ class PulseSequence:
     gates: tuple
 
     def matrix(self) -> np.ndarray:
+        """The program's unitary, of shape ``G + (4, 4)`` for gate angles of shape ``G``."""
         u = np.eye(4, dtype=complex)
         for gate in self.gates:
             if isinstance(gate, Rotation):
                 single = rot(_AXIS_VECTORS[gate.axis], gate.angle)
                 full = kron(single, ID2) if gate.qubit == 0 else kron(ID2, single)
             else:
-                zz = kron(SIGMA_Z, SIGMA_Z)
-                full = np.cos(gate.angle / 2) * np.eye(4) - 1j * np.sin(gate.angle / 2) * zz
+                half = 0.5 * np.asarray(gate.angle, dtype=float)[..., None, None]
+                full = np.cos(half) * np.eye(4) - 1j * np.sin(half) * kron(SIGMA_Z, SIGMA_Z)
             u = full @ u
         return u
 
@@ -251,7 +250,7 @@ class LibraryEntry:
     target: np.ndarray
 
 
-def build_pulse_library(phi: float, omega_t: float) -> list[LibraryEntry]:
+def build_pulse_library(phi, omega_t) -> list[LibraryEntry]:
     """Pulse programs for the three controlled gates of the interferometer.
 
     Register is control (x) S (control = M for the observable tag, A for the
@@ -260,8 +259,13 @@ def build_pulse_library(phi: float, omega_t: float) -> list[LibraryEntry]:
     on the control (hardware absorbs it into the rotating-frame bookkeeping).
     The hardware-native axis assignment routes the x-axis rotation through the
     A=|0> branch and the phi-axis one through A=|1>.
+
+    phi and omega_t may be arrays of one shape G (a grid); matrices and
+    targets are then stacks of shape G + (4, 4), controlled-sigma_z's (4, 4).
     """
     qc, qs = 0, 1  # control and system positions in the sequence register
+    phi = np.asarray(phi, dtype=float)
+    omega_t = np.asarray(omega_t, dtype=float)
 
     cz_seq = PulseSequence("controlled_sz", (
         Rotation(qc, "z", -np.pi / 2),
@@ -288,9 +292,11 @@ def build_pulse_library(phi: float, omega_t: float) -> list[LibraryEntry]:
         Rotation(qs, "x", -np.pi / 2),
     ))
     # Targets depend only on the branch axes, never on the mixing angle.
-    phi_axis = np.array([np.cos(phi), np.sin(phi), 0.0])
-    t0_target = kron(PROJ0, rot(_AXIS_VECTORS["x"], omega_t)) + kron(PROJ1, ID2)
-    t1_target = kron(PROJ0, ID2) + kron(PROJ1, rot(phi_axis, omega_t))
+    # rot about the phi axis, written out because that axis varies over the grid
+    half = 0.5 * omega_t[..., None, None]
+    phi_spin = np.cos(phi)[..., None, None] * SIGMA_X + np.sin(phi)[..., None, None] * SIGMA_Y
+    t0_target = kron(PROJ0, rot(X_AXIS, omega_t)) + kron(PROJ1, ID2)
+    t1_target = kron(PROJ0, ID2) + kron(PROJ1, np.cos(half) * ID2 - 1j * np.sin(half) * phi_spin)
 
     return [LibraryEntry("controlled_sz", cz_seq, cz_target),
             LibraryEntry("controlled_evolution_0", t0_seq, t0_target),
@@ -335,12 +341,15 @@ class VerificationReport:
 
 
 def verify_pulse_sequences(phi_values, omega_t_values) -> VerificationReport:
-    """Check every pulse program against its target over a parameter grid."""
-    rows = []
-    for phi in np.asarray(phi_values, dtype=float):
-        for omega_t in np.asarray(omega_t_values, dtype=float):
-            for entry in build_pulse_library(float(phi), float(omega_t)):
-                d = dist_upto_phase(entry.sequence.matrix(), entry.target)
-                rows.append(SequenceCheck(name=entry.name, phi=float(phi),
-                                          omega_t=float(omega_t), distance=float(d)))
-    return VerificationReport(rows=tuple(rows), tolerance=VERIFY_TOL)
+    """Check every pulse program against its target over a parameter grid, as one batch.
+
+    Rows run phi-major, then omega_t, then the library's program order.
+    """
+    phi, omega_t = np.meshgrid(np.asarray(phi_values, dtype=float),
+                               np.asarray(omega_t_values, dtype=float), indexing="ij")
+    library = build_pulse_library(phi, omega_t)
+    dists = [dist_upto_phase(e.sequence.matrix(), e.target) for e in library]
+    table = np.stack(np.broadcast_arrays(phi, omega_t, *dists), axis=-1).reshape(-1, 2 + len(dists))
+    rows = tuple(SequenceCheck(e.name, p, w, d) for p, w, *ds in table.tolist()
+                 for e, d in zip(library, ds))
+    return VerificationReport(rows=rows, tolerance=VERIFY_TOL)

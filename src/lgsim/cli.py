@@ -129,9 +129,18 @@ def emit_series(name: str, columns, rows, fmt: str, path: str, meta: dict) -> No
             writer.writerow([_cell_csv(v) for v in row])
         data = buf.getvalue()
     elif fmt == "json":
-        doc = {"meta": {"name": name, **meta}, "columns": list(columns),
-               "rows": [[_cell_json(v) for v in row] for row in rows]}
-        data = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # json.dumps(doc, indent=2, sort_keys=True) byte for byte, rows ("rows"
+        # sorts last) by one C-encoder call; strings escape newlines and cells
+        # are scalars, so "],\n      [" occurs only between two rows.
+        doc = {"meta": {"name": name, **meta}, "columns": list(columns), "rows": []}
+        data = json.dumps(doc, indent=2, sort_keys=True)
+        if rows:
+            encoder = json.JSONEncoder(separators=(",\n      ", ": "))
+            flat = encoder.encode([list(map(_cell_json, row)) for row in rows])
+            cells = flat[2:-2].split("],\n      [")
+            body = ",\n    ".join(f"[\n      {c}\n    ]" if c else "[]" for c in cells)
+            data = data[:-len("[]\n}")] + "[\n    " + body + "\n  ]\n}"
+        data += "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:

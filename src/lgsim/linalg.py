@@ -57,29 +57,29 @@ def pauli(axis) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def rot(axis, angle: float) -> np.ndarray:
+def rot(axis, angle) -> np.ndarray:
     """SU(2) rotation exp(-i * pauli(axis) * angle / 2).
 
     Closed form cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the
     eigendecomposition route :func:`expm_hermitian_generator` is the
-    independent cross-check used by the tests.
+    independent cross-check used by the tests. Broadcasts over an array of angles.
     """
-    if not np.isfinite(angle):
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
+    if not np.all(np.isfinite(half)):
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    half = 0.5 * angle
     return np.cos(half) * ID2 - 1j * np.sin(half) * pauli(axis)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the package's register-dimension guard (4 or 8)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if a.shape != (a.shape[0],) * 2 or b.shape != (b.shape[0],) * 2:
+    """np.kron with the register-dimension guard (4 or 8), broadcast over stack axes."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape[-1] != b.shape[-2]:
         raise DimError(f"kron needs square matrices, got {a.shape} and {b.shape}")
-    if out_dim not in (4, 8):
-        raise DimError(f"kron result dimension {out_dim} outside supported register sizes")
-    return np.kron(a, b)
+    n = a.shape[-1] * b.shape[-1]
+    if n not in (4, 8):
+        raise DimError(f"kron result dimension {n} outside supported register sizes")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n, n))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -100,16 +100,17 @@ def expm_hermitian_generator(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
-def dist_upto_phase(a: np.ndarray, b: np.ndarray) -> float:
+def dist_upto_phase(a: np.ndarray, b: np.ndarray):
     """Distance 1 - |tr(a^dag b)| / dim between same-dimension unitaries.
 
     Zero iff a and b agree up to a global phase; insensitive to that phase.
+    Reduces over the last two axes; a rounding dip below 0 is clamped to 0.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-2:] != b.shape[-2:]:
         raise DimError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 1.0 - abs(np.trace(dagger(a) @ b)) / a.shape[0]
+    overlap = np.trace(np.swapaxes(a.conj(), -1, -2) @ b, axis1=-2, axis2=-1)
+    return np.maximum(1.0 - abs(overlap) / a.shape[-1], 0.0)
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

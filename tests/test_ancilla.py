@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lgsim.ancilla import (
     KET_PLUS,
+    PROJ0,
+    PROJ1,
     AncillaCircuit,
     PostSelectionStarved,
+    Rotation,
     ancilla_state,
     build_pulse_library,
     controlled_u_t0,
@@ -23,6 +27,9 @@ from lgsim.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
     dagger,
     is_density_matrix,
     is_unitary,
@@ -209,6 +216,55 @@ def test_pulse_sequence_matrices_are_unitary():
         assert is_unitary(entry.sequence.matrix())
         assert is_unitary(entry.target)
         assert entry.sequence.matrix().shape == (4, 4)
+
+
+def _per_point_matrix(sequence):
+    """Oracle: the program at one grid point, one np.kron-embedded pulse at a time."""
+    axes = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
+    u = np.eye(4, dtype=complex)
+    for gate in sequence.gates:
+        angle = float(gate.angle)
+        if isinstance(gate, Rotation):
+            single = rot(axes[gate.axis], angle)
+            full = np.kron(single, ID2) if gate.qubit == 0 else np.kron(ID2, single)
+        else:
+            zz = np.kron(SIGMA_Z, SIGMA_Z)
+            full = np.cos(angle / 2) * np.eye(4) - 1j * np.sin(angle / 2) * zz
+        u = full @ u
+    return u
+
+
+def _per_point_targets(phi, omega_t):
+    phi_axis = np.array([np.cos(phi), np.sin(phi), 0.0])
+    return [np.kron(PROJ0, ID2) + np.kron(PROJ1, SIGMA_Z),
+            np.kron(PROJ0, rot(X_AXIS, omega_t)) + np.kron(PROJ1, ID2),
+            np.kron(PROJ0, ID2) + np.kron(PROJ1, rot(phi_axis, omega_t))]
+
+
+_PHIS = st.lists(st.floats(0.0, np.pi), min_size=1, max_size=4)
+_OMEGA_TS = st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(phis=_PHIS, omega_ts=_OMEGA_TS)
+@example(phis=[0.0, np.pi], omega_ts=[0.0, 2 * np.pi])
+def test_batched_pulse_programs_match_per_point_oracle(phis, omega_ts):
+    phi, omega_t = np.meshgrid(phis, omega_ts, indexing="ij")
+    library = build_pulse_library(phi, omega_t)
+    stacks = [np.broadcast_to(e.sequence.matrix(), phi.shape + (4, 4)) for e in library]
+    targets = [np.broadcast_to(e.target, phi.shape + (4, 4)) for e in library]
+    for i, j in np.ndindex(phi.shape):
+        point = build_pulse_library(phis[i], omega_ts[j])
+        expected_targets = _per_point_targets(phis[i], omega_ts[j])
+        for k, entry in enumerate(point):
+            assert entry.name == library[k].name
+            assert np.abs(stacks[k][i, j] - _per_point_matrix(entry.sequence)).max() < 1e-14
+            assert np.abs(targets[k][i, j] - expected_targets[k]).max() < 1e-14
+
+    report = verify_pulse_sequences(phis, omega_ts)
+    nested = [(e.name, p, w) for p in phis for w in omega_ts for e in library]
+    assert [(r.name, r.phi, r.omega_t) for r in report.rows] == nested
+    assert all(np.isfinite(r.distance) for r in report.rows)
 
 
 def test_pulse_targets_match_evolution_gates():

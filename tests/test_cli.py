@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lgsim.cli as cli
 from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
@@ -77,6 +78,33 @@ def test_emit_series_json_round_trip(tmp_path):
     assert text.endswith("\n")
     # keys are emitted sorted, so the document is byte-stable
     assert text.index('"columns"') < text.index('"meta"') < text.index('"rows"')
+
+
+_CELLS = st.one_of(
+    st.text(), st.sampled_from(['say "hi"', "a,b", "two\nlines", "\u00e9t\u00e9 \u2192 \u221e"]),
+    st.booleans(), st.none(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300]))
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=5))
+    return draw(st.lists(st.text(), min_size=width, max_size=width)), rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(table=_tables(), meta=st.dictionaries(st.text(), st.one_of(st.text(), st.floats())))
+@example(table=(["only"], []), meta={})
+@example(table=(["only"], [[-0.0], ["q\"u,o\nte \u00fc"], [None]]), meta={"k": 1e-300})
+@example(table=(["a", "b"], [[float("nan"), float("inf")], [float("-inf"), True]]), meta={})
+def test_emit_series_json_matches_json_dumps(tmp_path_factory, table, meta):
+    columns, rows = table
+    path = tmp_path_factory.mktemp("emit") / "t.json"
+    emit_series("demo", columns, rows, "json", str(path), meta)
+    doc = {"meta": {"name": "demo", **meta}, "columns": columns, "rows": rows}
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_emit_series_empty_rows(tmp_path):
@@ -251,6 +279,14 @@ def test_verify_circuits_json_report(tmp_path):
     assert max(max_dists) < 1e-9
 
 
+def test_verify_circuits_distances_are_never_negative(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run(RunConfig(experiment="verify-circuits", out=str(out))) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 3 * 21 * 21
+    assert min(row[3] for row in rows) >= 0.0
+
+
 def test_selftest_passes(tmp_path, capsys):
     # at omega = 1e6 every random draw is in omega*t, so no check loses precision
     for omega in (1.0, 1e6):
@@ -270,6 +306,12 @@ def test_reruns_are_byte_identical(tmp_path):
     assert run(RunConfig(experiment="ttb-map", grid=6, out=str(a))) == 0
     assert run(RunConfig(experiment="ttb-map", grid=6, out=str(b))) == 0
     assert a.read_bytes() == b.read_bytes()
+    for experiment, extra in (("verify-circuits", {"grid": 7, "format": "csv"}),
+                              ("verify-circuits", {"grid": 7, "format": "json"}),
+                              ("selftest", {"seed": 3})):
+        for path in (a, b):
+            assert run(RunConfig(experiment=experiment, out=str(path), **extra)) == 0
+        assert a.read_bytes() == b.read_bytes(), (experiment, extra)
 
 
 def test_unwritable_output_is_reported(tmp_path, capsys):

@@ -92,12 +92,39 @@ def test_rot_rejects_non_finite_angle():
         rot(X_AXIS, np.nan)
     with pytest.raises(ValueError):
         rot(X_AXIS, np.inf)
+    with pytest.raises(ValueError):
+        rot(X_AXIS, np.array([0.3, np.nan, 1.0]))
+
+
+def test_stacks_match_their_elements():
+    rng = np.random.default_rng(23)
+    axis = _random_axis(rng)
+    angles = rng.uniform(-4 * np.pi, 4 * np.pi, size=(3, 5))
+    stack = rot(axis, angles)
+    assert stack.shape == (3, 5, 2, 2)
+    singles = np.array([[rot(axis, a) for a in row] for row in angles])
+    assert np.allclose(stack, singles, rtol=0.0, atol=1e-15)
+    embedded = kron(ID2, stack)
+    assert embedded.shape == (3, 5, 4, 4)
+    assert np.array_equal(embedded[1, 2], np.kron(ID2, stack[1, 2]))
+    dists = dist_upto_phase(kron(stack, ID2), kron(rot(axis, angles + 0.1), ID2))
+    assert dists.shape == (3, 5)
+    single = dist_upto_phase(kron(singles[2, 4], ID2), kron(rot(axis, angles[2, 4] + 0.1), ID2))
+    assert abs(dists[2, 4] - single) < 1e-15
+    # exact matches round to at most 0, never below it
+    same = dist_upto_phase(stack, stack * np.exp(0.7j))
+    assert np.all(same >= 0.0) and np.all(same < 1e-15)
 
 
 def test_kron_register_dimensions():
     assert kron(ID2, ID2).shape == (4, 4)
     assert kron(np.eye(4), ID2).shape == (8, 8)
-    assert np.allclose(kron(SIGMA_X, SIGMA_Z), np.kron(SIGMA_X, SIGMA_Z))
+    rng = np.random.default_rng(17)
+    for n1, n2 in ((2, 2), (2, 4), (4, 2)):
+        for _ in range(20):
+            a = rng.normal(size=(n1, n1)) + 1j * rng.normal(size=(n1, n1))
+            b = rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))
+            assert np.array_equal(kron(a, b), np.kron(a, b))
     with pytest.raises(DimError):
         kron(np.eye(4), np.eye(4))
     with pytest.raises(DimError):
