@@ -1,10 +1,9 @@
 """Dephasing robustness of the superposed rotation.
 
 Two models of the same physics live here. The phenomenological route evolves
-the Bloch vector s = (sx, sy, sz) of the system alone, driving it with the
-instantaneous rotation that the superposition generates (rate soe(cfg, t),
-axis in the equatorial plane at angle axis_theta(cfg)) and damping the
-transverse components at rate gamma:
+the system's Bloch vector s alone under the instantaneous rotation of the
+superposition (rate g = soe(cfg, t) about the planar axis at axis_theta(cfg)),
+with its transverse components damped at rate gamma:
 
     ds/dt = g(t) axis x s - gamma (sx, sy, 0)
 
@@ -13,21 +12,19 @@ solved in Floquet form from one period of its fundamental matrix, built from
 4th-order Magnus steps (see _BlochK3); no adaptive solver is involved.
 
 The microscopic route evolves the joint ancilla (x) system state under the
-block-diagonal two-branch Hamiltonian with independent sigma_z dephasing on
-both qubits, exactly through one eigendecomposition of its time-independent
-Liouvillian, then post-selects the ancilla on |+> as the circuit would. Each
-branch's post-selection probability and sigma_z moment is then a sum of 16
-exponentials in t (see _LindbladK3). Both reduce to the unitary picture at
+block-diagonal two-branch Hamiltonian with sigma_z dephasing on both qubits,
+then post-selects the ancilla on |+> as the circuit would. Its correlator is a
+closed form in the 2x2 damped-rotation exponential the Magnus steps use (see
+_LindbladK3); evolve_lindblad propagates a whole joint state through one
+eigendecomposition of the Liouvillian. Both reduce to the unitary picture at
 gamma = 0, which the tests pin.
 
-K3 keeps the stationary grid (0, t, 2t): K3(t) = 2 sz(t) - sz(2t) for the
-Bloch route and 2 C(t) - C(2t) with the post-selected correlator C for the
-Lindblad route. The lifetime is the first time K3 drops through 1. Both models
-evaluate K3 on a whole (rows x t) block of configs and times in a few numpy
-calls, and one engine (_first_crossings) finds the lifetimes of a batch of
-configs together: a forward scan in chunks of (active rows x scan points) and
-a bisection vectorised over rows, in which every row takes exactly the steps
-it would take alone.
+K3 keeps the stationary grid (0, t, 2t): 2 sz(t) - sz(2t) for the Bloch route,
+2 C(t) - C(2t) for the Lindblad one. The lifetime is the first time K3 drops
+through 1. Both models evaluate K3 on a (rows x t) block of configs and times,
+and one engine (_first_crossings) finds the lifetimes of a batch together: a
+chunked forward scan and a bisection vectorised over rows, in which every row
+takes exactly the steps it would take alone.
 """
 
 from __future__ import annotations
@@ -37,19 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import (POSTSELECT_FLOOR, PROJ0, PROJ1, KET_PLUS, PostSelectionStarved,
-                      ancilla_state)
+from .ancilla import POSTSELECT_FLOOR, PROJ0, PROJ1, PostSelectionStarved
 from .linalg import ID2, SIGMA_Z, Z_AXIS, is_density_matrix, kron, pauli
-from .superpose import SuperpositionConfig, _half_angle_coeffs, axis_theta, planar
+from .superpose import (SuperpositionConfig, _half_angle_coeffs, axis_theta, planar,
+                        planar_angle)
 
 MAGNUS_TOL = 1e-10
 MAGNUS_MAX_STEPS = 2 ** 15
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 SCAN_OMEGA_STEP = 1e-2
 BISECT_REL_TOL = 1e-6
-LIFETIME_HORIZON_OVER_GAMMA = 50.0
+LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at this / min(gamma, omega)
+# smallest peak K3 - 1 whose tau rounding does not set (~100 eps in K3 moves tau by that / peak)
+PEAK_RESOLUTION = 100.0 * np.finfo(float).eps / BISECT_REL_TOL
 _SCAN_FIRST_CHUNK = 16  # scan points per row in the first chunk; crossings mostly fall within ~200
-_SCAN_BLOCK = 1024      # (rows x points) per chunk at most: the Lindblad exponentials stay < 1 MB
+_SCAN_BLOCK = 1024      # (rows x points) per chunk at most
 
 DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
 
@@ -70,15 +69,9 @@ class NoiseConfig:
 def _magnus_steps(a, b, omega, gamma, t0, t1) -> np.ndarray:
     """exp(Omega), shape t0.shape + (2, 2), of the steps [t0, t1] within one period.
 
-    a, b and omega broadcast against t0 and t1. Omega = [[-gamma h, c - df],
-    [c + df, 0]] = mu I + N, where df is the exact rotation angle, c = (sqrt 3 /
-    12) h^2 gamma (g1 - g2) the commutator term (g1, g2 the rates at the Gauss
-    points), mu = -gamma h / 2 and N^2 = r^2 I. So exp(Omega) = e^(mu + r) [(1 +
-    e^-2r) / 2 I + (1 - e^-2r) / 2r N] with complex r; mu + r = (c^2 - df^2) /
-    (r - mu) is capped at 0 (the exact flow never lengthens s): no cancellation.
-    The squares are taken of mu, c and df scaled by the power of two s >= 1 that
-    brings them below 1, so none overflows however large gamma h is; scaling by
-    a power of two is exact short of underflow, so the result keeps its bits.
+    a, b and omega broadcast against t0 and t1. Omega = [[-gamma h, c - df], [c + df, 0]]
+    with df the exact rotation angle and c = (sqrt 3 / 12) h^2 gamma (g1 - g2) the
+    commutator term (g1, g2 the rates at the Gauss points).
     """
     h = t1 - t0
     x = (0.5 * omega) * np.stack([t0, t1, t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h])
@@ -86,7 +79,18 @@ def _magnus_steps(a, b, omega, gamma, t0, t1) -> np.ndarray:
     df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
     g = omega * a * b / (ca[2:] ** 2 + sb[2:] ** 2)
     c = (np.sqrt(3.0) / 12.0) * h * h * gamma * (g[0] - g[1])
-    mu = -0.5 * gamma * h
+    return _damped_rotation(-0.5 * gamma * h, c, df)
+
+
+def _damped_rotation(mu, c, df) -> np.ndarray:
+    """exp([[2 mu, c - df], [c + df, 0]]) for mu <= 0 (c, df broadcast), shape mu.shape + (2, 2).
+
+    The exponent is mu I + N, N^2 = r^2 I, so this is e^(mu + r) [(1 + e^-2r) / 2 I + (1 -
+    e^-2r) / 2r N], exact at r = 0; mu + r = (c^2 - df^2) / (r - mu) has no cancellation
+    and is capped at 0 (these flows never lengthen a vector). The squares are of mu, c and
+    df scaled by the power of two s >= 1 that brings them below 1 (exact short of
+    underflow), so none overflows however large mu is.
+    """
     largest = np.maximum(np.maximum(abs(mu), abs(c)), abs(df))
     s = np.ldexp(1.0, np.maximum(np.frexp(largest)[1], 0))
     mu_s, c_s, df_s = mu / s, c / s, df / s
@@ -97,7 +101,7 @@ def _magnus_steps(a, b, omega, gamma, t0, t1) -> np.ndarray:
     q = np.where(r == 0.0, 1.0, -np.expm1(-2.0 * r) / np.where(r == 0.0, 1.0, 2.0 * r))
     half = 0.5 + 0.5 * np.exp(-2.0 * r)
     parts = np.stack([half + mu * q, q * (c - df), q * (c + df), half - mu * q], axis=-1)
-    return (lead[..., None] * parts).real.reshape(h.shape + (2, 2))
+    return (lead[..., None] * parts).real.reshape(mu.shape + (2, 2))
 
 
 def _powers(m: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -211,14 +215,6 @@ def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t: float) -> float:
 
 # --- Lindblad route ---------------------------------------------------------
 
-_DEPHASER_A = kron(SIGMA_Z, ID2)
-_DEPHASER_S = kron(ID2, SIGMA_Z)
-_PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
-# tr(O rho) = vec(O^T) . vec(rho): the post-selection probability tr <+|rho|+> and
-# the sigma_z moment tr sigma_z <+|rho|+> of a joint state
-_POSTSELECTED = np.stack([kron(_PLUS, ID2).T.ravel(), kron(_PLUS, SIGMA_Z).T.ravel()])
-
-
 def hamiltonian_as(cfg: SuperpositionConfig) -> np.ndarray:
     """Two-branch generator on ancilla (x) system.
 
@@ -234,24 +230,21 @@ def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
     """16x16 superoperator of the master equation on row-major vec(rho).
 
     vec(A rho B) = kron(A, B^T) vec(rho) for C-ordered ravel (the convention
-    of Havel, J. Math. Phys. 44, 534 (2003)). The generator is
-    time-independent, so one eigendecomposition of it gives the exact
-    propagator behind every joint-state evolution here.
+    of Havel, J. Math. Phys. 44, 534 (2003)).
     """
     h = hamiltonian_as(cfg)
     eye = np.eye(4, dtype=complex)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in (_DEPHASER_S, _DEPHASER_A):
+    for op in (kron(ID2, SIGMA_Z), kron(SIGMA_Z, ID2)):
         lv += (0.5 * noise.gamma) * (np.kron(op, op.T) - np.eye(16, dtype=complex))
     return lv
 
 
 def _eigensystem(cfg: SuperpositionConfig, noise: NoiseConfig):
-    """(lam, V, V^-1) with L = V diag(lam) V^-1, so vec rho(t) = V e^(lam t) V^-1 vec rho0.
+    """(lam, V, V^-1) with L = V diag(lam) V^-1, found in the eigenbasis of H.
 
-    L is diagonalized in the eigenbasis of the Hamiltonian, where its unitary
-    part is diagonal: at gamma = 0 its spectrum is degenerate, and eig in the
-    computational basis returns cond(V) ~ 1e8 there (errors ~ 1e-8).
+    There the unitary part is diagonal; eig in the computational basis returns
+    cond(V) ~ 1e8 at gamma = 0, where the spectrum is degenerate.
     """
     _, w = np.linalg.eigh(hamiltonian_as(cfg))
     basis = np.kron(w, w.conj())
@@ -276,13 +269,11 @@ def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConf
 
 def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
                      tj: float) -> float:
-    """Two-time correlator with the ancilla channel evolved under dephasing.
+    """Two-time correlator with the ancilla channel evolved under dephasing (planar cfg).
 
-    Each sigma_z eigenstate of S is evolved jointly with a fresh ancilla for
-    the duration tj - ti, the ancilla is post-selected on |+>, and the signed
-    halves of <sigma_z> are summed, each divided by its own branch's
-    post-selection probability. At gamma = 0 that probability is
-    state-independent and the result is exactly the unitary correlator.
+    Each sigma_z eigenstate of S is evolved jointly with a fresh ancilla for tj - ti,
+    post-selected on |+>, and the signed halves of <sigma_z> are summed, each over its
+    branch's post-selection probability: at gamma = 0 the unitary correlator.
     """
     if tj < ti:
         raise ValueError("tj must be >= ti")
@@ -293,38 +284,36 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
 
 
 class _LindbladK3:
-    """K3 of the post-selected joint model for a batch of configs under one noise.
+    """K3 of the post-selected joint model for a batch of planar configs under one noise.
 
-    Each branch q = +1, -1 starts from rho_q = |anc><anc| (x) |q><q|, and vec
-    rho_q(t) = V e^(lam t) V^-1 vec rho_q. Its post-selection probability and
-    sigma_z moment are linear functionals w . vec rho_q(t) = sum_i (w V)_i (V^-1
-    vec rho_q)_i e^(lam_i t): per row, four 16-vectors (functional * coeffs)
-    against e^(lam t). Called with row indices and a (rows x t) block of times,
-    it returns K3 there and the smallest post-selection probability behind each
-    value.
+    sigma_z on the ancilla commutes with H and both dephasers, so the ancilla blocks of
+    the joint state evolve apart. With u = omega t and kappa = gamma / omega, each
+    population block rotates the system Bloch vector about its branch's axis under
+    dephasing: s_z = q E_zz from |q>, E = exp(u [[-kappa, -1], [1, 0]]). The coherence
+    blocks decay by a further e^(-kappa u); with s = sin 2 alpha, c^2 = cos^2(phi / 2) and
+    d^2 = sin^2(phi / 2), post-selection on |+> gives both branches the probability p =
+    [1 + s e^(-kappa u) (c^2 + d^2 E_zz)] / 2 and C = [E_zz + s e^(-kappa u) (c^2 E_zz +
+    d^2)] / (2 p); E_zz from _damped_rotation is exact at kappa = 2 and kappa -> 0. On row
+    indices and a (rows x t) block of times it gives K3 and the smaller p at t or 2t.
     """
 
     def __init__(self, cfgs, noise: NoiseConfig):
-        lam, terms = [], []
-        for cfg in cfgs:
-            vals, v, v_inv = _eigensystem(cfg, noise)
-            anc = ancilla_state(cfg.alpha)
-            rho_a = np.outer(anc, anc.conj())
-            coeffs = [v_inv @ kron(rho_a, proj).ravel() for proj in (PROJ0, PROJ1)]
-            lam.append(vals)
-            terms.append([w * c for c in coeffs for w in _POSTSELECTED @ v])
-        self._lam, self._terms = np.array(lam), np.array(terms)
-
-    def moments(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """(prob, moment) of branch q = +1, then of q = -1: shape (rows, 4, m) for t (rows x m)."""
-        return (self._terms[rows] @ np.exp(self._lam[rows, :, None] * t[:, None, :])).real
+        phi = np.array([planar_angle(cfg) for cfg in cfgs])
+        self._omega = np.array([cfg.omega for cfg in cfgs], dtype=float)
+        self._kappa = noise.gamma / self._omega
+        self._s = np.sin(2.0 * np.array([cfg.alpha for cfg in cfgs], dtype=float))
+        self._c2, self._d2 = np.cos(0.5 * phi) ** 2, np.sin(0.5 * phi) ** 2
 
     def correlator(self, rows: np.ndarray, t: np.ndarray):
-        """(C, smallest branch probability), each of t's shape (rows x m)."""
-        f = self.moments(rows, t)
+        """(C, post-selection probability), each of t's shape (rows x m)."""
+        kappa, u = self._kappa[rows, None], self._omega[rows, None] * t
+        e_zz = _damped_rotation(-0.5 * kappa * u, 0.0, u)[..., 1, 1]
+        coherent = self._s[rows, None] * np.exp(-kappa * u)
+        c2, d2 = self._c2[rows, None], self._d2[rows, None]
+        norm = 1.0 + coherent * (c2 + d2 * e_zz)
         with np.errstate(divide="ignore", invalid="ignore"):  # starved points raise in the caller
-            c = (0.5 * f[:, 1]) / f[:, 0] - (0.5 * f[:, 3]) / f[:, 2]
-        return c, np.minimum(f[:, 0], f[:, 2])
+            c = (e_zz + coherent * (c2 * e_zz + d2)) / norm
+        return c, 0.5 * norm
 
     def __call__(self, rows: np.ndarray, t: np.ndarray):
         c, prob = self.correlator(rows, np.concatenate([t, 2.0 * t], axis=1))
@@ -349,20 +338,22 @@ def _check_postselection(prob, t: np.ndarray, visited=True) -> None:
 
 
 def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
-    """Brackets (lo, hi) of the first downward crossing of K3 = 1 for every row.
+    """Brackets (lo, hi) of the first downward crossing of K3 = 1, and peak K3 - 1 before it.
 
     k3(rows, t) gives (K3, probability or None) on a (len(rows) x m) block of
     times. The scan points are k * step, k = 1, 2, ..., up to t_max (per-row
     arrays); a row leaves the scan at its first point with K3 < 1, and rows that
-    reach t_max first get NaN brackets. The chunk of points per row starts at
-    _SCAN_FIRST_CHUNK and doubles, with at most _SCAN_BLOCK points over all
-    active rows. Each bracket is then bisected to a relative width of
+    reach t_max first get NaN brackets. The peak is taken over the scan points
+    before the crossing, or up to t_max without one (-inf on none). The chunk of points per
+    row starts at _SCAN_FIRST_CHUNK and doubles, with at most _SCAN_BLOCK points
+    over all active rows. Each bracket is then bisected to a relative width of
     BISECT_REL_TOL; the per-row active mask gives every row exactly the steps
     it would take alone, so a row's result does not depend on its batch. The
     post-selection floor is checked at the points a one-row scan and bisection
     evaluate, never past a row's crossing.
     """
     lo, hi = np.full(len(step), np.nan), np.full(len(step), np.nan)
+    peak = np.full(len(step), -np.inf)
     k0, chunk = 1, _SCAN_FIRST_CHUNK
     active = np.flatnonzero(step <= t_max)
     while active.size:
@@ -374,6 +365,8 @@ def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
         hit = (v < 1.0) & inside
         first = np.where(hit.any(axis=1), hit.argmax(axis=1), chunk)
         _check_postselection(prob, t, inside & (np.arange(chunk) <= first[:, None]))
+        before = inside & (np.arange(chunk) < first[:, None])
+        peak[active] = np.maximum(peak[active], np.max(v, axis=1, where=before, initial=-np.inf))
         found = first < chunk
         done, kc = active[found], k0 + first[found]
         lo[done], hi[done] = (kc - 1) * step[done], kc * step[done]
@@ -387,17 +380,22 @@ def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
         up = v[:, 0] >= 1.0
         lo[rows[up]], hi[rows[~up]] = mid[up], mid[~up]
         rows = rows[hi[rows] - lo[rows] > BISECT_REL_TOL * hi[rows]]
-    return lo, hi
+    return lo, hi, peak - 1.0
 
 
 def _brackets(cfgs, noise: NoiseConfig, model: str):
-    """_first_crossings for a batch of configs under one noise and model."""
+    """_first_crossings for a batch of configs under one noise and model.
+
+    Past gamma = 2 omega the slowest decay rate falls as omega^2 / gamma (Zeno regime:
+    Misra & Sudarshan, J. Math. Phys. 18, 756 (1977)): the scan runs to 50 / min(gamma, omega).
+    """
     if not noise.gamma > 0.0:
         raise ValueError("lifetime needs gamma > 0 (the noiseless K3 never decays)")
     if model not in _K3_MODELS:
         raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
     step = np.array([SCAN_OMEGA_STEP / cfg.omega for cfg in cfgs])
-    t_max = np.full(len(cfgs), LIFETIME_HORIZON_OVER_GAMMA / noise.gamma)
+    t_max = np.array([LIFETIME_HORIZON_OVER_MIN_RATE / min(noise.gamma, cfg.omega)
+                      for cfg in cfgs])
     return _first_crossings(_K3_MODELS[model](cfgs, noise), step, t_max)
 
 
@@ -405,8 +403,9 @@ def _brackets(cfgs, noise: NoiseConfig, model: str):
 class GainPoint:
     """One row of a gain curve; gain is None unless status is "ok".
 
-    status "no-crossing": the row's own scan found no crossing (tau_alpha is
-    None); "no-reference": the row crossed but its alpha = 0 reference did not.
+    status "unresolved": the peak K3 - 1 before the crossing is below PEAK_RESOLUTION;
+    "no-crossing": no crossing up to the horizon (both without tau_alpha);
+    "no-reference": the row has a tau but its alpha = 0 reference has none.
     """
 
     alpha: float
@@ -419,25 +418,25 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
                omega: float = 1.0) -> list[GainPoint]:
     """Lifetime gain against the superposition weight at fixed branch angle.
 
-    The one public route to violation lifetimes. phi is the planar angle
-    between the two rotation axes, in radians. Every alpha of the grid is one
-    row of a single _first_crossings batch, and the alpha = 0 reference is an
-    ordinary row of it (added when the grid lacks it), computed once. Rows
-    where the scan finds no crossing, or whose reference found none, are
-    flagged rather than fatal.
+    The one public route to violation lifetimes. phi is the planar angle between the
+    two rotation axes, in radians. Every alpha of the grid is one row of a single
+    _first_crossings batch, and the alpha = 0 reference is an ordinary row of it (added
+    when the grid lacks it). Rows without a tau or a reference are flagged, not fatal.
     """
     alphas = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
     alphas = [float(a) for a in np.asarray(alphas, dtype=float)]
     rows = alphas if 0.0 in alphas else alphas + [0.0]
-    lo, hi = _brackets([planar(a, phi, omega) for a in rows], noise, model)
+    lo, hi, peak = _brackets([planar(a, phi, omega) for a in rows], noise, model)
     taus = [float(t) for t in 0.5 * (lo + hi)]
-    tau_0 = taus[rows.index(0.0)]
+    status = ["unresolved" if p < PEAK_RESOLUTION else "no-crossing" if math.isnan(t) else "ok"
+              for t, p in zip(taus, peak)]
+    tau_0 = taus[rows.index(0.0)] if status[rows.index(0.0)] == "ok" else None
 
-    def one(alpha: float, tau: float) -> GainPoint:
-        if math.isnan(tau):
-            return GainPoint(alpha=alpha, tau_alpha=None, gain=None, status="no-crossing")
-        if math.isnan(tau_0):
+    def one(alpha: float, tau: float, status: str) -> GainPoint:
+        if status != "ok":
+            return GainPoint(alpha=alpha, tau_alpha=None, gain=None, status=status)
+        if tau_0 is None:
             return GainPoint(alpha=alpha, tau_alpha=tau, gain=None, status="no-reference")
         return GainPoint(alpha=alpha, tau_alpha=tau, gain=tau / tau_0, status="ok")
 
-    return [one(a, t) for a, t in zip(alphas, taus)]
+    return [one(*row) for row in zip(alphas, taus, status)]
