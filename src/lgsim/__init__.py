@@ -17,9 +17,8 @@ from .superpose import (NORM_FLOOR, DegenerateSuperposition, SuperpositionConfig
                         UnsupportedGeometry, axis_theta, f_of_t, norm_factor_sq, planar,
                         planar_angle, soe, soe_span, superposed_unitary,
                         unnormalized_superposed)
-from .lgi import (GOLDEN_TOL, CorrelatorSet, K3Curve, K3MaxSurface,
-                  TemporalBoundMap, correlator, default_omega_t_grid, k3_at, k3_curve,
-                  k3_max, k3max_surface, ttb_map)
+from .lgi import (CorrelatorSet, K3Curve, K3MaxSurface, TemporalBoundMap, correlator,
+                  k3_at, k3_curve, k3_max, k3max_surface, ttb_map)
 from .ancilla import (AncillaCircuit, Coupling, InterferometerSignal, LibraryEntry,
                       NormalizationSignal, PostSelectionStarved, PulseSequence,
                       Rotation, SequenceCheck, VerificationReport, ancilla_state,
@@ -41,9 +40,8 @@ __all__ = [
     "UnsupportedGeometry", "axis_theta", "f_of_t", "norm_factor_sq", "planar",
     "planar_angle", "soe", "soe_span", "superposed_unitary",
     "unnormalized_superposed",
-    "GOLDEN_TOL", "CorrelatorSet", "K3Curve", "K3MaxSurface",
-    "TemporalBoundMap", "correlator", "default_omega_t_grid", "k3_at", "k3_curve",
-    "k3_max", "k3max_surface", "ttb_map",
+    "CorrelatorSet", "K3Curve", "K3MaxSurface", "TemporalBoundMap", "correlator",
+    "k3_at", "k3_curve", "k3_max", "k3max_surface", "ttb_map",
     "AncillaCircuit", "Coupling", "InterferometerSignal", "LibraryEntry",
     "NormalizationSignal", "PostSelectionStarved", "PulseSequence", "Rotation",
     "SequenceCheck", "VerificationReport", "ancilla_state", "build_pulse_library",

@@ -11,8 +11,11 @@ bounded by 1.5; superpositions push it toward the algebraic bound of 3.
 
 U is again an SU(2) rotation, so C has a closed form in which a config enters
 through three scalars only; it is the one route here. `correlator` and `k3_at`
-are its one-point calls; k3_max, ttb_map, k3max_surface and k3_curve evaluate
-it over omega*t for whole batches of configs at once.
+are its one-point calls; k3_curve samples it over a grid of omega*t. The
+maximum of K3 over omega*t is solved for, not searched for: it sits at a real
+root of one quartic or at an end of the half cycle, so k3_max, ttb_map and
+k3max_surface report it with its first location, in [0, pi], for whole
+batches of configs at once.
 """
 
 from __future__ import annotations
@@ -23,15 +26,6 @@ import numpy as np
 
 from .linalg import X_AXIS, Z_AXIS, as_unit_vector
 from .superpose import SuperpositionConfig, UnsupportedGeometry, _checked_norm_sq
-
-GOLDEN_TOL = 1e-6
-
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# Points per block of the coarse K3 scan: 32 configs of the default 2000-point
-# grid, about 0.5 MB per float64 temporary.
-_SCAN_BLOCK = 64_000
-
 
 @dataclass(frozen=True)
 class CorrelatorSet:
@@ -108,55 +102,41 @@ def _k3_terms(coef, trig):
     return 2.0 * _correlator_terms(coef, cos_h, sin_h) - _correlator_terms(coef, cos_f, sin_f)
 
 
-def _k3_maxima(coef, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max over omega*t of K3 and its location, for a batch of B configs.
+def _k3_maxima(coef) -> tuple[np.ndarray, np.ndarray]:
+    """max over omega*t of K3 and its first location in [0, pi], for a batch of B configs.
 
-    coef holds (c0, m2, mq), each of shape (B,). A coarse scan over `grid`
-    takes each config's first-occurrence argmax; the scan runs in blocks of
-    configs so that no temporary exceeds _SCAN_BLOCK points. A golden-section
-    search then shrinks every config's bracket [grid[i-1], grid[i+1]] at once
-    down to width GOLDEN_TOL. A config leaves the search as soon as its own
-    bracket is narrow enough, so each takes the steps a search on it alone
-    would take and its result does not depend on the rest of the batch.
-    Where the scan value beats the refined one, the scan point is returned.
+    coef holds (c0, m2, mq), each of shape (B,). With s = sin^2(omega*t / 2),
+    D = c0^2 and E = m2 - D, C(s) = (D + (2 mq^2 - m2 - D) s) / (D + E s) and
+    K3 = 2 C(s) - C(4 s (1 - s)), so omega*t in [0, pi] covers s in [0, 1] once
+    and [pi, 2 pi] mirrors it. dK3/ds is 4 D (mq^2 - m2) <= 0 times
+
+        p(s) = 16 E^2 s^4 - 28 E^2 s^3 + 14 E^2 s^2 + 4 D m2 s - D^2
+
+    over a positive denominator, so the maximum sits at s = 0, at s = 1 or at a
+    real root of p in [0, 1]. In r = 1/s the leading coefficient is -D^2, never
+    0 since c0 >= 1, and the four roots are the eigenvalues of a companion
+    matrix. The real part of every eigenvalue is a candidate: near a double
+    root the imaginary part of a real root is rounding of about sqrt(eps), so
+    none is filtered out, and a spurious candidate is still K3 at a real
+    omega*t, which cannot exceed the maximum. Each config's matrix and
+    candidates are evaluated on their own, so an entry does not depend on the
+    rest of the batch.
     """
     c0, m2, mq = coef
-    count = len(grid)
-    grid_trig = _trig(grid)
-    i = np.empty(len(c0), dtype=np.intp)
-    peak = np.empty(len(c0))
-    step = max(1, _SCAN_BLOCK // count)
-    for lo in range(0, len(c0), step):
-        block = slice(lo, lo + step)
-        vals = _k3_terms((c0[block, None], m2[block, None], mq[block, None]), grid_trig)
-        i[block] = np.argmax(vals, axis=1)
-        peak[block] = vals.max(axis=1)
-
-    def f(u):
-        return _k3_terms(coef, _trig(u))
-
-    a = grid[np.maximum(i - 1, 0)]
-    b = grid[np.minimum(i + 1, count - 1)]
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    active = (b - a) > GOLDEN_TOL
-    while active.any():
-        left = active & (fc >= fd)  # keep [a, d]
-        right = active & ~left      # keep [c, b]
-        a = np.where(right, c, a)
-        b = np.where(left, d, b)
-        c, d = (np.where(left, b - _INV_GOLDEN * (b - a), np.where(right, d, c)),
-                np.where(right, a + _INV_GOLDEN * (b - a), np.where(left, c, d)))
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        f_new = f(np.where(left, c, d))
-        fc = np.where(left, f_new, fc)
-        fd = np.where(right, f_new, fd)
-        active = (b - a) > GOLDEN_TOL
-    u_star = 0.5 * (a + b)
-    f_star = f(u_star)
-    scan_wins = peak > f_star
-    return np.where(scan_wins, peak, f_star), np.where(scan_wins, grid[i], u_star)
+    d = c0 * c0
+    e2_d2 = (m2 - d) ** 2 / (d * d)
+    companion = np.zeros((len(c0), 4, 4))
+    companion[:, 0] = np.stack([4.0 * m2 / d, 14.0 * e2_d2, -28.0 * e2_d2, 16.0 * e2_d2], axis=-1)
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    s = np.zeros((len(c0), 6))
+    with np.errstate(divide="ignore"):  # r = 0 is s = inf, clipped to 1
+        s[:, 1:5] = np.clip(1.0 / np.linalg.eigvals(companion).real, 0.0, 1.0)
+    s[:, 5] = 1.0
+    u = 2.0 * np.arcsin(np.sqrt(s))
+    vals = _k3_terms((c0[:, None], m2[:, None], mq[:, None]), _trig(u))
+    best = np.argmax(vals, axis=1)[:, None]
+    return (np.take_along_axis(vals, best, axis=1)[:, 0],
+            np.take_along_axis(u, best, axis=1)[:, 0])
 
 
 def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS) -> CorrelatorSet:
@@ -171,23 +151,16 @@ def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS) -> CorrelatorSet:
     return CorrelatorSet(c12=c12, c23=c23, c13=c13, k3=c12 + c23 - c13)
 
 
-def default_omega_t_grid(count: int = 2000) -> np.ndarray:
-    """Coarse scan grid over one full cycle omega*t in [0, 2 pi]."""
-    return np.linspace(0.0, 2.0 * np.pi, count)
-
-
-def k3_max(cfg: SuperpositionConfig, omega_t_grid=None, q_axis=Z_AXIS) -> tuple[float, float]:
+def k3_max(cfg: SuperpositionConfig, q_axis=Z_AXIS) -> tuple[float, float]:
     """Maximum of K3 over omega*t and its location.
 
-    Coarse grid scan followed by golden-section refinement of the bracketing
-    interval down to width GOLDEN_TOL; the one-config call of the batched
-    kernel behind ttb_map and k3max_surface. K3 is symmetric about
-    omega*t = pi, so either of the twin peaks u* and 2 pi - u* may be
-    reported: their grid values tie to within rounding.
+    Solved in closed form from the roots of a quartic; the one-config call of
+    the batched kernel behind ttb_map and k3max_surface. K3 is symmetric about
+    omega*t = pi, and the location reported is always the first twin peak
+    u* in [0, pi], never its mirror 2 pi - u*.
     Returns (k3_maximum, omega_t_at_maximum).
     """
-    grid = default_omega_t_grid() if omega_t_grid is None else np.asarray(omega_t_grid, float)
-    value, loc = _k3_maxima(_config_coefficients(cfg, q_axis), grid)
+    value, loc = _k3_maxima(_config_coefficients(cfg, q_axis))
     return float(value[0]), float(loc[0])
 
 
@@ -208,8 +181,8 @@ def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
     (sin eta cos xi, sin eta sin xi, cos eta). Every entry is bounded by 1.5
     (the temporal analogue of the Tsirelson bound) and depends on eta only.
     The map is in units of omega*t, so the rate does not enter. All cells go
-    through the batched kernel at once; as in k3_max, an argmax entry may be
-    either twin peak u* or 2 pi - u*.
+    through the batched kernel at once; as in k3_max, an argmax entry is the
+    first twin peak u*, in [0, pi] (pi/3 wherever eta is off the poles).
     """
     etas = np.asarray(eta_grid, dtype=float)
     xis = np.asarray(xi_grid, dtype=float)
@@ -219,8 +192,7 @@ def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
     axes[..., 1] = np.sin(etas)[:, None] * np.sin(xis)
     axes[..., 2] = np.cos(etas)[:, None]
     axes = axes.reshape(-1, 3)
-    k3m, arg = _k3_maxima(_coefficients(np.zeros(len(axes)), axes, axes),
-                          default_omega_t_grid())
+    k3m, arg = _k3_maxima(_coefficients(np.zeros(len(axes)), axes, axes))
     shape = (len(etas), len(xis))
     return TemporalBoundMap(eta=etas, xi=xis, k3max=k3m.reshape(shape),
                             argmax_omega_t=arg.reshape(shape))
@@ -250,7 +222,7 @@ def k3max_surface(alpha_grid, phi_grid) -> K3MaxSurface:
 
     n_axes = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=-1)
     coef = _coefficients(np.repeat(alphas, len(phis)), np.tile(n_axes, (len(alphas), 1)), X_AXIS)
-    k3m, _ = _k3_maxima(coef, default_omega_t_grid())
+    k3m, _ = _k3_maxima(coef)
     return K3MaxSurface(alpha=alphas, phi=phis, k3max=k3m.reshape(len(alphas), len(phis)))
 
 
@@ -264,9 +236,9 @@ class K3Curve:
     k3: np.ndarray
 
 
-def k3_curve(cfg: SuperpositionConfig, omega_t_grid, q_axis=Z_AXIS) -> K3Curve:
+def k3_curve(cfg: SuperpositionConfig, omega_t, q_axis=Z_AXIS) -> K3Curve:
     """Sample C12, C13 and K3 over a grid of omega*t (pure sampling, no refinement)."""
-    us = np.asarray(omega_t_grid, dtype=float)
+    us = np.asarray(omega_t, dtype=float)
     cos_h, sin_h, cos_f, sin_f = _trig(us)
     coef = _config_coefficients(cfg, q_axis)
     c12 = _correlator_terms(coef, cos_h, sin_h)

@@ -48,7 +48,7 @@ LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at this / min(gamma, omeg
 # smallest peak K3 - 1 whose tau rounding does not set (~100 eps in K3 moves tau by that / peak)
 PEAK_RESOLUTION = 100.0 * np.finfo(float).eps / BISECT_REL_TOL
 _SCAN_FIRST_CHUNK = 16  # scan points per row in the first chunk; crossings mostly fall within ~200
-_SCAN_BLOCK = 1024      # (rows x points) per chunk at most
+_SCAN_CHUNK_CAP = 1024  # (rows x points) per chunk at most
 
 DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
 
@@ -345,7 +345,7 @@ def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
     arrays); a row leaves the scan at its first point with K3 < 1, and rows that
     reach t_max first get NaN brackets. The peak is taken over the scan points
     before the crossing, or up to t_max without one (-inf on none). The chunk of points per
-    row starts at _SCAN_FIRST_CHUNK and doubles, with at most _SCAN_BLOCK points
+    row starts at _SCAN_FIRST_CHUNK and doubles, with at most _SCAN_CHUNK_CAP points
     over all active rows. Each bracket is then bisected to a relative width of
     BISECT_REL_TOL; the per-row active mask gives every row exactly the steps
     it would take alone, so a row's result does not depend on its batch. The
@@ -357,7 +357,7 @@ def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
     k0, chunk = 1, _SCAN_FIRST_CHUNK
     active = np.flatnonzero(step <= t_max)
     while active.size:
-        chunk = min(chunk, max(1, _SCAN_BLOCK // active.size))
+        chunk = min(chunk, max(1, _SCAN_CHUNK_CAP // active.size))
         k = np.arange(k0, k0 + chunk)
         t = k * step[active, None]
         inside = t <= t_max[active, None]

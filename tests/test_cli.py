@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lgsim.cli as cli
+import lgsim.lgi as lgi
 from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
                        main, run)
 
@@ -330,6 +331,17 @@ def test_selftest_passes(tmp_path, capsys):
         assert "FAIL" not in stdout
         doc = json.loads(out.read_text())
         assert all(row[1] for row in doc["rows"])  # every check column is true
+
+
+def test_selftest_catches_a_lowered_k3_maximum(tmp_path, monkeypatch, capsys):
+    # mutation: a kernel 1e-6 below the true maximum reads below the dense scan
+    real = lgi._k3_maxima
+    monkeypatch.setattr(lgi, "_k3_maxima", lambda coef: (real(coef)[0] - 1e-6, real(coef)[1]))
+    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL selftest: closed-form K3 maximum tops a dense scan" in stdout
+    assert stdout.count("FAIL") == 1
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -10,7 +10,6 @@ from lgsim import lgi
 from lgsim.lgi import (
     CorrelatorSet,
     correlator,
-    default_omega_t_grid,
     k3_at,
     k3_curve,
     k3_max,
@@ -104,23 +103,35 @@ def test_k3_frozen_anchors():
 
 def test_k3_max_single_rotation_is_bounded():
     value, loc = k3_max(planar(0.0, 1.0))
-    assert np.isclose(value, 1.5, atol=1e-9)
-    # K3 is symmetric about omega*t = pi, so the twin peak is equally valid
-    assert min(abs(loc - np.pi / 3), abs(loc - (2 * np.pi - np.pi / 3))) < 1e-5
+    assert np.isclose(value, 1.5, atol=1e-12)
+    # the first of the twin peaks pi/3 and 5 pi/3, never its mirror
+    assert abs(loc - np.pi / 3) < 1e-12
+
+
+def test_k3_max_near_antiparallel_axes():
+    # as phi -> pi the peak at omega*t = pi/2 narrows to a width of about
+    # pi - phi; a 2000-point scan missed it and read 1.143 at eps = 1e-8,
+    # where the maximum is 3 - O(10 eps^2)
+    for eps in 10.0 ** -np.arange(3, 9):
+        value, _ = k3_max(planar(np.pi / 4, np.pi * (1.0 - eps)))
+        assert 2.99999 <= value <= 3.0
 
 
 def test_k3_max_grid_independence():
+    # the golden-section oracle lands on the closed-form maximum from either
+    # scan grid; it may report the mirror twin, the closed form never does
     cfg = planar(np.pi / 4, 3 * np.pi / 4)
-    v_default, loc_default = k3_max(cfg)
-    v_alt, loc_alt = k3_max(cfg, omega_t_grid=np.linspace(0.0, 2 * np.pi, 1237))
-    assert np.isclose(v_default, v_alt, atol=1e-9)
-    # the curve is symmetric about omega*t = pi, so either twin peak is valid
-    mirror = 2 * np.pi - loc_alt
-    assert min(abs(loc_alt - loc_default), abs(mirror - loc_default)) < 1e-4
+    value, loc = k3_max(cfg)
+    assert 0.0 <= loc <= np.pi
+    coef = lgi._config_coefficients(cfg)
+    for grid in (_ORACLE_GRID, np.linspace(0.0, 2 * np.pi, 1237)):
+        v_grid, loc_grid = _golden_k3_maxima(coef, grid)
+        assert np.isclose(v_grid[0], value, atol=1e-9)
+        assert min(abs(loc_grid[0] - loc), abs(2 * np.pi - loc_grid[0] - loc)) < 1e-4
 
 
 def test_default_grid_covers_one_cycle():
-    g = default_omega_t_grid()
+    g = _ORACLE_GRID
     assert g[0] == 0.0
     assert np.isclose(g[-1], 2 * np.pi)
     assert len(g) == 2000
@@ -133,13 +144,12 @@ def test_ttb_map_analytic_profile():
     out = ttb_map(etas, xis)
     assert out.k3max.shape == (7, 5)
     expected = 1.0 + 0.5 * np.sin(etas) ** 2
-    assert np.allclose(out.k3max, expected[:, None], atol=1e-6)
-    assert out.k3max.max() <= 1.5 + 1e-9
+    assert np.allclose(out.k3max, expected[:, None], rtol=0, atol=1e-12)
+    assert out.k3max.max() <= 1.5 + 1e-12
     # away from the poles the maximum sits a third of the way into the
-    # cycle (or at its mirror image about omega*t = pi)
+    # cycle, at the first twin peak and never at its mirror 5 pi/3
     args = out.argmax_omega_t[1:-1]
-    dev = np.minimum(np.abs(args - np.pi / 3), np.abs(args - 5 * np.pi / 3))
-    assert np.all(dev < 1e-3)
+    assert np.allclose(args, np.pi / 3, rtol=0, atol=1e-12)
 
 
 def test_k3max_surface_growth_with_mixing():
@@ -174,6 +184,67 @@ def _trace_correlator(cfg, delta, q_axis=Z_AXIS):
 
 def _trace_k3(cfg, u, q_axis):
     return 2.0 * _trace_correlator(cfg, u, q_axis) - _trace_correlator(cfg, 2.0 * u, q_axis)
+
+
+_ORACLE_GRID = np.linspace(0.0, 2.0 * np.pi, 2000)
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_k3_maxima(coef, grid=_ORACLE_GRID):
+    """The search the closed form replaced: a scan over grid, then a golden section.
+
+    Each config's first-occurrence argmax on the grid brackets the peak, and a
+    golden-section search shrinks every bracket at once down to width 1e-6. A
+    config leaves the search as soon as its own bracket is narrow enough, so
+    its result does not depend on the batch. Where the scan value beats the
+    refined one, the scan point is returned.
+    """
+    c0, m2, mq = coef
+    vals = lgi._k3_terms((c0[:, None], m2[:, None], mq[:, None]), lgi._trig(grid))
+    i, peak = np.argmax(vals, axis=1), vals.max(axis=1)
+
+    def f(u):
+        return lgi._k3_terms(coef, lgi._trig(u))
+
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, len(grid) - 1)]
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    active = (b - a) > 1e-6
+    while active.any():
+        left = active & (fc >= fd)  # keep [a, d]
+        right = active & ~left      # keep [c, b]
+        a = np.where(right, c, a)
+        b = np.where(left, d, b)
+        c, d = (np.where(left, b - _INV_GOLDEN * (b - a), np.where(right, d, c)),
+                np.where(right, a + _INV_GOLDEN * (b - a), np.where(left, c, d)))
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        f_new = f(np.where(left, c, d))
+        fc = np.where(left, f_new, fc)
+        fd = np.where(right, f_new, fd)
+        active = (b - a) > 1e-6
+    u_star = 0.5 * (a + b)
+    f_star = f(u_star)
+    scan_wins = peak > f_star
+    return np.where(scan_wins, peak, f_star), np.where(scan_wins, grid[i], u_star)
+
+
+def _dense_k3_maxima(coef):
+    """max of K3 by sampling alone, for a batch of configs.
+
+    2001 points over one cycle, then 2001 within one coarse step of each
+    config's coarse argmax: a spacing of 3.1e-6, which can only read at or
+    below the true maximum. The fine points are evaluated in long double: in
+    float64 one K3 evaluation is off by up to about 6 ulps, and the largest
+    of 2001 such values reads that much above the maximum even where K3 is
+    constant.
+    """
+    c0, m2, mq = (c[:, None] for c in coef)
+    coarse = np.linspace(0.0, 2.0 * np.pi, 2001)
+    centre = coarse[np.argmax(lgi._k3_terms((c0, m2, mq), lgi._trig(coarse)), axis=1)]
+    fine = centre[:, None] + coarse[1] * np.linspace(-1.0, 1.0, 2001)
+    return lgi._k3_terms((c0, m2, mq), lgi._trig(fine.astype(np.longdouble))).max(axis=1)
 
 
 def _dense_k3_max(cfg, q_axis):
@@ -213,8 +284,7 @@ def test_k3_max_matches_dense_trace_scan():
 
 
 def test_batched_maxima_equal_single_config_calls_bitwise():
-    # more configs than one scan block holds, on irregular grids: neither the
-    # block boundaries nor the neighbours in a batch may change an entry
+    # irregular grids: the neighbours in a batch may not change an entry
     etas = np.array([0.0, 0.13, 0.7, 1.1, np.pi / 2, 2.2, 3.0])
     xis = np.array([0.0, 0.4, 1.9, 2.05, 4.4, 6.1])
     tm = ttb_map(etas, xis)
@@ -233,21 +303,27 @@ def test_batched_maxima_equal_single_config_calls_bitwise():
 
 def test_golden_section_steps_do_not_depend_on_the_batch():
     # on this grid the steps are ten times finer below omega*t = 1.2, so the
-    # configs that peak there (near pi/3) start from narrower brackets and
-    # need fewer golden-section steps than those peaking above (near 1.5)
+    # oracle's configs that peak there (near pi/3) start from narrower
+    # brackets and need fewer golden-section steps than those peaking above
+    # (near 1.5); the closed form takes no steps at all
     grid = np.concatenate([np.linspace(0.0, 1.2, 500, endpoint=False),
                            np.linspace(1.2, 2 * np.pi, 200)])
     cfgs = [planar(alpha, phi) for alpha in (0.0, 0.1, np.pi / 4)
             for phi in (0.5, 1.5, 2.4, 3.0)]
-    coef = [np.concatenate(c) for c in zip(*(lgi._config_coefficients(cfg) for cfg in cfgs))]
-    values, locs = lgi._k3_maxima(coef, grid)
-    singles = [k3_max(cfg, omega_t_grid=grid) for cfg in cfgs]
-    assert min(loc for _, loc in singles) < 1.2 < max(loc for _, loc in singles)
+    coefs = [lgi._config_coefficients(cfg) for cfg in cfgs]
+    coef = [np.concatenate(c) for c in zip(*coefs)]
+    values, locs = lgi._k3_maxima(coef)
+    singles = [k3_max(cfg) for cfg in cfgs]
     assert list(zip(values, locs)) == singles
+    g_values, g_locs = _golden_k3_maxima(coef, grid)
+    g_singles = [tuple(v[0] for v in _golden_k3_maxima(c, grid)) for c in coefs]
+    assert min(loc for _, loc in g_singles) < 1.2 < max(loc for _, loc in g_singles)
+    assert list(zip(g_values, g_locs)) == g_singles
+    assert np.allclose(values, g_values, rtol=0, atol=1e-10)
 
 
 def test_k3max_surface_memory_is_bounded():
-    # the coarse scan runs in blocks of configs; one unblocked (3600 x 2000)
+    # the kernel keeps a few floats per config; a dense scan's (3600 x 2000)
     # float64 temporary alone would take 57.6 MB
     alphas = np.linspace(0.0, np.pi / 4, 60)
     phis = np.linspace(0.0, np.pi, 60, endpoint=False)
@@ -295,6 +371,19 @@ def test_closed_form_correlator_matches_the_trace(n, m, q, alpha, omega, ti, del
     assert abs(raw) <= 1.0 + 1e-15  # before the clamp
     assert abs(raw - _trace_correlator(cfg, tj - ti, q)) <= 1e-12
     assert correlator(cfg, ti, tj, q) == min(1.0, max(-1.0, raw))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=_AXES, m=_AXES, q=_AXES, alpha=st.floats(0.0, np.pi / 2))
+def test_closed_form_maximum_tops_the_scans(n, m, q, alpha):
+    n, m, q = _unit(n), _unit(m), _unit(q)
+    assume(n @ m > -0.9)
+    coef = lgi._config_coefficients(SuperpositionConfig(alpha, n, m), q)
+    (value,), (loc,) = lgi._k3_maxima(coef)
+    assert value >= _dense_k3_maxima(coef)[0] - 1e-15
+    assert value <= 3.0
+    assert abs(value - _golden_k3_maxima(coef)[0][0]) <= 1e-10
+    assert 0.0 <= loc <= np.pi
 
 
 def test_k3_curve_sampling():
