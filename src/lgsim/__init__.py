@@ -11,8 +11,8 @@ ancilla-system master equation).
 
 from .linalg import (DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                      X_AXIS, Y_AXIS, Z_AXIS, DimError, InvalidAxis, as_unit_vector,
-                     dagger, dist_upto_phase, expm_hermitian_generator, is_density_matrix,
-                     is_hermitian, is_unitary, kron, pauli, rot)
+                     dagger, dist_upto_phase, is_density_matrix, is_hermitian, is_unitary,
+                     kron, pauli, rot)
 from .superpose import (NORM_FLOOR, DegenerateSuperposition, SuperpositionConfig,
                         UnsupportedGeometry, axis_theta, f_of_t, norm_factor_sq, planar,
                         planar_angle, soe, soe_span, superposed_unitary,
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL", "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "X_AXIS", "Y_AXIS", "Z_AXIS", "DimError", "InvalidAxis", "as_unit_vector",
-    "dagger", "dist_upto_phase", "expm_hermitian_generator", "is_density_matrix",
-    "is_hermitian", "is_unitary", "kron", "pauli", "rot",
+    "dagger", "dist_upto_phase", "is_density_matrix", "is_hermitian", "is_unitary",
+    "kron", "pauli", "rot",
     "NORM_FLOOR", "DegenerateSuperposition", "SuperpositionConfig",
     "UnsupportedGeometry", "axis_theta", "f_of_t", "norm_factor_sq", "planar",
     "planar_angle", "soe", "soe_span", "superposed_unitary",

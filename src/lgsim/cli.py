@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import AncillaCircuit, interferometer_signal, normalization_signal, \
-    postselect_map, verify_pulse_sequences
+from .ancilla import KET_PLUS, PROJ0, PROJ1, AncillaCircuit, ancilla_state, \
+    interferometer_signal, normalization_signal, postselect_map, project_ancilla, \
+    verify_pulse_sequences
 from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
-from .linalg import dagger, dist_upto_phase, rot
+from .linalg import SIGMA_Z, dagger, dist_upto_phase, rot
 from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
-    k3_bloch, liouvillian, noisy_correlator
+    k3_bloch, noisy_correlator
 from .superpose import DegenerateSuperposition, SuperpositionConfig, UnsupportedGeometry, \
     f_of_t, norm_factor_sq, planar, soe, soe_span, superposed_unitary, unnormalized_superposed
 
@@ -330,8 +331,6 @@ def _run_verify_circuits(config: RunConfig):
 
 
 def _run_selftest(config: RunConfig):
-    from scipy.linalg import expm  # the reference exponential below; scipy loads only here
-
     rng = np.random.default_rng(config.seed)
     omega = config.omega
     checks = []
@@ -412,16 +411,20 @@ def _run_selftest(config: RunConfig):
     checks.append(Check("all three noiseless routes agree on K3", worst < 1e-6,
                         f"max = {worst:.3e}"))
 
+    # each sigma_z branch propagated as a joint state and post-selected on |+>,
+    # against the closed form behind noisy_correlator
     noisy = NoiseConfig(gamma=DEFAULT_GAMMA)
     cfg = planar(np.pi / 4, np.deg2rad(115.0), omega)
-    anc = np.array([np.sin(cfg.alpha), np.cos(cfg.alpha)])
-    rho0 = np.kron(np.outer(anc, anc), np.diag([1.0, 0.0])).astype(complex)
-    lv = liouvillian(cfg, noisy)
-    worst = max(float(np.abs(evolve_lindblad(rho0, cfg, noisy, t)
-                             - (expm(lv * t) @ rho0.ravel()).reshape(4, 4)).max())
-                for t in (0.37 / omega, 1.9 / omega, 3.3 / omega))
-    checks.append(Check("joint-state propagator matches the exact exponential",
-                        worst < 1e-8, f"max = {worst:.3e}"))
+    rho_a = np.outer(ancilla_state(cfg.alpha), ancilla_state(cfg.alpha))
+    worst = 0.0
+    for t in (0.37 / omega, 1.9 / omega, 3.3 / omega):
+        blocks = [project_ancilla(evolve_lindblad(np.kron(rho_a, p), cfg, noisy, t), KET_PLUS)
+                  for p in (PROJ0, PROJ1)]
+        c = sum(q * 0.5 * float(np.trace(SIGMA_Z @ b).real / np.trace(b).real)
+                for q, b in zip((1.0, -1.0), blocks))
+        worst = max(worst, abs(c - noisy_correlator(cfg, noisy, 0.0, t)))
+    checks.append(Check("joint-state propagator matches the closed-form correlator",
+                        worst < 1e-10, f"max = {worst:.3e}"))
 
     report = verify_pulse_sequences(np.linspace(0.3, np.pi - 0.3, 5),
                                     np.linspace(0.0, 2.0 * np.pi, 5))

@@ -60,9 +60,8 @@ def pauli(axis) -> np.ndarray:
 def rot(axis, angle) -> np.ndarray:
     """SU(2) rotation exp(-i * pauli(axis) * angle / 2).
 
-    Closed form cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the
-    eigendecomposition route :func:`expm_hermitian_generator` is the
-    independent cross-check used by the tests. Broadcasts over an array of angles.
+    Closed form cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the tests check
+    it against a Pade matrix exponential. Broadcasts over an array of angles.
     """
     half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
     if not np.all(np.isfinite(half)):
@@ -85,19 +84,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def expm_hermitian_generator(h: np.ndarray) -> np.ndarray:
-    """Exact exp(-i h) for hermitian h, via eigendecomposition.
-
-    Serves as the oracle for :func:`rot` and for hamiltonian evolution checks;
-    callers fold any scale factor into h.
-    """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("generator must be hermitian")
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
 def dist_upto_phase(a: np.ndarray, b: np.ndarray):

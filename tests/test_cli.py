@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lgsim.cli as cli
 import lgsim.lgi as lgi
+import lgsim.noise as noise
 from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
                        main, run)
 
@@ -238,12 +239,22 @@ def test_lifetime_edge_matrix_runs_cleanly(tmp_path, capsys):
     assert time.perf_counter() - start < 10.0
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     code = ("import sys, lgsim.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # every experiment runs where scipy cannot be imported at all
+    grids = {"ttb-map": 6, "k3-surface": 6, "k3-curves": 40, "lifetime-bloch": 2,
+             "lifetime-lindblad": 2, "soe-profiles": 40, "verify-circuits": 4}
+    runs = [[exp, "--out", str(tmp_path / exp)] + (["--grid", str(grids[exp])] if exp in grids
+                                                   else []) for exp in EXPERIMENTS]
+    code = ("import sys; sys.modules['scipy'] = None; from lgsim.cli import main; "
+            f"print([main(argv) for argv in {runs!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([0] * len(EXPERIMENTS))
 
 
 def test_k3_curves_single_phi_columns(tmp_path):
@@ -342,6 +353,26 @@ def test_selftest_catches_a_lowered_k3_maximum(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "FAIL selftest: closed-form K3 maximum tops a dense scan" in stdout
     assert stdout.count("FAIL") == 1
+
+
+def test_selftest_catches_a_broken_propagator(tmp_path, monkeypatch, capsys):
+    # mutation: a Liouvillian at half the dephasing rate moves the propagated correlator
+    real = noise.liouvillian
+    monkeypatch.setattr(noise, "liouvillian",
+                        lambda cfg, n: real(cfg, noise.NoiseConfig(0.5 * n.gamma)))
+    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL selftest: joint-state propagator matches the closed-form correlator" in stdout
+    assert stdout.count("FAIL") == 1
+
+
+def test_selftest_runs_cleanly_at_tiny_omega(tmp_path, capsys):
+    # at omega = 1e-100 the dephasing exponent gamma t reaches ~1e98
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["selftest", "--omega", "1e-100", "--out", str(tmp_path / "s.json")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_reruns_are_byte_identical(tmp_path):
