@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -89,12 +89,6 @@ class Check:
     detail: str = ""
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _cell_csv(v) -> str:
     if v is None:
         return ""
@@ -113,51 +107,56 @@ def _cell_json(v):
     return float(v)
 
 
-def emit_series(name: str, columns, rows, fmt: str, path: str, meta: dict) -> None:
+def _cells(col, fmt: str) -> list:
+    """A column's cells as _cell_csv gives them, or _cell_json's as json.dumps writes them.
+
+    A float array is formatted once per distinct bit pattern (-0.0 is not 0.0).
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+        return np.array(_cells(bits.view(float).tolist(), fmt), dtype=object)[inverse].tolist()
+    if fmt == "csv" or not len(col):
+        return list(map(_cell_csv, col))
+    lines = json.JSONEncoder(separators=("\n", ": ")).encode(list(map(_cell_json, col)))
+    return lines[1:-1].split("\n")  # one scalar per line: "\n" in a string is escaped
+
+
+def emit_series(name: str, columns, data, fmt: str, path: str, meta: dict) -> None:
     """Write one rectangular dataset deterministically.
 
-    CSV: '#' provenance line (experiment name and sorted parameters), header
-    row, minimal RFC-4180 quoting, LF endings. JSON: {"meta", "columns",
-    "rows"} with sorted keys. Both are byte-stable for identical inputs.
+    data holds one column per name in columns. CSV: '#' provenance line
+    (experiment name and sorted parameters), header row, minimal RFC-4180
+    quoting, LF endings. JSON: {"meta", "columns", "rows"} as json.dumps with
+    indent=2 and sorted keys. Both are byte-stable for identical inputs.
     """
-    if fmt == "csv":
-        buf = io.StringIO()
-        provenance = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
-        buf.write(f"# lgsim {name} {provenance}".rstrip() + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(columns))
-        for row in rows:
-            writer.writerow([_cell_csv(v) for v in row])
-        data = buf.getvalue()
-    elif fmt == "json":
-        # json.dumps(doc, indent=2, sort_keys=True) byte for byte, rows ("rows"
-        # sorts last) by one C-encoder call; strings escape newlines and cells
-        # are scalars, so "],\n      [" occurs only between two rows.
-        doc = {"meta": {"name": name, **meta}, "columns": list(columns), "rows": []}
-        data = json.dumps(doc, indent=2, sort_keys=True)
-        if rows:
-            encoder = json.JSONEncoder(separators=(",\n      ", ": "))
-            flat = encoder.encode([list(map(_cell_json, row)) for row in rows])
-            cells = flat[2:-2].split("],\n      [")
-            body = ",\n    ".join(f"[\n      {c}\n    ]" if c else "[]" for c in cells)
-            data = data[:-len("[]\n}")] + "[\n    " + body + "\n  ]\n}"
-        data += "\n"
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    rows = zip(*[_cells(col, fmt) for col in data])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        if fmt == "csv":
+            provenance = " ".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+                                  for k, v in sorted(meta.items()))
+            fh.write(f"# lgsim {name} {provenance}".rstrip() + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(columns))
+            writer.writerows(rows)
+            return
+        doc = {"meta": {"name": name, **meta}, "columns": list(columns), "rows": []}
+        head = json.dumps(doc, indent=2, sort_keys=True)  # "rows" sorts last
+        body = ",\n    ".join("[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
+        fh.write(head[:-len("[]\n}")] + (f"[\n    {body}\n  ]" if body else "[]") + "\n}\n")
 
 
 # --- experiment runners ------------------------------------------------------
-# Each returns (columns, rows, meta, checks).
+# Each returns (table, meta, checks); table maps column names to columns.
 
 def _run_ttb_map(config: RunConfig):
     n = config.grid or 50
     eta = np.linspace(0.0, np.pi, n + 1)
     xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     tm = ttb_map(eta, xi)
-    rows = [(float(eta[i]), float(xi[j]), float(tm.k3max[i, j]), float(tm.argmax_omega_t[i, j]))
-            for i in range(len(eta)) for j in range(len(xi))]
+    table = {"eta": np.repeat(eta, len(xi)), "xi": np.tile(xi, len(eta)),
+             "k3max": tm.k3max.ravel(), "argmax_omega_t": tm.argmax_omega_t.ravel()}
     peak = float(tm.k3max.max())
     analytic = 1.0 + 0.5 * np.sin(eta) ** 2
     dev = float(np.abs(tm.k3max - analytic[:, None]).max())
@@ -176,7 +175,7 @@ def _run_ttb_map(config: RunConfig):
               f"max deviation = {dev:.3e}"),
     ]
     meta = {"alpha": 0.0, "eta_points": n + 1, "xi_points": n}
-    return ["eta", "xi", "k3max", "argmax_omega_t"], rows, meta, checks
+    return table, meta, checks
 
 
 def _run_k3_surface(config: RunConfig):
@@ -184,8 +183,8 @@ def _run_k3_surface(config: RunConfig):
     alphas = np.linspace(0.0, np.pi / 4, n + 1)
     phis = np.linspace(0.0, np.pi, n, endpoint=False)
     surf = k3max_surface(alphas, phis)
-    rows = [(float(alphas[i]), float(phis[j]), float(surf.k3max[i, j]))
-            for i in range(len(alphas)) for j in range(len(phis))]
+    table = {"alpha": np.repeat(alphas, len(phis)), "phi": np.tile(phis, len(alphas)),
+             "k3max": surf.k3max.ravel()}
     zero_row_dev = float(np.abs(surf.k3max[0] - 1.5).max())
     peak = float(surf.k3max.max())
     checks = [
@@ -199,7 +198,7 @@ def _run_k3_surface(config: RunConfig):
         checks.append(Check("equal-weight orthogonal-axes maximum", abs(anchor - 1.846637) < 5e-5,
                             f"k3max(alpha=pi/4, phi=90deg) = {anchor!r}"))
     meta = {"alpha_points": n + 1, "phi_points": n}
-    return ["alpha", "phi", "k3max"], rows, meta, checks
+    return table, meta, checks
 
 
 def _run_k3_curves(config: RunConfig):
@@ -207,17 +206,13 @@ def _run_k3_curves(config: RunConfig):
     us = np.linspace(0.0, 2.0 * np.pi, n + 1)
     alpha = np.pi / 4 if config.alpha is None else config.alpha
     phis_deg = [90.0, 135.0, 160.0] if config.phi is None else [config.phi]
-    columns = ["omega_t"]
-    series = []
-    checks = []
+    table, checks = {"omega_t": us}, []
     for pd in phis_deg:
         curve = k3_curve(planar(alpha, np.deg2rad(pd), config.omega), us)
         label = f"{pd:g}"
         if len(phis_deg) == 1:
-            columns += [f"c12_phi{label}", f"c13_phi{label}"]
-            series += [curve.c12, curve.c13]
-        columns.append(f"k3_phi{label}")
-        series.append(curve.k3)
+            table.update({f"c12_phi{label}": curve.c12, f"c13_phi{label}": curve.c13})
+        table[f"k3_phi{label}"] = curve.k3
         start_err = abs(float(curve.k3[0]) - 1.0)
         sym_err = float(np.abs(curve.k3 - curve.k3[::-1]).max())
         checks.append(Check(f"K3 starts at 1 (phi = {label} deg)", start_err < 1e-9,
@@ -228,10 +223,9 @@ def _run_k3_curves(config: RunConfig):
             peak = float(curve.k3.max())
             checks.append(Check("equal-weight 160-degree peak", abs(peak - 2.883110) < 0.01,
                                 f"max K3 = {peak!r}"))
-    rows = [tuple([float(us[i])] + [float(s[i]) for s in series]) for i in range(len(us))]
     meta = {"alpha": alpha, "omega": config.omega, "points": n + 1,
             "phi_deg": ",".join(f"{p:g}" for p in phis_deg)}
-    return columns, rows, meta, checks
+    return table, meta, checks
 
 
 def _run_lifetime(config: RunConfig, model: str):
@@ -240,8 +234,7 @@ def _run_lifetime(config: RunConfig, model: str):
     n = config.grid or 4
     alphas = np.linspace(0.0, np.pi / 4, n + 1)
     phis_deg = [90.0, 115.0, 140.0] if config.phi is None else [config.phi]
-    rows = []
-    checks = []
+    rows, checks = [], []
     for pd in phis_deg:
         points = gain_curve(np.deg2rad(pd), noise, alphas, model=model, omega=config.omega)
         rows += [(float(pd), p.alpha, p.tau_alpha, p.gain, p.status) for p in points]
@@ -269,7 +262,7 @@ def _run_lifetime(config: RunConfig, model: str):
                                 gains[-1] > 1.0, f"gain(alpha=pi/4) = {gains[-1]!r}"))
     meta = {"model": model, "gamma": gamma, "omega": config.omega,
             "alpha_points": n + 1, "phi_deg": ",".join(f"{p:g}" for p in phis_deg)}
-    return ["phi_deg", "alpha", "tau_alpha", "gain", "status"], rows, meta, checks
+    return dict(zip(("phi_deg", "alpha", "tau_alpha", "gain", "status"), zip(*rows))), meta, checks
 
 
 def _run_soe_profiles(config: RunConfig):
@@ -279,16 +272,13 @@ def _run_soe_profiles(config: RunConfig):
     us = np.linspace(0.0, 2.0 * np.pi, n + 1)
     ts = us / config.omega
     alphas = [0.0, np.pi / 8, np.pi / 4] if config.alpha is None else [config.alpha]
-    columns = ["omega_t"]
-    series = []
-    checks = []
+    table, checks = {"omega_t": us}, []
     for a in alphas:
         cfg = planar(a, phi, config.omega)
         f_vals = np.asarray(f_of_t(cfg, ts), dtype=float)
         g_vals = np.asarray(soe(cfg, ts), dtype=float)
         label = f"{a:.4f}"
-        columns += [f"f_alpha{label}", f"g_alpha{label}"]
-        series += [f_vals, g_vals]
+        table.update({f"f_alpha{label}": f_vals, f"g_alpha{label}": g_vals})
         if a == 0.0:
             flat = float(np.abs(g_vals - config.omega).max())
             linear = float(np.abs(f_vals - us).max())
@@ -307,10 +297,9 @@ def _run_soe_profiles(config: RunConfig):
     span_diffs = np.diff(spans)
     checks.append(Check("rate modulation depth grows with the superposition weight",
                         bool(np.all(span_diffs >= -1e-12)), f"min step = {span_diffs.min():.3e}"))
-    rows = [tuple([float(us[i])] + [float(s[i]) for s in series]) for i in range(len(us))]
     meta = {"phi_deg": pd, "omega": config.omega, "points": n + 1,
             "alphas": ",".join(f"{a:.4f}" for a in alphas)}
-    return columns, rows, meta, checks
+    return table, meta, checks
 
 
 def _run_verify_circuits(config: RunConfig):
@@ -319,7 +308,9 @@ def _run_verify_circuits(config: RunConfig):
     omega_ts = np.linspace(0.0, 2.0 * np.pi, n)
     report = verify_pulse_sequences(phis, omega_ts)
     print(report.summary())
-    rows = [(r.name, r.phi, r.omega_t, r.distance) for r in report.rows]
+    names, phi, wt, distance = zip(*((r.name, r.phi, r.omega_t, r.distance) for r in report.rows))
+    table = {"sequence": names, "phi": np.array(phi), "omega_t": np.array(wt),
+             "distance": np.array(distance)}
     checks = [Check("all pulse sequences realize their gates", report.passed,
                     f"tolerance = {report.tolerance!r}")]
     meta = {"tolerance": report.tolerance, "phi_points": n, "omega_t_points": n}
@@ -327,7 +318,7 @@ def _run_verify_circuits(config: RunConfig):
         checks.append(Check(f"{name} within tolerance", dist < report.tolerance,
                             f"max distance = {dist:.3e}"))
         meta[f"max_dist_{name}"] = dist
-    return ["sequence", "phi", "omega_t", "distance"], rows, meta, checks
+    return table, meta, checks
 
 
 def _run_selftest(config: RunConfig):
@@ -461,9 +452,9 @@ def _run_selftest(config: RunConfig):
     checks.append(Check("Bloch norm is conserved without dephasing", quiet_dev < 1e-8,
                         f"max deviation = {quiet_dev:.3e}"))
 
-    rows = [(c.name, c.passed, c.detail) for c in checks]
-    meta = {"seed": config.seed, "omega": omega}
-    return ["check", "passed", "detail"], rows, meta, checks
+    table = {"check": [c.name for c in checks], "passed": [c.passed for c in checks],
+             "detail": [c.detail for c in checks]}
+    return table, {"seed": config.seed, "omega": omega}, checks
 
 
 _RUNNERS = {
@@ -481,14 +472,14 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one experiment; return the process exit code."""
     try:
-        columns, rows, meta, checks = _RUNNERS[config.experiment](config)
+        table, meta, checks = _RUNNERS[config.experiment](config)
     except (DegenerateSuperposition, UnsupportedGeometry, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fmt = config.format or _DEFAULT_FORMATS.get(config.experiment, "csv")
     out = config.out or f"lgsim-{config.experiment}.{fmt}"
     try:
-        emit_series(config.experiment, columns, rows, fmt, out, meta)
+        emit_series(config.experiment, list(table), list(table.values()), fmt, out, meta)
     except OSError as exc:
         print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
         return 2
@@ -498,10 +489,12 @@ def run(config: RunConfig) -> int:
         detail = f" ({check.detail})" if check.detail else ""
         print(f"{tag} {config.experiment}: {check.name}{detail}")
         failed += 0 if check.passed else 1
-    print(f"wrote {out}: {len(rows)} rows, {len(checks) - failed}/{len(checks)} checks passed")
+    rows = len(next(iter(table.values()), ()))
+    print(f"wrote {out}: {rows} rows, {len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgsim",

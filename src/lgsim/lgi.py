@@ -12,10 +12,10 @@ bounded by 1.5; superpositions push it toward the algebraic bound of 3.
 U is again an SU(2) rotation, so C has a closed form in which a config enters
 through three scalars only; it is the one route here. `correlator` and `k3_at`
 are its one-point calls; k3_curve samples it over a grid of omega*t. The
-maximum of K3 over omega*t is solved for, not searched for: it sits at a real
-root of one quartic or at an end of the half cycle, so k3_max, ttb_map and
-k3max_surface report it with its first location, in [0, pi], for whole
-batches of configs at once.
+maximum of K3 over omega*t is solved for, not searched for: K3 rises to the
+one root of a quartic in sin^2(omega*t / 2) that is monotone on [0, 1], so
+k3_max, ttb_map and k3max_surface report it with its first location, in
+[0, pi], for whole batches of configs at once.
 """
 
 from __future__ import annotations
@@ -102,37 +102,43 @@ def _k3_terms(coef, trig):
     return 2.0 * _correlator_terms(coef, cos_h, sin_h) - _correlator_terms(coef, cos_f, sin_f)
 
 
+def _peak_s(rho) -> np.ndarray:
+    """The root in (0, 1) of q(s) of _k3_maxima, for an array of rho in [0, 1].
+
+    8 Newton steps from s = 0.25, each kept only inside the bracket of the signs
+    of q seen so far, ends included (at rho = 1 the root is the start), else
+    the bracket is halved; a fixed count keeps each entry batch-independent.
+    """
+    a, b = 2.0 * (rho - 1.0) ** 2, 4.0 * rho
+    lo, hi, s = np.zeros_like(rho), np.ones_like(rho), np.full_like(rho, 0.25)
+    with np.errstate(divide="ignore", invalid="ignore"):  # q' = 0 only at rho = s = 0
+        for _ in range(8):
+            q = a * s * s * ((8.0 * s - 14.0) * s + 7.0) + b * s - 1.0
+            lo, hi = np.where(q < 0.0, s, lo), np.where(q < 0.0, hi, s)
+            step = s - q / (2.0 * a * s * ((16.0 * s - 21.0) * s + 7.0) + b)
+            s = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    return s
+
+
 def _k3_maxima(coef) -> tuple[np.ndarray, np.ndarray]:
     """max over omega*t of K3 and its first location in [0, pi], for a batch of B configs.
 
-    coef holds (c0, m2, mq), each of shape (B,). With s = sin^2(omega*t / 2),
-    D = c0^2 and E = m2 - D, C(s) = (D + (2 mq^2 - m2 - D) s) / (D + E s) and
+    coef holds (c0, m2, mq), each of shape (B,). With s = sin^2(omega*t / 2)
+    and D = c0^2, C(s) = (D + (2 mq^2 - m2 - D) s) / (D + (m2 - D) s) and
     K3 = 2 C(s) - C(4 s (1 - s)), so omega*t in [0, pi] covers s in [0, 1] once
-    and [pi, 2 pi] mirrors it. dK3/ds is 4 D (mq^2 - m2) <= 0 times
-
-        p(s) = 16 E^2 s^4 - 28 E^2 s^3 + 14 E^2 s^2 + 4 D m2 s - D^2
-
-    over a positive denominator, so the maximum sits at s = 0, at s = 1 or at a
-    real root of p in [0, 1]. In r = 1/s the leading coefficient is -D^2, never
-    0 since c0 >= 1, and the four roots are the eigenvalues of a companion
-    matrix. The real part of every eigenvalue is a candidate: near a double
-    root the imaginary part of a real root is rounding of about sqrt(eps), so
-    none is filtered out, and a spurious candidate is still K3 at a real
-    omega*t, which cannot exceed the maximum. Each config's matrix and
-    candidates are evaluated on their own, so an entry does not depend on the
-    rest of the batch.
+    and [pi, 2 pi] mirrors it. With rho = m2 / D, in [0, 1] since |v| <= c0,
+    dK3/ds is 4 D^3 (mq^2 - m2) <= 0 times, over a positive denominator,
+        q(s) = 2 (rho - 1)^2 s^2 (8 s^2 - 14 s + 7) + 4 rho s - 1.
+    q(0) = -1 < 0 < q(1) and
+    q'(s) = 4 (rho - 1)^2 s (16 s^2 - 21 s + 7) + 4 rho > 0 on (0, 1], as the
+    quadratic has discriminant -7, so K3 rises to the one root s* (_peak_s)
+    and falls after it. Where mq^2 = m2 (the poles of the bound map) K3 is 1
+    throughout. K3 at s = 0, s* and 1 rounds differently there, and the
+    first largest of the three is kept: location 0 at those poles.
     """
     c0, m2, mq = coef
-    d = c0 * c0
-    e2_d2 = (m2 - d) ** 2 / (d * d)
-    companion = np.zeros((len(c0), 4, 4))
-    companion[:, 0] = np.stack([4.0 * m2 / d, 14.0 * e2_d2, -28.0 * e2_d2, 16.0 * e2_d2], axis=-1)
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    s = np.zeros((len(c0), 6))
-    with np.errstate(divide="ignore"):  # r = 0 is s = inf, clipped to 1
-        s[:, 1:5] = np.clip(1.0 / np.linalg.eigvals(companion).real, 0.0, 1.0)
-    s[:, 5] = 1.0
-    u = 2.0 * np.arcsin(np.sqrt(s))
+    u = np.zeros((len(c0), 3))
+    u[:, 1], u[:, 2] = 2.0 * np.arcsin(np.sqrt(_peak_s(m2 / (c0 * c0)))), np.pi
     vals = _k3_terms((c0[:, None], m2[:, None], mq[:, None]), _trig(u))
     best = np.argmax(vals, axis=1)[:, None]
     return (np.take_along_axis(vals, best, axis=1)[:, 0],
@@ -154,10 +160,10 @@ def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS) -> CorrelatorSet:
 def k3_max(cfg: SuperpositionConfig, q_axis=Z_AXIS) -> tuple[float, float]:
     """Maximum of K3 over omega*t and its location.
 
-    Solved in closed form from the roots of a quartic; the one-config call of
+    Solved from the one root of a monotone quartic; the one-config call of
     the batched kernel behind ttb_map and k3max_surface. K3 is symmetric about
-    omega*t = pi, and the location reported is always the first twin peak
-    u* in [0, pi], never its mirror 2 pi - u*.
+    omega*t = pi, and the location reported is the first twin peak u* in
+    [0, pi], never 2 pi - u*; it is 0 where K3 is 1 for every t.
     Returns (k3_maximum, omega_t_at_maximum).
     """
     value, loc = _k3_maxima(_config_coefficients(cfg, q_axis))

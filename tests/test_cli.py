@@ -1,6 +1,7 @@
 """Command-line front end: deterministic emission, exit codes, embedded checks."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -50,8 +51,8 @@ def test_default_gamma_value():
 
 def test_emit_series_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [(0.1, 1, None, "ok"), (1.0 / 3.0, -2, 2.5e-17, "x,y")]
-    emit_series("demo", ["a", "b", "c", "d"], rows, "csv", str(path),
+    data = [[0.1, 1.0 / 3.0], [1, -2], [None, 2.5e-17], ["ok", "x,y"]]
+    emit_series("demo", ["a", "b", "c", "d"], data, "csv", str(path),
                 {"gamma": 0.25, "note": "n"})
     text = path.read_bytes().decode()
     assert "\r" not in text
@@ -70,7 +71,7 @@ def test_emit_series_csv_round_trip(tmp_path):
 
 def test_emit_series_json_round_trip(tmp_path):
     path = tmp_path / "t.json"
-    emit_series("demo", ["a", "b"], [(np.float64(0.3), None), (2, True)],
+    emit_series("demo", ["a", "b"], [[np.float64(0.3), 2], [None, True]],
                 "json", str(path), {"k": 2})
     text = path.read_text()
     doc = json.loads(text)
@@ -91,20 +92,26 @@ _CELLS = st.one_of(
 
 @st.composite
 def _tables(draw):
+    """A header and its data: one column per name, each a list of cells or a float array."""
     width = draw(st.integers(0, 4))
-    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=5))
-    return draw(st.lists(st.text(), min_size=width, max_size=width)), rows
+    length = draw(st.integers(0, 5))
+    column = st.one_of(
+        st.lists(_CELLS, min_size=length, max_size=length),
+        st.lists(st.floats(), min_size=length, max_size=length).map(np.array))
+    data = draw(st.lists(column, min_size=width, max_size=width))
+    return draw(st.lists(st.text(), min_size=width, max_size=width)), data
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(table=_tables(), meta=st.dictionaries(st.text(), st.one_of(st.text(), st.floats())))
-@example(table=(["only"], []), meta={})
-@example(table=(["only"], [[-0.0], ["q\"u,o\nte \u00fc"], [None]]), meta={"k": 1e-300})
-@example(table=(["a", "b"], [[float("nan"), float("inf")], [float("-inf"), True]]), meta={})
+@example(table=(["only"], [[]]), meta={})
+@example(table=(["only"], [[-0.0, "q\"u,o\nte \u00fc", None]]), meta={"k": 1e-300})
+@example(table=(["a", "b"], [[float("nan"), float("-inf")], [float("inf"), True]]), meta={})
 def test_emit_series_json_matches_json_dumps(tmp_path_factory, table, meta):
-    columns, rows = table
+    columns, data = table
     path = tmp_path_factory.mktemp("emit") / "t.json"
-    emit_series("demo", columns, rows, "json", str(path), meta)
+    emit_series("demo", columns, data, "json", str(path), meta)
+    rows = [list(row) for row in zip(*data)]
     doc = {"meta": {"name": "demo", **meta}, "columns": columns, "rows": rows}
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
@@ -121,6 +128,73 @@ def test_emit_series_empty_rows(tmp_path):
 def test_emit_series_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         emit_series("demo", ["a"], [], "xml", str(tmp_path / "x"), {})
+
+
+def _reference_emit(name, columns, rows, fmt, path, meta):
+    """The row-wise writer that emit_series replaced: the oracle for its bytes.
+
+    Each row is a sequence of cells, each cell goes through cli._cell_csv or
+    cli._cell_json, and the whole document is built in memory before it is
+    written.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        provenance = " ".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+                              for k, v in sorted(meta.items()))
+        buf.write(f"# lgsim {name} {provenance}".rstrip() + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list(columns))
+        for row in rows:
+            writer.writerow([cli._cell_csv(v) for v in row])
+        data = buf.getvalue()
+    else:
+        # rows ("rows" sorts last) by one C-encoder call; strings escape
+        # newlines and cells are scalars, so "],\n      [" occurs only between rows
+        doc = {"meta": {"name": name, **meta}, "columns": list(columns), "rows": []}
+        data = json.dumps(doc, indent=2, sort_keys=True)
+        if rows:
+            encoder = json.JSONEncoder(separators=(",\n      ", ": "))
+            flat = encoder.encode([list(map(cli._cell_json, row)) for row in rows])
+            cells = flat[2:-2].split("],\n      [")
+            body = ",\n    ".join(f"[\n      {c}\n    ]" if c else "[]" for c in cells)
+            data = data[:-len("[]\n}")] + "[\n    " + body + "\n  ]\n}"
+        data += "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(data)
+
+
+def _assert_writers_agree(tmp_path, name, columns, data, meta):
+    rows = list(zip(*data))
+    for fmt in ("csv", "json"):
+        new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        emit_series(name, columns, data, fmt, str(new), meta)
+        _reference_emit(name, columns, rows, fmt, str(old), meta)
+        assert new.read_bytes() == old.read_bytes(), (name, fmt)
+
+
+_SMALL_GRIDS = {"ttb-map": 6, "k3-surface": 5, "k3-curves": 40, "lifetime-bloch": 2,
+                "lifetime-lindblad": 2, "soe-profiles": 40, "verify-circuits": 4, "selftest": None}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_columnar_writer_matches_the_row_writer(tmp_path, experiment):
+    table, meta, _ = cli._RUNNERS[experiment](
+        RunConfig(experiment=experiment, grid=_SMALL_GRIDS[experiment]))
+    _assert_writers_agree(tmp_path, experiment, list(table), list(table.values()), meta)
+
+
+def test_columnar_writer_matches_the_row_writer_on_edge_cells(tmp_path):
+    # every cell type a runner may hand over, each kept to its _cell_csv and
+    # _cell_json meaning: a bool is 1 or 0, None is empty, np.bool_ is not a bool
+    cells = [None, True, False, np.bool_(True), np.bool_(False), 0, -7, np.int64(42),
+             np.float64(0.1), -0.0, 0.0, 1e-300, 5e-324, float("nan"), float("inf"),
+             "a,b", 'say "hi"', "two\nlines", "", "\u00e9t\u00e9"]
+    floats = np.array([-0.0, 0.0, 1e-300, 0.1, 0.1, np.nan, np.inf, -np.inf, 5e-324, -0.0])
+    tables = [[cells], [cells[::-1], cells], [floats], [floats, list(floats), floats[::-1]],
+              [floats.astype(np.float32)], [[""]], [[None]], [[], []], []]
+    for data in tables:
+        _assert_writers_agree(tmp_path, "edge", [f"c{i}" for i in range(len(data))], data,
+                              {"k": -0.0, "note": "a b"})
 
 
 def test_soe_profiles_runs_clean(tmp_path, capsys):
@@ -397,7 +471,7 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
 
 def test_run_reports_failed_checks(tmp_path, monkeypatch, capsys):
     def fake(config):
-        return ["a"], [[1.0]], {}, [cli.Check("always-fails", False, "synthetic")]
+        return {"a": [1.0]}, {}, [cli.Check("always-fails", False, "synthetic")]
 
     monkeypatch.setitem(cli._RUNNERS, "selftest", fake)
     code = run(RunConfig(experiment="selftest", out=str(tmp_path / "x.json")))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lgsim import lgi
 from lgsim.lgi import (
@@ -373,8 +373,17 @@ def test_closed_form_correlator_matches_the_trace(n, m, q, alpha, omega, ti, del
     assert correlator(cfg, ti, tj, q) == min(1.0, max(-1.0, raw))
 
 
+# the observable along v = m: K3 is 1 for every t, and the dense scan reads
+# 1 + 1.6e-15, which K3 at s = 1 matches but K3 at s = 0 and s* does not
+_Q_ALONG_V = dict(n=(-0.6637026320966307, 0.7431693656398208, 0.08484167680162182),
+                  m=(-0.38647591628657574, -0.1491827303601039, -0.9101543160875284),
+                  q=(-0.38647591628657574, -0.1491827303601039, -0.9101543160875284),
+                  alpha=0.0)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(n=_AXES, m=_AXES, q=_AXES, alpha=st.floats(0.0, np.pi / 2))
+@example(**_Q_ALONG_V)
 def test_closed_form_maximum_tops_the_scans(n, m, q, alpha):
     n, m, q = _unit(n), _unit(m), _unit(q)
     assume(n @ m > -0.9)
@@ -384,6 +393,39 @@ def test_closed_form_maximum_tops_the_scans(n, m, q, alpha):
     assert value <= 3.0
     assert abs(value - _golden_k3_maxima(coef)[0][0]) <= 1e-10
     assert 0.0 <= loc <= np.pi
+
+
+def _q_of_s(rho, s):
+    return 2.0 * (rho - 1.0) ** 2 * s * s * (8.0 * s * s - 14.0 * s + 7.0) + 4.0 * rho * s - 1.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(rho=st.floats(0.0, 1.0))
+@example(rho=0.0)
+@example(rho=1.0)
+@example(rho=1.0 - 1e-16)
+@example(rho=5e-324)
+def test_peak_s_is_the_root_of_the_monotone_quartic(rho):
+    (s,) = lgi._peak_s(np.array([rho]))
+    assert 0.0 < s < 1.0
+    assert abs(_q_of_s(rho, s)) <= 8.0 * np.finfo(float).eps
+    # the root it brackets: q changes sign within 1e-13 of s
+    assert _q_of_s(rho, s - 1e-13) < 0.0 < _q_of_s(rho, s + 1e-13)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=_AXES, m=_AXES, q=_AXES, alpha=st.floats(0.0, np.pi / 2))
+@example(**_Q_ALONG_V)
+def test_k3_rises_to_the_peak_root_and_falls_after_it(n, m, q, alpha):
+    n, m, q = _unit(n), _unit(m), _unit(q)
+    assume(n @ m > -0.9)
+    c0, m2, mq = lgi._config_coefficients(SuperpositionConfig(alpha, n, m), q)
+    u_star = 2.0 * np.arcsin(np.sqrt(lgi._peak_s(m2 / (c0 * c0))[0]))
+    us = np.linspace(0.0, np.pi, 4001)
+    k3 = lgi._k3_terms((c0, m2, mq), lgi._trig(us))
+    steps = np.diff(k3)
+    assert np.all(steps[us[1:] <= u_star] >= -1e-14)
+    assert np.all(steps[us[:-1] >= u_star] <= 1e-14)
 
 
 def test_k3_curve_sampling():
