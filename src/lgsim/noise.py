@@ -14,17 +14,19 @@ solved in Floquet form from one period of its fundamental matrix, built from
 The microscopic route evolves the joint ancilla (x) system state under the
 block-diagonal two-branch Hamiltonian with sigma_z dephasing on both qubits,
 then post-selects the ancilla on |+> as the circuit would. Its correlator is a
-closed form in the 2x2 damped-rotation exponential the Magnus steps use (see
-_LindbladK3); evolve_lindblad propagates a whole joint state through one
-scaling-and-squaring exponential of the Liouvillian, not an eigendecomposition.
-Both reduce to the unitary picture at gamma = 0, which the tests pin.
+closed form in one entry of a damped 2x2 rotation, taken in real arithmetic
+(see _LindbladK3 and _e_zz); evolve_lindblad propagates a whole joint state
+through one scaling-and-squaring exponential of the Liouvillian, not an
+eigendecomposition. Both reduce to the unitary picture at gamma = 0, which the
+tests pin.
 
 K3 keeps the stationary grid (0, t, 2t): 2 sz(t) - sz(2t) for the Bloch route,
 2 C(t) - C(2t) for the Lindblad one. The lifetime is the first time K3 drops
 through 1. Both models evaluate K3 on a (rows x t) block of configs and times,
 and one engine (_first_crossings) finds the lifetimes of a batch together: a
-chunked forward scan and a bisection vectorised over rows, in which every row
-takes exactly the steps it would take alone.
+chunked forward scan, then Chandrupatla's bracketed root step (_root_step) to a
+bracket a few ulps wide, both vectorised over rows, in which every row takes
+exactly the steps it would take alone.
 """
 
 from __future__ import annotations
@@ -43,12 +45,15 @@ MAGNUS_TOL = 1e-10
 MAGNUS_MAX_STEPS = 2 ** 15
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 SCAN_OMEGA_STEP = 1e-2
-BISECT_REL_TOL = 1e-6
 LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at this / min(gamma, omega)
-# smallest peak K3 - 1 whose tau rounding does not set (~100 eps in K3 moves tau by that / peak)
-PEAK_RESOLUTION = 100.0 * np.finfo(float).eps / BISECT_REL_TOL
-_SCAN_FIRST_CHUNK = 16  # scan points per row in the first chunk; crossings mostly fall within ~200
-_SCAN_CHUNK_CAP = 1024  # (rows x points) per chunk at most
+_EPS = np.finfo(float).eps
+# smallest peak K3 - 1 whose tau rounding does not set: K3 carries ~100 eps of rounding, which
+# moves tau by about that / peak relative, so 1e-6 at most from this peak on
+PEAK_RESOLUTION = 100.0 * _EPS / 1e-6
+_SCAN_FIRST_CHUNK = 16  # scan points per row in a chunk at least; crossings mostly fall by ~200
+_SCAN_CHUNK_CAP = 1024  # (rows x points) per chunk at most, unless that is below 16 points per row
+_ROOT_INTERPOLATED_STEPS = 16  # root-step evaluations per row that may interpolate; later bisect
+_ROOT_MAX_STEPS = 80  # root-step evaluations per row at most; bisection from k >= 2 takes <= 50
 
 DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
 
@@ -285,6 +290,40 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
     return float(c[0, 0])
 
 
+def _e_zz(kappa, u) -> np.ndarray:
+    """E_zz of exp(u [[-kappa, -1], [1, 0]]) for kappa >= 0 (inf included) and u >= 0, broadcast.
+
+    With s = kappa / 2 and r^2 = s^2 - 1 this is e^(-s u) [cosh(r u) + s sinh(r u) / r], taken
+    in real arithmetic on each side of critical damping. Below s = 1, r = i w with w^2 =
+    (1 - s)(1 + s) (no cancellation as s -> 1), and E_zz = e^(-s u) [cos(w u) + s sin(w u) / w].
+    The phase w u is kept as p - e: below s = 1/2 as u - u d, d = 1 - w = s^2 / (1 + w), so
+    that the rounding of w u (~1e-14 at u = 60) does not enter the cosine where nothing damps
+    it.
+    From s = 1 on, with the slow rate a = s - r = 1 / (s + r) and q = -expm1(-2 r u) / (2 r)
+    (q = u at r = 0), E_zz = e^(-a u) (1 + a q): every term is positive, so nothing cancels as
+    r -> 0, and at kappa = inf (a = 0) it is the frozen value 1. Past r = 2^26, a q < 2^-54
+    rounds away beside 1 whatever q is, so q takes r capped there and 2 r u stays finite.
+    """
+    s, u = np.broadcast_arrays(0.5 * kappa, u)
+    out = np.empty(s.shape)
+    under = s < 1.0
+    if under.any():
+        so, uo = s[under], u[under]
+        w = np.sqrt((1.0 - so) * (1.0 + so))
+        light = so < 0.5
+        p = np.where(light, uo, w * uo)
+        e = np.where(light, uo * (so * so / (1.0 + w)), 0.0)
+        cp, sp, ce, se = np.cos(p), np.sin(p), np.cos(e), np.sin(e)
+        out[under] = np.exp(-so * uo) * (cp * ce + sp * se + so * (sp * ce - cp * se) / w)
+    if not under.all():
+        so, uo = s[~under], u[~under]
+        r = np.sqrt(so - 1.0) * np.sqrt(so + 1.0)
+        a, r = 1.0 / (so + r), np.minimum(r, 2.0 ** 26)
+        q = np.divide(-np.expm1(-2.0 * r * uo), 2.0 * r, out=uo.copy(), where=r > 0.0)
+        out[~under] = np.exp(-a * uo) * (1.0 + a * q)
+    return out
+
+
 class _LindbladK3:
     """K3 of the post-selected joint model for a batch of planar configs under one noise.
 
@@ -295,21 +334,22 @@ class _LindbladK3:
     blocks decay by a further e^(-kappa u); with s = sin 2 alpha, c^2 = cos^2(phi / 2) and
     d^2 = sin^2(phi / 2), post-selection on |+> gives both branches the probability p =
     [1 + s e^(-kappa u) (c^2 + d^2 E_zz)] / 2 and C = [E_zz + s e^(-kappa u) (c^2 E_zz +
-    d^2)] / (2 p); E_zz from _damped_rotation is exact at kappa = 2 and kappa -> 0. On row
+    d^2)] / (2 p); E_zz (_e_zz) is exact at kappa = 2, kappa -> 0 and kappa = inf. On row
     indices and a (rows x t) block of times it gives K3 and the smaller p at t or 2t.
     """
 
     def __init__(self, cfgs, noise: NoiseConfig):
         phi = np.array([planar_angle(cfg) for cfg in cfgs])
         self._omega = np.array([cfg.omega for cfg in cfgs], dtype=float)
-        self._kappa = noise.gamma / self._omega
+        with np.errstate(over="ignore"):  # past the float range kappa = inf, which _e_zz takes
+            self._kappa = noise.gamma / self._omega
         self._s = np.sin(2.0 * np.array([cfg.alpha for cfg in cfgs], dtype=float))
         self._c2, self._d2 = np.cos(0.5 * phi) ** 2, np.sin(0.5 * phi) ** 2
 
     def correlator(self, rows: np.ndarray, t: np.ndarray):
         """(C, post-selection probability), each of t's shape (rows x m)."""
         kappa, u = self._kappa[rows, None], self._omega[rows, None] * t
-        e_zz = _damped_rotation(-0.5 * kappa * u, 0.0, u)[..., 1, 1]
+        e_zz = _e_zz(kappa, u)
         coherent = self._s[rows, None] * np.exp(-kappa * u)
         c2, d2 = self._c2[rows, None], self._d2[rows, None]
         norm = 1.0 + coherent * (c2 + d2 * e_zz)
@@ -346,20 +386,22 @@ def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
     times. The scan points are k * step, k = 1, 2, ..., up to t_max (per-row
     arrays); a row leaves the scan at its first point with K3 < 1, and rows that
     reach t_max first get NaN brackets. The peak is taken over the scan points
-    before the crossing, or up to t_max without one (-inf on none). The chunk of points per
-    row starts at _SCAN_FIRST_CHUNK and doubles, with at most _SCAN_CHUNK_CAP points
-    over all active rows. Each bracket is then bisected to a relative width of
-    BISECT_REL_TOL; the per-row active mask gives every row exactly the steps
-    it would take alone, so a row's result does not depend on its batch. The
-    post-selection floor is checked at the points a one-row scan and bisection
-    evaluate, never past a row's crossing.
+    before the crossing, or up to t_max without one (-inf on none). The chunk of
+    points per row starts at _SCAN_FIRST_CHUNK and doubles, shrinking to keep at most
+    _SCAN_CHUNK_CAP points over all active rows but never below _SCAN_FIRST_CHUNK.
+    _root_step then narrows each scan bracket, from the K3 the scan found at its ends.
+    The per-row active masks give every row exactly the steps it would take alone, so
+    a row's result does not depend on its batch. The post-selection floor is checked
+    at the points a one-row scan and root step evaluate, never past a row's crossing.
     """
-    lo, hi = np.full(len(step), np.nan), np.full(len(step), np.nan)
-    peak = np.full(len(step), -np.inf)
+    n = len(step)
+    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+    f_lo, f_hi = np.zeros(n), np.zeros(n)  # K3 - 1 at the bracket ends (f_lo: last scan point)
+    peak = np.full(n, -np.inf)
     k0, chunk = 1, _SCAN_FIRST_CHUNK
     active = np.flatnonzero(step <= t_max)
     while active.size:
-        chunk = min(chunk, max(1, _SCAN_CHUNK_CAP // active.size))
+        chunk = min(chunk, max(_SCAN_FIRST_CHUNK, _SCAN_CHUNK_CAP // active.size))
         k = np.arange(k0, k0 + chunk)
         t = k * step[active, None]
         inside = t <= t_max[active, None]
@@ -370,19 +412,59 @@ def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
         before = inside & (np.arange(chunk) < first[:, None])
         peak[active] = np.maximum(peak[active], np.max(v, axis=1, where=before, initial=-np.inf))
         found = first < chunk
-        done, kc = active[found], k0 + first[found]
-        lo[done], hi[done] = (kc - 1) * step[done], kc * step[done]
-        active = active[~found & inside[:, -1]]
+        done, j = active[found], first[found]
+        lo[done], hi[done] = (k0 + j - 1) * step[done], (k0 + j) * step[done]
+        f_lo[done] = np.where(j > 0, v[found, j - 1] - 1.0, f_lo[done])
+        f_hi[done] = v[found, j] - 1.0
+        going = ~found & inside[:, -1]
+        active = active[going]
+        f_lo[active] = v[going, -1] - 1.0
         k0, chunk = k0 + chunk, 2 * chunk
-    rows = np.flatnonzero(hi - lo > BISECT_REL_TOL * hi)  # False on NaN
-    while rows.size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        v, prob = k3(rows, mid[:, None])
-        _check_postselection(prob, mid[:, None])
-        up = v[:, 0] >= 1.0
-        lo[rows[up]], hi[rows[~up]] = mid[up], mid[~up]
-        rows = rows[hi[rows] - lo[rows] > BISECT_REL_TOL * hi[rows]]
-    return lo, hi, peak - 1.0
+    return (*_root_step(k3, lo, f_lo, hi, f_hi), peak - 1.0)
+
+
+def _root_step(k3, x1, f1, x2, f2):
+    """(lo, hi) narrowed from brackets x1 < x2 with f = K3 - 1: f1 >= 0 > f2 (NaN rows stay).
+
+    Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)): x1 is the newest point, x2
+    the last one on the other side of K3 = 1 and x3 the one dropped. Where the three
+    allow it, the next point comes from inverse quadratic interpolation, else from
+    bisection, and it stays 2 eps hi inside the bracket. A row stops when its bracket is
+    at most 4 eps hi wide, or at a point with K3 = 1 exactly (lo = hi there; t = 0, where
+    K3 is 1 by definition, is never evaluated). After _ROOT_INTERPOLATED_STEPS
+    evaluations it only bisects, and it stops after _ROOT_MAX_STEPS whatever its width.
+    Otherwise K3(lo) >= 1 > K3(hi).
+    """
+    x1, f1, x2, f2 = x1.copy(), f1.copy(), x2.copy(), f2.copy()
+    x3, f3, frac = np.zeros_like(x1), np.zeros_like(x1), np.full(x1.shape, 0.5)
+    rows = np.flatnonzero(x2 - x1 > 4.0 * _EPS * x2)  # False on NaN
+    for steps in range(1, _ROOT_MAX_STEPS + 1):
+        if not rows.size:
+            break
+        a, b, fa, fb = x1[rows], x2[rows], f1[rows], f2[rows]
+        x = a + frac[rows] * (b - a)
+        v, prob = k3(rows, x[:, None])
+        _check_postselection(prob, x[:, None])
+        fx = v[:, 0] - 1.0
+        same = (fx >= 0.0) == (fa >= 0.0)
+        x3[rows], f3[rows] = np.where(same, a, b), np.where(same, fa, fb)
+        x2[rows], f2[rows] = np.where(same, b, a), np.where(same, fb, fa)
+        x1[rows], f1[rows] = x, fx
+        root = fx == 0.0
+        x2[rows[root]] = x[root]  # an exact root closes the bracket on itself
+        p1, p2 = x1[rows], x2[rows]
+        wide = np.abs(p2 - p1) > 4.0 * _EPS * np.maximum(p1, p2)
+        rows, p1, p2, p3 = rows[wide], p1[wide], p2[wide], x3[rows[wide]]
+        t = np.full(rows.size, 0.5)
+        if steps < _ROOT_INTERPOLATED_STEPS:
+            g1, g2, g3 = f1[rows], f2[rows], f3[rows]
+            xi, ph = (p1 - p2) / (p3 - p2), (g1 - g2) / (g3 - g2)  # xi in (0, 1); g3 != g2
+            ok = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
+            g1, g2, g3, al = g1[ok], g2[ok], g3[ok], ((p3 - p1) / (p2 - p1))[ok]
+            t[ok] = g1 / (g1 - g2) * g3 / (g3 - g2) - al * g1 / (g3 - g1) * g2 / (g2 - g3)
+        edge = 2.0 * _EPS * np.maximum(p1, p2) / np.abs(p2 - p1)
+        frac[rows] = np.clip(t, edge, 1.0 - edge)
+    return np.minimum(x1, x2), np.maximum(x1, x2)
 
 
 def _brackets(cfgs, noise: NoiseConfig, model: str):

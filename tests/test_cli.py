@@ -289,6 +289,19 @@ def test_huge_gamma_lifetimes_run_without_warnings(tmp_path):
             assert "ok" not in statuses and statuses[0] == "unresolved", (exp, gamma)
 
 
+def test_lindblad_kappa_past_the_float_range_reads_unresolved(tmp_path):
+    # gamma / omega = 1e310 overflows to kappa = inf, where s_z is frozen and K3 = 1:
+    # every row is unresolved, with no NaN on the way and no warning
+    out = tmp_path / "k.csv"
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lifetime-lindblad", "--gamma", "1e300", "--omega", "1e-10", "--grid", "2",
+                     "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 10.0
+    assert _statuses(out) == ["unresolved"] * 9
+
+
 def test_zeno_regime_bloch_rows_cross_past_50_over_gamma(tmp_path):
     # the alpha > 0 rows cross near omega t = 3.04, past 50 / gamma = 2.30
     out = tmp_path / "b.csv"

@@ -3,12 +3,14 @@ the lifetime of the K3 > 1 violation."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 import lgsim.noise as noise_mod
 from lgsim.ancilla import (KET_PLUS, POSTSELECT_FLOOR, PROJ0, PROJ1, PostSelectionStarved,
@@ -16,7 +18,6 @@ from lgsim.ancilla import (KET_PLUS, POSTSELECT_FLOOR, PROJ0, PROJ1, PostSelecti
 from lgsim.lgi import correlator, k3_at
 from lgsim.linalg import ID2, SIGMA_Z, dagger, is_density_matrix, kron
 from lgsim.noise import (
-    BISECT_REL_TOL,
     DEFAULT_ALPHA_GRID,
     LIFETIME_HORIZON_OVER_MIN_RATE,
     PEAK_RESOLUTION,
@@ -34,6 +35,7 @@ from lgsim.superpose import (SuperpositionConfig, UnsupportedGeometry, axis_thet
                              norm_factor_sq, planar, planar_angle)
 
 GAMMA_REF = 1.0 / (4.0 * np.pi)
+EPS = np.finfo(float).eps
 
 # ODE + bisection oracle values at gamma = 1/(4 pi), alpha = pi/4, phi = 115 deg
 BLOCH_TAU = 1.9092059326
@@ -566,11 +568,36 @@ def _scalar_first_crossing(k3, step, t_max):
         t_prev, v_prev, peak = t, v, max(peak, v)
 
 
-def _scalar_bisect(k3, lo, hi):
-    while (hi - lo) > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if k3(mid) >= 1.0 else (lo, mid)
-    return lo, hi
+def _scalar_root_step(k3, x1, f1, x2, f2):
+    """Chandrupatla's step one point at a time, as _root_step takes it for each row.
+
+    f = K3 - 1 with f1 = f(x1) >= 0 > f2 = f(x2) and x1 < x2; returns (lo, hi).
+    """
+    x3 = f3 = 0.0
+    t = 0.5
+    if not x2 - x1 > 4.0 * EPS * x2:
+        return x1, x2
+    for steps in range(1, noise_mod._ROOT_MAX_STEPS + 1):
+        x = x1 + t * (x2 - x1)
+        fx = k3(x) - 1.0
+        if (fx >= 0.0) == (f1 >= 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        if fx == 0.0:
+            x2 = x
+        if not abs(x2 - x1) > 4.0 * EPS * max(x1, x2):
+            break
+        t = 0.5
+        if steps < noise_mod._ROOT_INTERPOLATED_STEPS:
+            xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            if 1.0 - math.sqrt(1.0 - xi) < ph < math.sqrt(xi):
+                al = (x3 - x1) / (x2 - x1)
+                t = f1 / (f1 - f2) * f3 / (f3 - f2) - al * f1 / (f3 - f1) * f2 / (f2 - f3)
+        edge = 2.0 * EPS * max(x1, x2) / abs(x2 - x1)
+        t = min(max(t, edge), 1.0 - edge)
+    return min(x1, x2), max(x1, x2)
 
 
 def _eigensystem(cfg, noise):
@@ -596,16 +623,18 @@ def _branch_loop_k3(cfg, noise):
     return lambda t: 2.0 * corr(t) - corr(2.0 * t)
 
 
-def _single_point_k3(cfg, noise):
-    """Bloch K3(t) from the production evaluator, one row and one point per call."""
-    k3 = noise_mod._BlochK3([cfg], noise)
+def _single_point_k3(cfg, noise, model="bloch"):
+    """K3(t) from the production evaluator, one row and one point per call."""
+    k3 = noise_mod._K3_MODELS[model]([cfg], noise)
     return lambda t: float(k3(np.array([0]), np.array([[t]]))[0][0, 0])
 
 
-def test_engine_matches_the_scalar_scan_and_bisection_bitwise():
-    # the Lindblad oracle is the eigendecomposition route, so its peaks agree to
-    # rounding; the brackets agree bitwise for both models. Every row crosses,
-    # gamma = 100 (past the horizon 50 / gamma) included
+def test_engine_matches_the_scalar_scan_and_root_step_bitwise():
+    # the Lindblad scan oracle is the eigendecomposition route, so its peaks agree
+    # to rounding; it must find the same scan bracket, from which the scalar root
+    # step on the one-point production evaluator gives bitwise the engine's bracket,
+    # for both models. Every row crosses, gamma = 100 (past the horizon 50 / gamma)
+    # included
     for model, oracle in (("bloch", _single_point_k3), ("lindblad", _branch_loop_k3)):
         for gamma in (1e-3, GAMMA_REF, 1.0, 10.0, 100.0):
             noise = NoiseConfig(gamma=gamma)
@@ -613,16 +642,47 @@ def test_engine_matches_the_scalar_scan_and_bisection_bitwise():
                     for alpha in (0.0, np.pi / 8, np.pi / 4)]
             lo, hi, peak = noise_mod._brackets(cfgs, noise, model)
             for row, cfg in enumerate(cfgs):
-                k3 = oracle(cfg, noise)
                 scan, scan_peak = _scalar_first_crossing(
-                    k3, SCAN_OMEGA_STEP, LIFETIME_HORIZON_OVER_MIN_RATE / min(gamma, 1.0))
+                    oracle(cfg, noise), SCAN_OMEGA_STEP,
+                    LIFETIME_HORIZON_OVER_MIN_RATE / min(gamma, 1.0))
                 assert scan is not None, (model, gamma, row)
-                assert (lo[row], hi[row]) == _scalar_bisect(k3, *scan), (model, gamma, row)
+                k3 = _single_point_k3(cfg, noise, model)
+                ends = [k3(t) - 1.0 if t > 0.0 else 0.0 for t in scan]
+                step = _scalar_root_step(k3, scan[0], ends[0], scan[1], ends[1])
+                assert (lo[row], hi[row]) == step, (model, gamma, row)
                 if model == "bloch":
                     assert peak[row] == scan_peak, (gamma, row)
                 else:
                     assert abs(peak[row] - scan_peak) < 1e-12, (gamma, row)
                 assert peak[row] >= PEAK_RESOLUTION
+
+
+def test_root_step_matches_brentq():
+    # each row's tau against scipy's Brent solver on the same evaluator, from the
+    # same scan bracket, where the violation is well above rounding (gamma <= 10)
+    for model in ("bloch", "lindblad"):
+        for gamma in (1e-3, GAMMA_REF, 1.0, 10.0):
+            noise = NoiseConfig(gamma=gamma)
+            cfgs = [planar(alpha, np.deg2rad(phi)) for phi in (30.0, 90.0, 140.0, 175.0)
+                    for alpha in (0.0, np.pi / 8, np.pi / 4)]
+            lo, hi, _ = noise_mod._brackets(cfgs, noise, model)
+            for row, cfg in enumerate(cfgs):
+                k3 = _single_point_k3(cfg, noise, model)
+                scan = SCAN_OMEGA_STEP * np.ceil(hi[row] / SCAN_OMEGA_STEP - 1e-9)  # cell of hi
+                ref = brentq(lambda t: k3(t) - 1.0, scan - SCAN_OMEGA_STEP, scan,
+                             xtol=1e-300, rtol=4.0 * EPS)
+                tau = 0.5 * (lo[row] + hi[row])
+                assert abs(tau - ref) <= 1e-13 * ref, (model, gamma, row, tau, ref)
+
+
+def test_neighbouring_alphas_keep_distinct_gains():
+    # alpha = pi/4 - pi/8000 moves tau by ~3e-8 relative, below the 1e-6 width
+    # of the bisection the root step replaced, which gave both rows one gain
+    alphas = (0.0, np.pi / 4 - np.pi / 8000, np.pi / 4)
+    for model in ("bloch", "lindblad"):
+        pts = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alphas, model=model)
+        gains = [p.gain for p in pts]
+        assert gains[0] == 1.0 < gains[1] < gains[2], (model, gains)
 
 
 def test_lindblad_closed_form_matches_the_eigensystem_and_expm():
@@ -658,9 +718,10 @@ def test_postselection_floor_is_checked_only_where_a_row_scan_looks():
     step, t_max = np.array([0.01]), np.array([10.0])
     # starved past the crossing at 0.06, inside the same scan chunk: never visited
     lo, hi, peak = noise_mod._first_crossings(_fake_k3((0.07, np.inf)), step, t_max)
-    assert lo[0] < 0.055 <= hi[0] and hi[0] - lo[0] <= BISECT_REL_TOL * hi[0]
+    assert lo[0] < 0.055 <= hi[0] and hi[0] - lo[0] <= 4.0 * EPS * hi[0]
     assert peak[0] == 1.0
-    # starved at a scan point before the crossing, or at a bisection midpoint (0.054375)
+    # starved at a scan point before the crossing, or at a root-step point (0.054375:
+    # K3 - 1 is +-1 on this step function, so the step bisects the scan bracket)
     for starved in ((0.03, 0.031), (0.054, 0.0545)):
         with pytest.raises(PostSelectionStarved):
             noise_mod._first_crossings(_fake_k3(starved), step, t_max)
@@ -738,8 +799,9 @@ def test_every_lifetime_brackets_the_first_crossing(rows, gamma, model):
         scan = scan[scan <= lo[row]]
         values = k3(np.array([row]), np.concatenate([scan, [lo[row], hi[row]]])[None])[0][0]
         assert np.all(values[:-1] >= 1.0) or (lo[row] == 0.0 and np.all(values[:-2] >= 1.0))
-        assert values[-1] < 1.0
-        assert hi[row] - lo[row] <= BISECT_REL_TOL * hi[row]
+        # K3 < 1 at hi, unless the root step closed the bracket on a point with K3 = 1
+        assert values[-1] < 1.0 or (lo[row] == hi[row] and values[-1] == 1.0)
+        assert hi[row] - lo[row] <= 4.0 * EPS * hi[row]
 
 
 @_PROPERTY
@@ -775,6 +837,39 @@ def test_evolve_lindblad_holds_down_to_tiny_gamma():
         for t in (1.0, 3.0):
             assert np.allclose(evolve_lindblad(rho0, cfg, noise, t),
                                _evolve_exact(rho0, cfg, noise, t), rtol=0.0, atol=1e-12)
+
+
+_KAPPAS = (st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+           | st.tuples(st.integers(1, 60), st.sampled_from((-1.0, 1.0))).map(
+               lambda ks: 2.0 * (1.0 + ks[1] * 2.0 ** -ks[0])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(kappa=_KAPPAS, u=st.lists(st.just(0.0) | st.floats(1e-150, 60.0), min_size=1, max_size=8))
+def test_e_zz_matches_the_damped_rotation(kappa, u):
+    # the real-arithmetic E_zz against the 2x2 exponential it replaced, on both sides
+    # of critical damping kappa = 2 and up to kappa = 1e300, without a warning (below
+    # u ~ 1e-154 the reference's squares underflow and it returns NaN; see the limits)
+    u = np.array(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        e_zz = noise_mod._e_zz(np.array(kappa), u)
+        ref = noise_mod._damped_rotation(-0.5 * kappa * u, 0.0, u)[..., 1, 1]
+    assert np.abs(e_zz - ref).max() <= 1e-14, kappa
+
+
+def test_e_zz_limits():
+    # kappa = inf freezes s_z; u -> 0 leaves it at 1 for any kappa; kappa = 0 is the
+    # bare rotation and kappa = 2 critical damping
+    u = np.array([0.0, 5e-324, 1e-300, 1e-160, 0.7, 60.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(noise_mod._e_zz(np.array(np.inf), u), np.ones(6))
+        for kappa in (0.0, 1e-66, 1.0, 2.0, 3.0, 1e300):
+            assert np.array_equal(noise_mod._e_zz(np.array(kappa), u[:4]), np.ones(4)), kappa
+        assert np.allclose(noise_mod._e_zz(np.array(0.0), u), np.cos(u), rtol=0.0, atol=1e-15)
+        assert np.allclose(noise_mod._e_zz(np.array(2.0), u), np.exp(-u) * (1.0 + u),
+                           rtol=0.0, atol=1e-15)
 
 
 _UNIT_AXES = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi)).map(
