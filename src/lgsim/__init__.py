@@ -17,11 +17,11 @@ from .superpose import (NORM_FLOOR, DegenerateSuperposition, SuperpositionConfig
                         UnsupportedGeometry, axis_theta, f_of_t, norm_factor_sq, planar,
                         planar_angle, soe, soe_span, superposed_unitary,
                         unnormalized_superposed)
-from .lgi import (CorrelatorSet, K3Curve, K3MaxSurface, TemporalBoundMap, correlator,
-                  k3_at, k3_curve, k3_max, k3max_surface, ttb_map)
+from .lgi import (CorrelatorSet, K3Curve, correlator, k3_at, k3_curve, k3_max,
+                  k3max_surface, ttb_map)
 from .ancilla import (AncillaCircuit, Coupling, InterferometerSignal, LibraryEntry,
                       NormalizationSignal, PostSelectionStarved, PulseSequence,
-                      Rotation, SequenceCheck, VerificationReport, ancilla_state,
+                      Rotation, VerificationReport, ancilla_state,
                       build_pulse_library, controlled_u_t0, controlled_u_t1,
                       interferometer_signal, normalization_signal, postselect_map,
                       project_ancilla, u_tilde_pm, verify_pulse_sequences)
@@ -40,11 +40,11 @@ __all__ = [
     "UnsupportedGeometry", "axis_theta", "f_of_t", "norm_factor_sq", "planar",
     "planar_angle", "soe", "soe_span", "superposed_unitary",
     "unnormalized_superposed",
-    "CorrelatorSet", "K3Curve", "K3MaxSurface", "TemporalBoundMap", "correlator",
-    "k3_at", "k3_curve", "k3_max", "k3max_surface", "ttb_map",
+    "CorrelatorSet", "K3Curve", "correlator", "k3_at", "k3_curve", "k3_max",
+    "k3max_surface", "ttb_map",
     "AncillaCircuit", "Coupling", "InterferometerSignal", "LibraryEntry",
     "NormalizationSignal", "PostSelectionStarved", "PulseSequence", "Rotation",
-    "SequenceCheck", "VerificationReport", "ancilla_state", "build_pulse_library",
+    "VerificationReport", "ancilla_state", "build_pulse_library",
     "controlled_u_t0", "controlled_u_t1", "interferometer_signal",
     "normalization_signal", "postselect_map", "project_ancilla", "u_tilde_pm",
     "verify_pulse_sequences",

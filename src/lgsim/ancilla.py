@@ -304,52 +304,36 @@ def build_pulse_library(phi, omega_t) -> list[LibraryEntry]:
 
 
 @dataclass(frozen=True)
-class SequenceCheck:
-    """Distance between one pulse sequence and its target at one grid point."""
-
-    name: str
-    phi: float
-    omega_t: float
-    distance: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    """All sequence-vs-target distances over a (phi, omega_t) grid."""
+    """Sequence-vs-target distances: program name -> (len(phi), len(omega_t)) array."""
 
-    rows: tuple
+    distances: dict
     tolerance: float
 
     @property
     def passed(self) -> bool:
-        return all(r.distance < self.tolerance for r in self.rows)
+        return all(np.all(d < self.tolerance) for d in self.distances.values())
 
     def max_distance(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for r in self.rows:
-            out[r.name] = max(out.get(r.name, 0.0), r.distance)
-        return out
+        return {name: float(d.max()) for name, d in self.distances.items() if d.size}
 
     def summary(self) -> str:
         lines = [f"{'sequence':<24} {'max distance':>14} {'tolerance':>11} {'status':>8}"]
-        for name, dist in self.max_distance().items():
+        dists = self.max_distance()
+        for name, dist in dists.items():
             status = "ok" if dist < self.tolerance else "FAIL"
             lines.append(f"{name:<24} {dist:>14.3e} {self.tolerance:>11.0e} {status:>8}")
-        if not self.rows:
+        if not dists:
             lines.append("(empty grid: nothing to verify)")
         return "\n".join(lines)
 
 
 def verify_pulse_sequences(phi_values, omega_t_values) -> VerificationReport:
-    """Check every pulse program against its target over a parameter grid, as one batch.
-
-    Rows run phi-major, then omega_t, then the library's program order.
-    """
+    """Check every pulse program against its target over a parameter grid, as one batch."""
     phi, omega_t = np.meshgrid(np.asarray(phi_values, dtype=float),
                                np.asarray(omega_t_values, dtype=float), indexing="ij")
     library = build_pulse_library(phi, omega_t)
-    dists = [dist_upto_phase(e.sequence.matrix(), e.target) for e in library]
-    table = np.stack(np.broadcast_arrays(phi, omega_t, *dists), axis=-1).reshape(-1, 2 + len(dists))
-    rows = tuple(SequenceCheck(e.name, p, w, d) for p, w, *ds in table.tolist()
-                 for e, d in zip(library, ds))
-    return VerificationReport(rows=rows, tolerance=VERIFY_TOL)
+    return VerificationReport(
+        distances={e.name: np.broadcast_to(dist_upto_phase(e.sequence.matrix(), e.target),
+                                           phi.shape) for e in library},
+        tolerance=VERIFY_TOL)

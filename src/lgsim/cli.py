@@ -154,12 +154,12 @@ def _run_ttb_map(config: RunConfig):
     n = config.grid or 50
     eta = np.linspace(0.0, np.pi, n + 1)
     xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    tm = ttb_map(eta, xi)
+    k3m, arg = ttb_map(eta, xi)
     table = {"eta": np.repeat(eta, len(xi)), "xi": np.tile(xi, len(eta)),
-             "k3max": tm.k3max.ravel(), "argmax_omega_t": tm.argmax_omega_t.ravel()}
-    peak = float(tm.k3max.max())
+             "k3max": k3m.ravel(), "argmax_omega_t": arg.ravel()}
+    peak = float(k3m.max())
     analytic = 1.0 + 0.5 * np.sin(eta) ** 2
-    dev = float(np.abs(tm.k3max - analytic[:, None]).max())
+    dev = float(np.abs(k3m - analytic[:, None]).max())
     if n % 2 == 0:
         top = Check("peak equals the single-rotation bound 1.5", abs(peak - 1.5) < 1e-12,
                     f"max = {peak!r}")
@@ -182,11 +182,11 @@ def _run_k3_surface(config: RunConfig):
     n = config.grid or 50
     alphas = np.linspace(0.0, np.pi / 4, n + 1)
     phis = np.linspace(0.0, np.pi, n, endpoint=False)
-    surf = k3max_surface(alphas, phis)
+    k3m = k3max_surface(alphas, phis)
     table = {"alpha": np.repeat(alphas, len(phis)), "phi": np.tile(phis, len(alphas)),
-             "k3max": surf.k3max.ravel()}
-    zero_row_dev = float(np.abs(surf.k3max[0] - 1.5).max())
-    peak = float(surf.k3max.max())
+             "k3max": k3m.ravel()}
+    zero_row_dev = float(np.abs(k3m[0] - 1.5).max())
+    peak = float(k3m.max())
     checks = [
         Check("no superposition recovers the single-rotation bound",
               zero_row_dev < 1e-12, f"max |k3max - 1.5| on the alpha=0 row = {zero_row_dev:.3e}"),
@@ -194,7 +194,7 @@ def _run_k3_surface(config: RunConfig):
               peak < 3.0, f"max = {peak!r}"),
     ]
     if n % 2 == 0:
-        anchor = float(surf.k3max[-1, n // 2])
+        anchor = float(k3m[-1, n // 2])
         checks.append(Check("equal-weight orthogonal-axes maximum", abs(anchor - 1.846637) < 5e-5,
                             f"k3max(alpha=pi/4, phi=90deg) = {anchor!r}"))
     meta = {"alpha_points": n + 1, "phi_points": n}
@@ -308,9 +308,11 @@ def _run_verify_circuits(config: RunConfig):
     omega_ts = np.linspace(0.0, 2.0 * np.pi, n)
     report = verify_pulse_sequences(phis, omega_ts)
     print(report.summary())
-    names, phi, wt, distance = zip(*((r.name, r.phi, r.omega_t, r.distance) for r in report.rows))
-    table = {"sequence": names, "phi": np.array(phi), "omega_t": np.array(wt),
-             "distance": np.array(distance)}
+    # rows run phi-major, then omega_t, then the library's program order
+    names = list(report.distances)
+    table = {"sequence": names * (n * n), "phi": np.repeat(phis, n * len(names)),
+             "omega_t": np.tile(np.repeat(omega_ts, len(names)), n),
+             "distance": np.stack(list(report.distances.values()), axis=-1).ravel()}
     checks = [Check("all pulse sequences realize their gates", report.passed,
                     f"tolerance = {report.tolerance!r}")]
     meta = {"tolerance": report.tolerance, "phi_points": n, "omega_t_points": n}

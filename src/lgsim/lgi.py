@@ -170,17 +170,7 @@ def k3_max(cfg: SuperpositionConfig, q_axis=Z_AXIS) -> tuple[float, float]:
     return float(value[0]), float(loc[0])
 
 
-@dataclass(frozen=True)
-class TemporalBoundMap:
-    """K3 maxima for a single rotation axis swept over the sphere (alpha = 0)."""
-
-    eta: np.ndarray
-    xi: np.ndarray
-    k3max: np.ndarray           # shape (len(eta), len(xi))
-    argmax_omega_t: np.ndarray  # same shape
-
-
-def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
+def ttb_map(eta_grid, xi_grid) -> tuple[np.ndarray, np.ndarray]:
     """Map of max over omega*t of K3 against the rotation-axis polar angles, at alpha = 0.
 
     The observable stays along z; the single rotation axis points at
@@ -189,6 +179,7 @@ def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
     The map is in units of omega*t, so the rate does not enter. All cells go
     through the batched kernel at once; as in k3_max, an argmax entry is the
     first twin peak u*, in [0, pi] (pi/3 wherever eta is off the poles).
+    Returns (k3max, argmax_omega_t), each of shape (len(eta), len(xi)).
     """
     etas = np.asarray(eta_grid, dtype=float)
     xis = np.asarray(xi_grid, dtype=float)
@@ -200,24 +191,15 @@ def ttb_map(eta_grid, xi_grid) -> TemporalBoundMap:
     axes = axes.reshape(-1, 3)
     k3m, arg = _k3_maxima(_coefficients(np.zeros(len(axes)), axes, axes))
     shape = (len(etas), len(xis))
-    return TemporalBoundMap(eta=etas, xi=xis, k3max=k3m.reshape(shape),
-                            argmax_omega_t=arg.reshape(shape))
+    return k3m.reshape(shape), arg.reshape(shape)
 
 
-@dataclass(frozen=True)
-class K3MaxSurface:
-    """K3 maxima over the (alpha, phi) plane for planar configurations."""
-
-    alpha: np.ndarray
-    phi: np.ndarray
-    k3max: np.ndarray  # shape (len(alpha), len(phi))
-
-
-def k3max_surface(alpha_grid, phi_grid) -> K3MaxSurface:
+def k3max_surface(alpha_grid, phi_grid) -> np.ndarray:
     """max over omega*t of K3 for every (alpha, phi) pair of planar configurations.
 
-    Entry (i, j) is k3_max(planar(alpha_i, phi_j, omega))[0] for any omega;
-    the whole grid goes through the batched kernel at once.
+    Returns the array of shape (len(alpha), len(phi)) whose entry (i, j) is
+    k3_max(planar(alpha_i, phi_j, omega))[0] for any omega; the whole grid goes
+    through the batched kernel at once.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     phis = np.asarray(phi_grid, dtype=float)
@@ -229,14 +211,13 @@ def k3max_surface(alpha_grid, phi_grid) -> K3MaxSurface:
     n_axes = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=-1)
     coef = _coefficients(np.repeat(alphas, len(phis)), np.tile(n_axes, (len(alphas), 1)), X_AXIS)
     k3m, _ = _k3_maxima(coef)
-    return K3MaxSurface(alpha=alphas, phi=phis, k3max=k3m.reshape(len(alphas), len(phis)))
+    return k3m.reshape(len(alphas), len(phis))
 
 
 @dataclass(frozen=True)
 class K3Curve:
-    """Sampled correlators and K3 against omega*t for one configuration."""
+    """Correlators and K3 for one configuration, sampled on the caller's omega*t grid."""
 
-    omega_t: np.ndarray
     c12: np.ndarray
     c13: np.ndarray
     k3: np.ndarray
@@ -249,4 +230,4 @@ def k3_curve(cfg: SuperpositionConfig, omega_t, q_axis=Z_AXIS) -> K3Curve:
     coef = _config_coefficients(cfg, q_axis)
     c12 = _correlator_terms(coef, cos_h, sin_h)
     c13 = _correlator_terms(coef, cos_f, sin_f)
-    return K3Curve(omega_t=us, c12=c12, c13=c13, k3=2.0 * c12 - c13)
+    return K3Curve(c12=c12, c13=c13, k3=2.0 * c12 - c13)

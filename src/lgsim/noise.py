@@ -350,7 +350,8 @@ class _LindbladK3:
         """(C, post-selection probability), each of t's shape (rows x m)."""
         kappa, u = self._kappa[rows, None], self._omega[rows, None] * t
         e_zz = _e_zz(kappa, u)
-        coherent = self._s[rows, None] * np.exp(-kappa * u)
+        ku = np.multiply(kappa, u, out=np.zeros_like(u), where=u != 0.0)  # 0 at u = 0, kappa = inf
+        coherent = self._s[rows, None] * np.exp(-ku)
         c2, d2 = self._c2[rows, None], self._d2[rows, None]
         norm = 1.0 + coherent * (c2 + d2 * e_zz)
         with np.errstate(divide="ignore", invalid="ignore"):  # starved points raise in the caller

@@ -208,7 +208,7 @@ def test_pulse_sequences_hit_their_targets():
     assert set(dists) == {"controlled_sz", "controlled_evolution_0",
                           "controlled_evolution_1"}
     assert max(dists.values()) < 1e-12
-    assert len(report.rows) == 7 * 9 * 3
+    assert [d.shape for d in report.distances.values()] == [(7, 9)] * 3
 
 
 def test_pulse_sequence_matrices_are_unitary():
@@ -262,9 +262,9 @@ def test_batched_pulse_programs_match_per_point_oracle(phis, omega_ts):
             assert np.abs(targets[k][i, j] - expected_targets[k]).max() < 1e-14
 
     report = verify_pulse_sequences(phis, omega_ts)
-    nested = [(e.name, p, w) for p in phis for w in omega_ts for e in library]
-    assert [(r.name, r.phi, r.omega_t) for r in report.rows] == nested
-    assert all(np.isfinite(r.distance) for r in report.rows)
+    assert list(report.distances) == [e.name for e in library]
+    assert all(d.shape == phi.shape and np.all(np.isfinite(d))
+               for d in report.distances.values())
 
 
 def test_pulse_targets_match_evolution_gates():
@@ -285,10 +285,13 @@ def test_verification_report_shape():
     assert report.passed is True
     assert set(report.max_distance()) == {"controlled_sz", "controlled_evolution_0",
                                           "controlled_evolution_1"}
-    assert len(report.rows) == 3
+    assert list(report.distances) == ["controlled_sz", "controlled_evolution_0",
+                                      "controlled_evolution_1"]
+    assert [d.shape for d in report.distances.values()] == [(1, 1)] * 3
     assert "controlled_sz" in report.summary()
 
     empty = verify_pulse_sequences([], [])
-    assert empty.rows == ()
+    assert [d.shape for d in empty.distances.values()] == [(0, 0)] * 3
+    assert empty.max_distance() == {}
     assert empty.passed  # vacuous
     assert "nothing to verify" in empty.summary()

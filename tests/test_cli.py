@@ -16,8 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 import lgsim.cli as cli
 import lgsim.lgi as lgi
 import lgsim.noise as noise
+from lgsim.ancilla import build_pulse_library
 from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
                        main, run)
+from test_ancilla import _per_point_matrix, _per_point_targets
 
 
 def test_run_config_validation():
@@ -415,6 +417,22 @@ def test_verify_circuits_distances_are_never_negative(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 3 * 21 * 21
     assert min(row[3] for row in rows) >= 0.0
+
+
+def test_verify_circuits_table_nests_and_matches_the_per_point_oracle():
+    n = 5
+    table, _, _ = cli._run_verify_circuits(RunConfig(experiment="verify-circuits", grid=n))
+    phis = np.linspace(0.0, np.pi, n + 2)[1:-1]
+    omega_ts = np.linspace(0.0, 2.0 * np.pi, n)
+    names = [e.name for e in build_pulse_library(1.0, 1.0)]
+    nested = [(name, p, w) for p in phis for w in omega_ts for name in names]
+    assert list(zip(table["sequence"], table["phi"], table["omega_t"])) == nested
+    assert len(table["distance"]) == len(nested)
+    for (name, p, w), d in zip(nested, table["distance"]):
+        k = names.index(name)
+        m = _per_point_matrix(build_pulse_library(p, w)[k].sequence)
+        expected = max(1.0 - abs(np.trace(m.conj().T @ _per_point_targets(p, w)[k])) / 4, 0.0)
+        assert abs(d - expected) < 1e-14
 
 
 def test_selftest_passes(tmp_path, capsys):

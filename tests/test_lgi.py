@@ -141,28 +141,29 @@ def test_ttb_map_analytic_profile():
     # single rotation: max K3 = 1 + sin(eta)^2 / 2, independent of xi
     etas = np.linspace(0.0, np.pi, 7)
     xis = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
-    out = ttb_map(etas, xis)
-    assert out.k3max.shape == (7, 5)
+    k3m, arg = ttb_map(etas, xis)
+    assert k3m.shape == (7, 5)
+    assert arg.shape == (7, 5)
     expected = 1.0 + 0.5 * np.sin(etas) ** 2
-    assert np.allclose(out.k3max, expected[:, None], rtol=0, atol=1e-12)
-    assert out.k3max.max() <= 1.5 + 1e-12
+    assert np.allclose(k3m, expected[:, None], rtol=0, atol=1e-12)
+    assert k3m.max() <= 1.5 + 1e-12
     # away from the poles the maximum sits a third of the way into the
     # cycle, at the first twin peak and never at its mirror 5 pi/3
-    args = out.argmax_omega_t[1:-1]
+    args = arg[1:-1]
     assert np.allclose(args, np.pi / 3, rtol=0, atol=1e-12)
 
 
 def test_k3max_surface_growth_with_mixing():
     alphas = np.linspace(0.0, np.pi / 4, 5)
     phis = np.deg2rad([90.0, 135.0, 165.0])
-    surf = k3max_surface(alphas, phis)
-    assert surf.k3max.shape == (5, 3)
-    assert np.allclose(surf.k3max[0], 1.5, atol=1e-9)
-    assert np.all(np.diff(surf.k3max, axis=0) > -1e-9)
-    assert np.all(surf.k3max[-1] > 1.5)
-    assert np.all(surf.k3max < 3.0)
+    k3m = k3max_surface(alphas, phis)
+    assert k3m.shape == (5, 3)
+    assert np.allclose(k3m[0], 1.5, atol=1e-9)
+    assert np.all(np.diff(k3m, axis=0) > -1e-9)
+    assert np.all(k3m[-1] > 1.5)
+    assert np.all(k3m < 3.0)
     # spot agreement with the pointwise maximizer
-    assert np.isclose(surf.k3max[-1][0], k3_max(planar(np.pi / 4, np.pi / 2))[0],
+    assert np.isclose(k3m[-1][0], k3_max(planar(np.pi / 4, np.pi / 2))[0],
                       atol=1e-12)
 
 
@@ -287,18 +288,18 @@ def test_batched_maxima_equal_single_config_calls_bitwise():
     # irregular grids: the neighbours in a batch may not change an entry
     etas = np.array([0.0, 0.13, 0.7, 1.1, np.pi / 2, 2.2, 3.0])
     xis = np.array([0.0, 0.4, 1.9, 2.05, 4.4, 6.1])
-    tm = ttb_map(etas, xis)
+    k3m, arg = ttb_map(etas, xis)
     for i, eta in enumerate(etas):
         for j, xi in enumerate(xis):
             axis = np.array([np.sin(eta) * np.cos(xi), np.sin(eta) * np.sin(xi), np.cos(eta)])
             cfg = SuperpositionConfig(alpha=0.0, n_axis=axis, m_axis=axis)
-            assert (tm.k3max[i, j], tm.argmax_omega_t[i, j]) == k3_max(cfg)
+            assert (k3m[i, j], arg[i, j]) == k3_max(cfg)
     alphas = np.array([0.0, 0.05, 0.3, 0.61, 0.785, np.pi / 2])
     phis = np.array([0.0, 0.2, 1.0, np.pi / 2, 2.3, 2.9, 3.1])
-    surf = k3max_surface(alphas, phis)
+    surface = k3max_surface(alphas, phis)
     for i, alpha in enumerate(alphas):
         for j, phi in enumerate(phis):
-            assert surf.k3max[i, j] == k3_max(planar(alpha, phi))[0]
+            assert surface[i, j] == k3_max(planar(alpha, phi))[0]
 
 
 def test_golden_section_steps_do_not_depend_on_the_batch():

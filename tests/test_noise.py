@@ -872,6 +872,15 @@ def test_e_zz_limits():
                            rtol=0.0, atol=1e-15)
 
 
+def test_lindblad_correlator_at_kappa_inf_and_t_zero_is_the_t_zero_limit():
+    # gamma / omega overflows to kappa = inf; at t = 0 kappa u is 0, not inf * 0
+    cfg = planar(0.3, 1.0, omega=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert noisy_correlator(cfg, NoiseConfig(1e300), 0.0, 0.0) == 1.0
+        assert noisy_correlator(cfg, NoiseConfig(1e300), 0.0, 1.0) == 1.0  # frozen
+
+
 _UNIT_AXES = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi)).map(
     lambda zp: np.array([math.sqrt(1.0 - zp[0] ** 2) * math.cos(zp[1]),
                          math.sqrt(1.0 - zp[0] ** 2) * math.sin(zp[1]), zp[0]]))
