@@ -32,8 +32,8 @@ from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
 from .linalg import SIGMA_Z, dagger, dist_upto_phase, rot
 from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
     k3_bloch, noisy_correlator
-from .superpose import DegenerateSuperposition, SuperpositionConfig, UnsupportedGeometry, \
-    f_of_t, norm_factor_sq, planar, soe, soe_span, superposed_unitary, unnormalized_superposed
+from .superpose import SuperpositionConfig, f_of_t, norm_factor_sq, planar, soe, soe_span, \
+    superposed_unitary, unnormalized_superposed
 
 EXPERIMENTS = ("ttb-map", "k3-surface", "k3-curves", "lifetime-bloch",
                "lifetime-lindblad", "soe-profiles", "verify-circuits", "selftest")
@@ -475,7 +475,7 @@ def run(config: RunConfig) -> int:
     """Execute one experiment; return the process exit code."""
     try:
         table, meta, checks = _RUNNERS[config.experiment](config)
-    except (DegenerateSuperposition, UnsupportedGeometry, ValueError) as exc:
+    except ValueError as exc:  # DegenerateSuperposition and UnsupportedGeometry included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fmt = config.format or _DEFAULT_FORMATS.get(config.experiment, "csv")

@@ -1,15 +1,15 @@
 """Dephasing robustness of the superposed rotation.
 
-Two models of the same physics live here. The phenomenological route evolves
-the system's Bloch vector s alone under the instantaneous rotation of the
-superposition (rate g = soe(cfg, t) about the planar axis at axis_theta(cfg)),
-with its transverse components damped at rate gamma:
+Two models of the same physics live here, both in u = omega t and kappa = gamma /
+omega. The phenomenological route evolves the system's Bloch vector s alone under
+the instantaneous rotation of the superposition (rate g = df/du about the planar
+axis at axis_theta(cfg)), with its transverse components damped at rate kappa:
 
-    ds/dt = g(t) axis x s - gamma (sx, sy, 0)
+    ds/du = g(u) axis x s - kappa (sx, sy, 0)
 
-The equation is linear with a generator of period T = 2 pi / omega, so it is
-solved in Floquet form from one period of its fundamental matrix, built from
-4th-order Magnus steps (see _BlochK3); no adaptive solver is involved.
+The equation is linear with a generator of period 2 pi, so it is solved in
+Floquet form from one period of its fundamental matrix, built from 4th-order
+Magnus steps (see _BlochK3); no adaptive solver is involved.
 
 The microscopic route evolves the joint ancilla (x) system state under the
 block-diagonal two-branch Hamiltonian with sigma_z dephasing on both qubits,
@@ -20,13 +20,16 @@ through one scaling-and-squaring exponential of the Liouvillian, not an
 eigendecomposition. Both reduce to the unitary picture at gamma = 0, which the
 tests pin.
 
-K3 keeps the stationary grid (0, t, 2t): 2 sz(t) - sz(2t) for the Bloch route,
-2 C(t) - C(2t) for the Lindblad one. The lifetime is the first time K3 drops
-through 1. Both models evaluate K3 on a (rows x t) block of configs and times,
-and one engine (_first_crossings) finds the lifetimes of a batch together: a
-chunked forward scan, then Chandrupatla's bracketed root step (_root_step) to a
-bracket a few ulps wide, both vectorised over rows, in which every row takes
-exactly the steps it would take alone.
+K3 keeps the stationary grid (0, u, 2u): 2 sz(u) - sz(2u) for the Bloch route,
+2 C(u) - C(2u) for the Lindblad one, on a (rows x u) block. The lifetime is the
+first u where K3 drops through 1, found for a whole batch by one engine
+(_first_crossings: a chunked scan, then Chandrupatla's root step to a bracket a
+few ulps wide) in which every row takes exactly the steps it would take alone.
+
+Besides alpha and phi, kappa is the one parameter of the lifetime problem, so omega
+stays out of the K3 models and the engine: the one-config functions convert on entry
+(_row_model), gain_curve divides omega tau by omega once, and only the joint-state
+route (hamiltonian_as, liouvillian, evolve_lindblad) works in physical units.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ import numpy as np
 
 from .ancilla import POSTSELECT_FLOOR, PROJ0, PROJ1, PostSelectionStarved
 from .linalg import ID2, SIGMA_Z, Z_AXIS, is_density_matrix, kron, pauli
-from .superpose import (SuperpositionConfig, _half_angle_coeffs, axis_theta, planar,
-                        planar_angle)
+from .superpose import SuperpositionConfig, axis_theta, planar, planar_angle
 
 MAGNUS_TOL = 1e-10
 MAGNUS_MAX_STEPS = 2 ** 15
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_PERIOD = 2.0 * np.pi  # of the Bloch generator in u = omega t
 SCAN_OMEGA_STEP = 1e-2
-LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at this / min(gamma, omega)
+LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at u = this / min(kappa, 1)
 _EPS = np.finfo(float).eps
 # smallest peak K3 - 1 whose tau rounding does not set: K3 carries ~100 eps of rounding, which
 # moves tau by about that / peak relative, so 1e-6 at most from this peak on
@@ -69,22 +72,33 @@ class NoiseConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
+def _kappa(noise: NoiseConfig, omega: float):
+    """kappa = gamma / omega, inf past the float range (s_z frozen, which both models take)."""
+    with np.errstate(over="ignore"):
+        return np.float64(noise.gamma) / omega
+
+
+def _row_model(model, cfg: SuperpositionConfig, noise: NoiseConfig):
+    """The one-row K3 model (_BlochK3 or _LindbladK3) of a planar cfg; it takes u = omega t."""
+    return model(np.array([cfg.alpha]), planar_angle(cfg), _kappa(noise, cfg.omega))
+
+
 # --- Bloch route ------------------------------------------------------------
 
-def _magnus_steps(a, b, omega, gamma, t0, t1) -> np.ndarray:
-    """exp(Omega), shape t0.shape + (2, 2), of the steps [t0, t1] within one period.
+def _magnus_steps(a, b, kappa, u0, u1) -> np.ndarray:
+    """exp(Omega), shape u0.shape + (2, 2), of the steps [u0, u1] within one period.
 
-    a, b and omega broadcast against t0 and t1. Omega = [[-gamma h, c - df], [c + df, 0]]
-    with df the exact rotation angle and c = (sqrt 3 / 12) h^2 gamma (g1 - g2) the
-    commutator term (g1, g2 the rates at the Gauss points).
+    a and b broadcast against u0 and u1. Omega = [[-kappa h, c - df], [c + df, 0]] with
+    df the exact rotation angle and c = (sqrt 3 / 12) h^2 kappa (g1 - g2) the commutator
+    term (g1, g2 the rates df/du at the Gauss points).
     """
-    h = t1 - t0
-    x = (0.5 * omega) * np.stack([t0, t1, t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h])
+    h = u1 - u0
+    x = 0.5 * np.stack([u0, u1, u0 + _GAUSS[0] * h, u0 + _GAUSS[1] * h])
     ca, sb = a * np.cos(x), b * np.sin(x)
     df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
-    g = omega * a * b / (ca[2:] ** 2 + sb[2:] ** 2)
-    c = (np.sqrt(3.0) / 12.0) * h * h * gamma * (g[0] - g[1])
-    return _damped_rotation(-0.5 * gamma * h, c, df)
+    g = a * b / (ca[2:] ** 2 + sb[2:] ** 2)
+    c = (np.sqrt(3.0) / 12.0) * h * h * kappa * (g[0] - g[1])
+    return _damped_rotation(-0.5 * kappa * h, c, df)
 
 
 def _damped_rotation(mu, c, df) -> np.ndarray:
@@ -93,11 +107,11 @@ def _damped_rotation(mu, c, df) -> np.ndarray:
     The exponent is mu I + N, N^2 = r^2 I, so this is e^(mu + r) [(1 + e^-2r) / 2 I + (1 -
     e^-2r) / 2r N], exact at r = 0; mu + r = (c^2 - df^2) / (r - mu) has no cancellation
     and is capped at 0 (these flows never lengthen a vector). The squares are of mu, c and
-    df scaled by the power of two s >= 1 that brings them below 1 (exact short of
-    underflow), so none overflows however large mu is.
+    df scaled by the power of two s that brings the largest into [1/2, 1) (exact short of
+    subnormals), so none overflows however large mu is, nor underflows however small.
     """
     largest = np.maximum(np.maximum(abs(mu), abs(c)), abs(df))
-    s = np.ldexp(1.0, np.maximum(np.frexp(largest)[1], 0))
+    s = np.ldexp(1.0, np.frexp(largest)[1])
     mu_s, c_s, df_s = mu / s, c / s, df / s
     r_s = np.sqrt(mu_s * mu_s + c_s * c_s - df_s * df_s + 0j)
     r = s * r_s
@@ -119,69 +133,63 @@ def _powers(m: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 class _BlochK3:
-    """Floquet form of the Bloch flows of a batch of configs under one noise.
+    """Floquet form of the Bloch flows of rows alphas at branch angle phi under one kappa.
 
-    In the frame (a, b = z x a, z) of the axis a, s_a decays as exp(-gamma t) and
-    (s_b, s_z) obeys [[-gamma, -g], [g, 0]]. For each row its fundamental matrix Phi
-    is tabulated over one period T on Magnus-4 steps (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)) uniform in f, so short where the rate spikes; then
-    (s_b, s_z)(t) = E(u - t_j) Phi_j M^k (s_b, s_z)(0), M = Phi(T), t = kT + u with
-    u in step j (Floquet, Ann. Sci. ENS 12, 47 (1883)). A row's step count doubles
-    from 64 until its Phi moves by at most MAGNUS_TOL at the shared nodes (the error
-    falls as steps^-4) or reaches MAGNUS_MAX_STEPS; at gamma = 0 or A = B one step
-    is exact. Called with row indices and a (rows x t) block of times, it returns
-    K3 there and no post-selection probability (the Bloch route has none).
+    phi is one angle or one per row. In the frame (a, b = z x a, z) of the axis a, s_a
+    decays as exp(-kappa u) and (s_b, s_z) obeys [[-kappa, -g], [g, 0]], g = df/du. For
+    each row its fundamental matrix Phi is tabulated over one period 2 pi on Magnus-4
+    steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) uniform in f, so short
+    where the rate spikes; then (s_b, s_z)(u) = E(p - u_j) Phi_j M^k (s_b, s_z)(0), M =
+    Phi(2 pi), u = 2 pi k + p with p in step j (Floquet, Ann. Sci. ENS 12, 47 (1883)). A
+    row's step count doubles from 64 until its Phi moves by at most MAGNUS_TOL at the
+    shared nodes (the error falls as steps^-4) or reaches MAGNUS_MAX_STEPS; at kappa = 0
+    or A = B one step is exact. Called with row indices and a (rows x m) block of u, it
+    returns K3 there and no post-selection probability (the Bloch route has none).
     """
 
-    def __init__(self, cfgs, noise: NoiseConfig):
-        self._gamma = noise.gamma
-        ab = np.array([_half_angle_coeffs(cfg)[:2] for cfg in cfgs])
-        self._a, self._b = ab[:, 0], ab[:, 1]
-        self._omega = np.array([cfg.omega for cfg in cfgs], dtype=float)
-        self._period = 2.0 * np.pi / self._omega
-        self._tables = [self._converged_table(r) for r in range(len(cfgs))]
-        self._monodromy = np.array([phi[-1] for _, phi in self._tables])
+    def __init__(self, alphas, phi, kappa):
+        alphas, phi = np.broadcast_arrays(np.asarray(alphas, dtype=float), phi)
+        self._kappa, self._a = kappa, np.cos(alphas) + np.sin(alphas)
+        self._b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * alphas))
+        self._tables = [self._converged_table(r) for r in range(len(alphas))]
+        self._monodromy = np.array([table[-1] for _, table in self._tables])
 
     def _converged_table(self, row: int):
-        a, b = self._a[row], self._b[row]
-        n = 1 if self._gamma == 0.0 or a == b else 64
-        t, phi = self._table(row, n)
+        n = 1 if self._kappa == 0.0 or self._a[row] == self._b[row] else 64
+        u, phi = self._table(row, n)
         while 1 < n < MAGNUS_MAX_STEPS:
             n, coarse = 2 * n, phi
-            t, phi = self._table(row, n)
+            u, phi = self._table(row, n)
             if np.abs(phi[::2] - coarse).max() <= MAGNUS_TOL:
                 break
-        return t, phi
+        return u, phi
 
     def _table(self, row: int, n: int):
-        a, b, omega = self._a[row], self._b[row], self._omega[row]
+        a, b = self._a[row], self._b[row]
         psi = np.linspace(0.0, np.pi, n + 1)  # f / 2
-        t = (2.0 / omega) * np.arctan2(a * np.sin(psi), b * np.cos(psi))
-        phi = np.concatenate([np.eye(2)[None], _magnus_steps(a, b, omega, self._gamma,
-                                                             t[:-1], t[1:])])
+        u = 2.0 * np.arctan2(a * np.sin(psi), b * np.cos(psi))
+        phi = np.concatenate([np.eye(2)[None], _magnus_steps(a, b, self._kappa, u[:-1], u[1:])])
         for span in (1 << k for k in range(n.bit_length())):  # prefix products, log2(n) passes
             phi[span:] = phi[span:] @ phi[:-span]
-        return t, phi
+        return u, phi
 
-    def flow(self, rows: np.ndarray, t: np.ndarray, sbz: np.ndarray) -> np.ndarray:
-        """(s_b, s_z) of each row at its times t (rows x m) from sbz (rows x 2) at t = 0."""
-        period = self._period[rows, None]
-        k = np.floor(t / period)
-        u = np.clip(t - k * period, 0.0, period)
-        t_j, phi_j = np.empty(u.shape), np.empty(u.shape + (2, 2))
+    def flow(self, rows: np.ndarray, u: np.ndarray, sbz: np.ndarray) -> np.ndarray:
+        """(s_b, s_z) of each row at its u (rows x m) from sbz (rows x 2) at u = 0."""
+        k = np.floor(u / _PERIOD)
+        p = np.clip(u - k * _PERIOD, 0.0, _PERIOD)
+        u_j, phi_j = np.empty(p.shape), np.empty(p.shape + (2, 2))
         for i, row in enumerate(rows):
             nodes, phi = self._tables[row]
-            j = np.clip(np.searchsorted(nodes, u[i], side="right") - 1, 0, len(nodes) - 2)
-            t_j[i], phi_j[i] = nodes[j], phi[j]
+            j = np.clip(np.searchsorted(nodes, p[i], side="right") - 1, 0, len(nodes) - 2)
+            u_j[i], phi_j[i] = nodes[j], phi[j]
         v = _powers(self._monodromy[rows], k) @ sbz[:, None, :, None]
-        steps = _magnus_steps(self._a[rows, None], self._b[rows, None], self._omega[rows, None],
-                              self._gamma, t_j, u)
+        steps = _magnus_steps(self._a[rows, None], self._b[rows, None], self._kappa, u_j, p)
         return (steps @ phi_j @ v)[..., 0]
 
-    def __call__(self, rows: np.ndarray, t: np.ndarray):
+    def __call__(self, rows: np.ndarray, u: np.ndarray):
         pole = np.broadcast_to([0.0, 1.0], (len(rows), 2))  # Z_AXIS in every row's frame
-        s_z = self.flow(rows, np.concatenate([t, 2.0 * t], axis=1), pole)[..., 1]
-        return 2.0 * s_z[:, :t.shape[1]] - s_z[:, t.shape[1]:], None
+        s_z = self.flow(rows, np.concatenate([u, 2.0 * u], axis=1), pole)[..., 1]
+        return 2.0 * s_z[:, :u.shape[1]] - s_z[:, u.shape[1]:], None
 
 
 def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, s0=None):
@@ -194,7 +202,7 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     s0 = Z_AXIS if s0 is None else np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError("initial Bloch vector must have shape (3,)")
-    flow = _BlochK3([cfg], noise)
+    flow = _row_model(_BlochK3, cfg, noise)
     cos_t, sin_t = np.cos(axis_theta(cfg)), np.sin(axis_theta(cfg))
     frame = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
     s_a, s_b, s_z = frame @ s0
@@ -202,9 +210,9 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     def trajectory(t: float) -> np.ndarray:
         if t < -1e-12 or t > t_end + 1e-9:
             raise ValueError(f"t = {t!r} outside the integrated range [0, {t_end!r}]")
-        t = np.array([[min(max(t, 0.0), t_end)]])
-        bz = flow.flow(np.array([0]), t, np.array([[s_b, s_z]]))[0]
-        return (np.column_stack([np.exp(-noise.gamma * t[0]) * s_a, bz]) @ frame)[0]
+        u = np.array([[cfg.omega * min(max(t, 0.0), t_end)]])
+        bz = flow.flow(np.array([0]), u, np.array([[s_b, s_z]]))[0]
+        return (np.column_stack([np.exp(-flow._kappa * u[0]) * s_a, bz]) @ frame)[0]
 
     return trajectory
 
@@ -215,7 +223,8 @@ def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t: float) -> float:
         raise ValueError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return 1.0
-    return float(_BlochK3([cfg], noise)(np.array([0]), np.array([[t]]))[0][0, 0])
+    u = np.array([[cfg.omega * t]])
+    return float(_row_model(_BlochK3, cfg, noise)(np.array([0]), u)[0][0, 0])
 
 
 # --- Lindblad route ---------------------------------------------------------
@@ -284,9 +293,9 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
     """
     if tj < ti:
         raise ValueError("tj must be >= ti")
-    t = np.array([[tj - ti]])
-    c, prob = _LindbladK3([cfg], noise).correlator(np.array([0]), t)
-    _check_postselection(prob, t)
+    u = cfg.omega * np.array([[tj - ti]])
+    c, prob = _row_model(_LindbladK3, cfg, noise).correlator(np.array([0]), u)
+    _check_postselection(prob, u)
     return float(c[0, 0])
 
 
@@ -297,8 +306,7 @@ def _e_zz(kappa, u) -> np.ndarray:
     in real arithmetic on each side of critical damping. Below s = 1, r = i w with w^2 =
     (1 - s)(1 + s) (no cancellation as s -> 1), and E_zz = e^(-s u) [cos(w u) + s sin(w u) / w].
     The phase w u is kept as p - e: below s = 1/2 as u - u d, d = 1 - w = s^2 / (1 + w), so
-    that the rounding of w u (~1e-14 at u = 60) does not enter the cosine where nothing damps
-    it.
+    that the rounding of w u (~1e-14 at u = 60) stays out of the undamped cosine.
     From s = 1 on, with the slow rate a = s - r = 1 / (s + r) and q = -expm1(-2 r u) / (2 r)
     (q = u at r = 0), E_zz = e^(-a u) (1 + a q): every term is positive, so nothing cancels as
     r -> 0, and at kappa = inf (a = 0) it is the frozen value 1. Past r = 2^26, a q < 2^-54
@@ -325,32 +333,28 @@ def _e_zz(kappa, u) -> np.ndarray:
 
 
 class _LindbladK3:
-    """K3 of the post-selected joint model for a batch of planar configs under one noise.
+    """K3 of the post-selected joint model for rows alphas at branch angle phi, one kappa.
 
-    sigma_z on the ancilla commutes with H and both dephasers, so the ancilla blocks of
-    the joint state evolve apart. With u = omega t and kappa = gamma / omega, each
-    population block rotates the system Bloch vector about its branch's axis under
+    phi is one angle or one per row, as for _BlochK3. sigma_z on the ancilla commutes
+    with H and both dephasers, so the ancilla blocks of the joint state evolve apart.
+    Each population block rotates the system Bloch vector about its branch's axis under
     dephasing: s_z = q E_zz from |q>, E = exp(u [[-kappa, -1], [1, 0]]). The coherence
     blocks decay by a further e^(-kappa u); with s = sin 2 alpha, c^2 = cos^2(phi / 2) and
     d^2 = sin^2(phi / 2), post-selection on |+> gives both branches the probability p =
     [1 + s e^(-kappa u) (c^2 + d^2 E_zz)] / 2 and C = [E_zz + s e^(-kappa u) (c^2 E_zz +
     d^2)] / (2 p); E_zz (_e_zz) is exact at kappa = 2, kappa -> 0 and kappa = inf. On row
-    indices and a (rows x t) block of times it gives K3 and the smaller p at t or 2t.
+    indices and a (rows x m) block of u it gives K3 and the smaller p at u or 2u.
     """
 
-    def __init__(self, cfgs, noise: NoiseConfig):
-        phi = np.array([planar_angle(cfg) for cfg in cfgs])
-        self._omega = np.array([cfg.omega for cfg in cfgs], dtype=float)
-        with np.errstate(over="ignore"):  # past the float range kappa = inf, which _e_zz takes
-            self._kappa = noise.gamma / self._omega
-        self._s = np.sin(2.0 * np.array([cfg.alpha for cfg in cfgs], dtype=float))
+    def __init__(self, alphas, phi, kappa):
+        alphas, phi = np.broadcast_arrays(np.asarray(alphas, dtype=float), phi)
+        self._kappa, self._s = kappa, np.sin(2.0 * alphas)
         self._c2, self._d2 = np.cos(0.5 * phi) ** 2, np.sin(0.5 * phi) ** 2
 
-    def correlator(self, rows: np.ndarray, t: np.ndarray):
-        """(C, post-selection probability), each of t's shape (rows x m)."""
-        kappa, u = self._kappa[rows, None], self._omega[rows, None] * t
-        e_zz = _e_zz(kappa, u)
-        ku = np.multiply(kappa, u, out=np.zeros_like(u), where=u != 0.0)  # 0 at u = 0, kappa = inf
+    def correlator(self, rows: np.ndarray, u: np.ndarray):
+        """(C, post-selection probability), each of u's shape (rows x m)."""
+        e_zz = _e_zz(self._kappa, u)
+        ku = np.multiply(self._kappa, u, out=np.zeros_like(u), where=u != 0.0)  # 0 at u = 0 always
         coherent = self._s[rows, None] * np.exp(-ku)
         c2, d2 = self._c2[rows, None], self._d2[rows, None]
         norm = 1.0 + coherent * (c2 + d2 * e_zz)
@@ -358,9 +362,9 @@ class _LindbladK3:
             c = (e_zz + coherent * (c2 * e_zz + d2)) / norm
         return c, 0.5 * norm
 
-    def __call__(self, rows: np.ndarray, t: np.ndarray):
-        c, prob = self.correlator(rows, np.concatenate([t, 2.0 * t], axis=1))
-        m = t.shape[1]
+    def __call__(self, rows: np.ndarray, u: np.ndarray):
+        c, prob = self.correlator(rows, np.concatenate([u, 2.0 * u], axis=1))
+        m = u.shape[1]
         return 2.0 * c[:, :m] - c[:, m:], np.minimum(prob[:, :m], prob[:, m:])
 
 
@@ -369,7 +373,7 @@ _K3_MODELS = {"bloch": _BlochK3, "lindblad": _LindbladK3}
 
 # --- lifetime of the K3 > 1 violation ---------------------------------------
 
-def _check_postselection(prob, t: np.ndarray, visited=True) -> None:
+def _check_postselection(prob, u: np.ndarray, visited=True) -> None:
     """Raise PostSelectionStarved where a visited point's probability is below the floor."""
     if prob is None:
         return
@@ -377,44 +381,40 @@ def _check_postselection(prob, t: np.ndarray, visited=True) -> None:
     if starved.any():
         i, j = np.argwhere(starved)[0]
         raise PostSelectionStarved(f"branch probability {prob[i, j]!r} below floor "
-                                   f"at t = {t[i, j]!r}")
+                                   f"at omega t = {u[i, j]!r}")
 
 
-def _first_crossings(k3, step: np.ndarray, t_max: np.ndarray):
+def _first_crossings(k3, horizon: np.ndarray):
     """Brackets (lo, hi) of the first downward crossing of K3 = 1, and peak K3 - 1 before it.
 
-    k3(rows, t) gives (K3, probability or None) on a (len(rows) x m) block of
-    times. The scan points are k * step, k = 1, 2, ..., up to t_max (per-row
-    arrays); a row leaves the scan at its first point with K3 < 1, and rows that
-    reach t_max first get NaN brackets. The peak is taken over the scan points
-    before the crossing, or up to t_max without one (-inf on none). The chunk of
-    points per row starts at _SCAN_FIRST_CHUNK and doubles, shrinking to keep at most
-    _SCAN_CHUNK_CAP points over all active rows but never below _SCAN_FIRST_CHUNK.
-    _root_step then narrows each scan bracket, from the K3 the scan found at its ends.
-    The per-row active masks give every row exactly the steps it would take alone, so
-    a row's result does not depend on its batch. The post-selection floor is checked
-    at the points a one-row scan and root step evaluate, never past a row's crossing.
+    k3(rows, u) gives (K3, probability or None) on a (len(rows) x m) block of u. The scan
+    points are k * SCAN_OMEGA_STEP, k = 1, 2, ..., up to each row's horizon, in chunks
+    that double from _SCAN_FIRST_CHUNK points per row within _SCAN_CHUNK_CAP; a row leaves
+    the scan at its first point with K3 < 1, and rows that reach the horizon first get
+    NaN brackets. The peak is over the scan points before the crossing, or up to the
+    horizon without one (-inf on none). _root_step then narrows each scan bracket from
+    the K3 the scan found at its ends. Per-row active masks keep each row's steps, and
+    so its result, those it would take alone; the post-selection floor is checked only
+    at the points those steps evaluate, never past a row's crossing.
     """
-    n = len(step)
-    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+    n = len(horizon)
+    lo, hi, peak = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -np.inf)
     f_lo, f_hi = np.zeros(n), np.zeros(n)  # K3 - 1 at the bracket ends (f_lo: last scan point)
-    peak = np.full(n, -np.inf)
     k0, chunk = 1, _SCAN_FIRST_CHUNK
-    active = np.flatnonzero(step <= t_max)
+    active = np.flatnonzero(SCAN_OMEGA_STEP <= horizon)
     while active.size:
         chunk = min(chunk, max(_SCAN_FIRST_CHUNK, _SCAN_CHUNK_CAP // active.size))
-        k = np.arange(k0, k0 + chunk)
-        t = k * step[active, None]
-        inside = t <= t_max[active, None]
-        v, prob = k3(active, t)
+        u = np.broadcast_to(np.arange(k0, k0 + chunk) * SCAN_OMEGA_STEP, (active.size, chunk))
+        inside = u <= horizon[active, None]
+        v, prob = k3(active, u)
         hit = (v < 1.0) & inside
         first = np.where(hit.any(axis=1), hit.argmax(axis=1), chunk)
-        _check_postselection(prob, t, inside & (np.arange(chunk) <= first[:, None]))
+        _check_postselection(prob, u, inside & (np.arange(chunk) <= first[:, None]))
         before = inside & (np.arange(chunk) < first[:, None])
         peak[active] = np.maximum(peak[active], np.max(v, axis=1, where=before, initial=-np.inf))
         found = first < chunk
         done, j = active[found], first[found]
-        lo[done], hi[done] = (k0 + j - 1) * step[done], (k0 + j) * step[done]
+        lo[done], hi[done] = (k0 + j - 1) * SCAN_OMEGA_STEP, (k0 + j) * SCAN_OMEGA_STEP
         f_lo[done] = np.where(j > 0, v[found, j - 1] - 1.0, f_lo[done])
         f_hi[done] = v[found, j] - 1.0
         going = ~found & inside[:, -1]
@@ -431,7 +431,7 @@ def _root_step(k3, x1, f1, x2, f2):
     the last one on the other side of K3 = 1 and x3 the one dropped. Where the three
     allow it, the next point comes from inverse quadratic interpolation, else from
     bisection, and it stays 2 eps hi inside the bracket. A row stops when its bracket is
-    at most 4 eps hi wide, or at a point with K3 = 1 exactly (lo = hi there; t = 0, where
+    at most 4 eps hi wide, or at a point with K3 = 1 exactly (lo = hi there; u = 0, where
     K3 is 1 by definition, is never evaluated). After _ROOT_INTERPOLATED_STEPS
     evaluations it only bisects, and it stops after _ROOT_MAX_STEPS whatever its width.
     Otherwise K3(lo) >= 1 > K3(hi).
@@ -468,20 +468,22 @@ def _root_step(k3, x1, f1, x2, f2):
     return np.minimum(x1, x2), np.maximum(x1, x2)
 
 
-def _brackets(cfgs, noise: NoiseConfig, model: str):
-    """_first_crossings for a batch of configs under one noise and model.
+def _brackets(alphas, phi, kappa, model: str):
+    """_first_crossings, in u, for the rows alphas at branch angle phi under one kappa.
 
-    Past gamma = 2 omega the slowest decay rate falls as omega^2 / gamma (Zeno regime:
-    Misra & Sudarshan, J. Math. Phys. 18, 756 (1977)): the scan runs to 50 / min(gamma, omega).
+    Past kappa = 2 the slowest decay rate falls as 1 / kappa (Zeno regime: Misra &
+    Sudarshan, J. Math. Phys. 18, 756 (1977)): the scan runs to u = 50 / min(kappa, 1). At
+    kappa = inf s_z is frozen, so K3 = 1 in both models: every row gets NaN brackets and
+    peak K3 - 1 = 0, what the Lindblad scan finds there, and no model is built.
     """
-    if not noise.gamma > 0.0:
+    if not kappa > 0.0:
         raise ValueError("lifetime needs gamma > 0 (the noiseless K3 never decays)")
     if model not in _K3_MODELS:
         raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
-    step = np.array([SCAN_OMEGA_STEP / cfg.omega for cfg in cfgs])
-    t_max = np.array([LIFETIME_HORIZON_OVER_MIN_RATE / min(noise.gamma, cfg.omega)
-                      for cfg in cfgs])
-    return _first_crossings(_K3_MODELS[model](cfgs, noise), step, t_max)
+    if kappa == np.inf:
+        return np.full(len(alphas), np.nan), np.full(len(alphas), np.nan), np.zeros(len(alphas))
+    horizon = np.full(len(alphas), LIFETIME_HORIZON_OVER_MIN_RATE / min(kappa, 1.0))
+    return _first_crossings(_K3_MODELS[model](alphas, phi, kappa), horizon)
 
 
 @dataclass(frozen=True)
@@ -505,23 +507,20 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
 
     The one public route to violation lifetimes. phi is the planar angle between the
     two rotation axes, in radians. Every alpha of the grid is one row of a single
-    _first_crossings batch, and the alpha = 0 reference is an ordinary row of it (added
-    when the grid lacks it). Rows without a tau or a reference are flagged, not fatal.
+    _first_crossings batch in u = omega t at kappa = gamma / omega, and the alpha = 0
+    reference is an ordinary row of it (added when the grid lacks it). Rows without a
+    tau or a reference are flagged, not fatal.
     """
-    alphas = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
-    alphas = [float(a) for a in np.asarray(alphas, dtype=float)]
+    alphas = np.asarray(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid, float).tolist()
+    if not all(0.0 <= a <= np.pi / 2 for a in alphas):
+        raise ValueError(f"every alpha must lie in [0, pi/2], got {alphas!r}")
     rows = alphas if 0.0 in alphas else alphas + [0.0]
-    lo, hi, peak = _brackets([planar(a, phi, omega) for a in rows], noise, model)
-    taus = [float(t) for t in 0.5 * (lo + hi)]
+    angle = planar_angle(planar(0.0, phi, omega))
+    lo, hi, peak = _brackets(np.array(rows), angle, _kappa(noise, omega), model)
+    taus = [float(t) for t in 0.5 * (lo + hi) / omega]
     status = ["unresolved" if p < PEAK_RESOLUTION else "no-crossing" if math.isnan(t) else "ok"
               for t, p in zip(taus, peak)]
     tau_0 = taus[rows.index(0.0)] if status[rows.index(0.0)] == "ok" else None
-
-    def one(alpha: float, tau: float, status: str) -> GainPoint:
-        if status != "ok":
-            return GainPoint(alpha=alpha, tau_alpha=None, gain=None, status=status)
-        if tau_0 is None:
-            return GainPoint(alpha=alpha, tau_alpha=tau, gain=None, status="no-reference")
-        return GainPoint(alpha=alpha, tau_alpha=tau, gain=tau / tau_0, status="ok")
-
-    return [one(*row) for row in zip(alphas, taus, status)]
+    return [GainPoint(a, None, None, s) if s != "ok"
+            else GainPoint(a, tau, None, "no-reference") if tau_0 is None
+            else GainPoint(a, tau, tau / tau_0, "ok") for a, tau, s in zip(alphas, taus, status)]

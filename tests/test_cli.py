@@ -252,10 +252,13 @@ def test_map_grids_are_bounded_before_allocation(tmp_path, capsys):
     assert capsys.readouterr().err.count("dataset rows, more than") == len(limits)
 
 
-def _statuses(path):
+def _rows(path):
     with open(path, newline="") as fh:
-        return [row["status"] for row in csv.DictReader(line for line in fh
-                                                         if not line.startswith("#"))]
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def _statuses(path):
+    return [row["status"] for row in _rows(path)]
 
 
 def test_stiff_lifetime_bloch_exits_cleanly(tmp_path, capsys):
@@ -291,17 +294,33 @@ def test_huge_gamma_lifetimes_run_without_warnings(tmp_path):
             assert "ok" not in statuses and statuses[0] == "unresolved", (exp, gamma)
 
 
-def test_lindblad_kappa_past_the_float_range_reads_unresolved(tmp_path):
-    # gamma / omega = 1e310 overflows to kappa = inf, where s_z is frozen and K3 = 1:
-    # every row is unresolved, with no NaN on the way and no warning
+@pytest.mark.parametrize("experiment", ("lifetime-bloch", "lifetime-lindblad"))
+def test_kappa_past_the_float_range_reads_unresolved(tmp_path, experiment):
+    # gamma / omega = 1e310 overflows to kappa = inf, where s_z is frozen and K3 = 1 in
+    # both models: every row is unresolved, with no NaN on the way and no warning
     out = tmp_path / "k.csv"
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["lifetime-lindblad", "--gamma", "1e300", "--omega", "1e-10", "--grid", "2",
+        assert main([experiment, "--gamma", "1e300", "--omega", "1e-10", "--grid", "2",
                      "--out", str(out)]) == 1
     assert time.perf_counter() - start < 10.0
     assert _statuses(out) == ["unresolved"] * 9
+
+
+def test_lifetimes_at_tiny_omega_are_the_omega_one_lifetimes_rescaled(tmp_path):
+    # kappa = 1e-202 / 1e-200 = 0.01: the kernels work in omega t, so nothing overflows
+    # and omega tau is the tau of gamma = 0.01 at omega = 1
+    tiny, unit = tmp_path / "tiny.csv", tmp_path / "unit.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["lifetime-bloch", "--omega", "1e-200", "--gamma", "1e-202", "--grid", "2",
+                     "--out", str(tiny)]) == 0
+    assert main(["lifetime-bloch", "--gamma", "0.01", "--grid", "2", "--out", str(unit)]) == 0
+    for a, b in zip(_rows(tiny), _rows(unit), strict=True):
+        assert a["status"] == b["status"] == "ok"
+        tau = float(b["tau_alpha"])
+        assert abs(1e-200 * float(a["tau_alpha"]) - tau) <= 1e-9 * tau
 
 
 def test_zeno_regime_bloch_rows_cross_past_50_over_gamma(tmp_path):
@@ -473,11 +492,13 @@ def test_selftest_catches_a_broken_propagator(tmp_path, monkeypatch, capsys):
 
 
 def test_selftest_runs_cleanly_at_tiny_omega(tmp_path, capsys):
-    # at omega = 1e-100 the dephasing exponent gamma t reaches ~1e98
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["selftest", "--omega", "1e-100", "--out", str(tmp_path / "s.json")]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    # at omega = 1e-100 the dephasing exponent gamma t reaches ~1e98; at 1e-200 the
+    # Bloch route's Magnus steps, once taken in t, overflowed on h^2 ~ 1e400
+    for omega in ("1e-100", "1e-200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["selftest", "--omega", omega, "--out", str(tmp_path / "s.json")]) == 0
+        assert "FAIL" not in capsys.readouterr().out, omega
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
@@ -111,6 +111,12 @@ def _branch_correlator(cfg, propagate):
 def _expm_correlator(cfg, noise, t):
     """(C, smallest branch probability) at t from expm(L t)."""
     return _branch_correlator(cfg, lambda vec: expm(liouvillian(cfg, noise) * t) @ vec)
+
+
+def _batch(cfgs, noise):
+    """(alphas, phis, kappa) of planar configs sharing one omega: the K3 models' arguments."""
+    return ([cfg.alpha for cfg in cfgs], [planar_angle(cfg) for cfg in cfgs],
+            noise.gamma / cfgs[0].omega)
 
 
 def test_noise_config_validation():
@@ -386,7 +392,7 @@ def test_lifetime_without_superposition_has_unit_gain():
     noise = NoiseConfig(gamma=GAMMA_REF)
     (pt,) = gain_curve(2.0, noise, alpha_grid=(0.0,))
     assert pt.status == "ok" and pt.gain == 1.0
-    lo, hi, _ = noise_mod._brackets([planar(0.0, 2.0)], noise, "bloch")
+    lo, hi, _ = noise_mod._brackets(*_batch([planar(0.0, 2.0)], noise), "bloch")
     assert lo[0] <= pt.tau_alpha <= hi[0]
 
 
@@ -411,8 +417,8 @@ def test_lifetime_rejects_unknown_model():
 
 
 def test_no_crossing_when_horizon_precedes_first_scan_point():
-    # gain_curve's horizon 50 / min(gamma, omega) always passes the first scan point
-    # 0.01 / omega, so the case is set up on the engine: the short row evaluates no
+    # gain_curve's horizon omega t = 50 / min(kappa, 1) always passes the first scan
+    # point 0.01, so the case is set up on the engine: the short row evaluates no
     # point, gets NaN brackets and no peak, and leaves its neighbour's result alone
     seen = []
 
@@ -420,7 +426,7 @@ def test_no_crossing_when_horizon_precedes_first_scan_point():
         seen.extend(rows.tolist())
         return np.where(t < 0.055, 2.0, 0.0), None
 
-    lo, hi, peak = noise_mod._first_crossings(k3, np.array([0.01, 0.01]), np.array([0.005, 10.0]))
+    lo, hi, peak = noise_mod._first_crossings(k3, np.array([0.005, 10.0]))
     assert np.isnan(lo[0]) and np.isnan(hi[0]) and peak[0] == -np.inf
     assert lo[1] < 0.055 <= hi[1] and peak[1] == 1.0
     assert 0 not in seen
@@ -445,9 +451,9 @@ def _patched_brackets(monkeypatch, alpha, *, crossing=True, peak=None):
     """Make _brackets drop the crossing of the row at alpha, or set its peak."""
     real = noise_mod._brackets
 
-    def patched(cfgs, noise, model):
-        lo, hi, peaks = real(cfgs, noise, model)
-        row = [cfg.alpha for cfg in cfgs].index(alpha)
+    def patched(alphas, phi, kappa, model):
+        lo, hi, peaks = real(alphas, phi, kappa, model)
+        row = list(alphas).index(alpha)
         if not crossing:
             lo[row] = hi[row] = np.nan
         if peak is not None:
@@ -536,9 +542,9 @@ def test_gain_curve_is_one_batch_with_one_reference(monkeypatch):
     calls = []
     real = noise_mod._brackets
 
-    def record(cfgs, noise, model):
-        calls.append([cfg.alpha for cfg in cfgs])
-        return real(cfgs, noise, model)
+    def record(alphas, phi, kappa, model):
+        calls.append(list(alphas))
+        return real(alphas, phi, kappa, model)
 
     monkeypatch.setattr(noise_mod, "_brackets", record)
     noise = NoiseConfig(gamma=GAMMA_REF)
@@ -625,8 +631,8 @@ def _branch_loop_k3(cfg, noise):
 
 def _single_point_k3(cfg, noise, model="bloch"):
     """K3(t) from the production evaluator, one row and one point per call."""
-    k3 = noise_mod._K3_MODELS[model]([cfg], noise)
-    return lambda t: float(k3(np.array([0]), np.array([[t]]))[0][0, 0])
+    k3 = noise_mod._K3_MODELS[model](*_batch([cfg], noise))
+    return lambda t: float(k3(np.array([0]), np.array([[cfg.omega * t]]))[0][0, 0])
 
 
 def test_engine_matches_the_scalar_scan_and_root_step_bitwise():
@@ -640,7 +646,7 @@ def test_engine_matches_the_scalar_scan_and_root_step_bitwise():
             noise = NoiseConfig(gamma=gamma)
             cfgs = [planar(alpha, np.deg2rad(phi)) for phi in (30.0, 90.0, 140.0, 175.0)
                     for alpha in (0.0, np.pi / 8, np.pi / 4)]
-            lo, hi, peak = noise_mod._brackets(cfgs, noise, model)
+            lo, hi, peak = noise_mod._brackets(*_batch(cfgs, noise), model)
             for row, cfg in enumerate(cfgs):
                 scan, scan_peak = _scalar_first_crossing(
                     oracle(cfg, noise), SCAN_OMEGA_STEP,
@@ -665,7 +671,7 @@ def test_root_step_matches_brentq():
             noise = NoiseConfig(gamma=gamma)
             cfgs = [planar(alpha, np.deg2rad(phi)) for phi in (30.0, 90.0, 140.0, 175.0)
                     for alpha in (0.0, np.pi / 8, np.pi / 4)]
-            lo, hi, _ = noise_mod._brackets(cfgs, noise, model)
+            lo, hi, _ = noise_mod._brackets(*_batch(cfgs, noise), model)
             for row, cfg in enumerate(cfgs):
                 k3 = _single_point_k3(cfg, noise, model)
                 scan = SCAN_OMEGA_STEP * np.ceil(hi[row] / SCAN_OMEGA_STEP - 1e-9)  # cell of hi
@@ -695,13 +701,13 @@ def test_lindblad_closed_form_matches_the_eigensystem_and_expm():
                          rng.uniform(0.5, 2.0))
             noise = NoiseConfig(gamma=gamma * cfg.omega)
             t = rng.uniform(0.05, 6.0, size=6) / cfg.omega
-            lindblad = noise_mod._LindbladK3([cfg], noise)
-            c, prob = lindblad.correlator(np.array([0]), t[None])
+            lindblad = noise_mod._LindbladK3(*_batch([cfg], noise))
+            c, prob = lindblad.correlator(np.array([0]), cfg.omega * t[None])
             for j, tj in enumerate(t):
                 c_ref, p_ref = _expm_correlator(cfg, noise, tj)
                 assert abs(c[0, j] - c_ref) < 1e-12 and abs(prob[0, j] - p_ref) < 1e-12, gamma
             if gamma != 2.0:
-                k3 = lindblad(np.array([0]), t[None])[0][0]
+                k3 = lindblad(np.array([0]), cfg.omega * t[None])[0][0]
                 ref = _branch_loop_k3(cfg, noise)
                 assert np.abs(k3 - [ref(tj) for tj in t]).max() < 1e-12, gamma
 
@@ -715,16 +721,16 @@ def _fake_k3(starved):
 
 
 def test_postselection_floor_is_checked_only_where_a_row_scan_looks():
-    step, t_max = np.array([0.01]), np.array([10.0])
+    horizon = np.array([10.0])
     # starved past the crossing at 0.06, inside the same scan chunk: never visited
-    lo, hi, peak = noise_mod._first_crossings(_fake_k3((0.07, np.inf)), step, t_max)
+    lo, hi, peak = noise_mod._first_crossings(_fake_k3((0.07, np.inf)), horizon)
     assert lo[0] < 0.055 <= hi[0] and hi[0] - lo[0] <= 4.0 * EPS * hi[0]
     assert peak[0] == 1.0
     # starved at a scan point before the crossing, or at a root-step point (0.054375:
     # K3 - 1 is +-1 on this step function, so the step bisects the scan bracket)
     for starved in ((0.03, 0.031), (0.054, 0.0545)):
         with pytest.raises(PostSelectionStarved):
-            noise_mod._first_crossings(_fake_k3(starved), step, t_max)
+            noise_mod._first_crossings(_fake_k3(starved), horizon)
 
 
 # --- properties of the engine and of both K3 evaluators ---------------------
@@ -744,14 +750,13 @@ def _configs(rows):
        horizon=st.lists(st.floats(0.5, 4.0), min_size=8, max_size=8), order=st.randoms())
 def test_engine_rows_do_not_depend_on_their_batch(rows, extra, gamma, model, horizon, order):
     cfgs = _configs(rows + extra)
-    k3 = noise_mod._K3_MODELS[model](cfgs, NoiseConfig(gamma=gamma))
-    step = np.full(len(cfgs), SCAN_OMEGA_STEP)
-    t_max = np.array(horizon[:len(cfgs)])  # some rows reach their horizon first
+    k3 = noise_mod._K3_MODELS[model](*_batch(cfgs, NoiseConfig(gamma=gamma)))
+    horizon = np.array(horizon[:len(cfgs)])  # some rows reach their horizon first
 
     def run(sel):
         sel = np.array(sel)
-        return np.stack(noise_mod._first_crossings(lambda r, t: k3(sel[r], t), step[sel],
-                                                   t_max[sel]))  # (lo, hi, peak) x rows
+        return np.stack(noise_mod._first_crossings(lambda r, u: k3(sel[r], u),
+                                                   horizon[sel]))  # (lo, hi, peak) x rows
 
     n = len(rows)
     alone = run(range(n))
@@ -774,7 +779,8 @@ _LOG_UNIFORM_GAMMAS = st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e)
 def test_k3_never_exceeds_three(alpha, phi, gamma, lindblad_gamma, t):
     cfgs, t = _configs([(alpha, phi)]), np.array([t])
     for model, g in (("bloch", gamma), ("lindblad", lindblad_gamma)):
-        values = noise_mod._K3_MODELS[model](cfgs, NoiseConfig(gamma=g))(np.array([0]), t)[0]
+        values = noise_mod._K3_MODELS[model](*_batch(cfgs, NoiseConfig(gamma=g)))(np.array([0]),
+                                                                                t)[0]
         assert np.all(np.abs(values) <= 3.0 + 1e-9), (model, g)
 
 
@@ -783,8 +789,8 @@ def test_k3_never_exceeds_three(alpha, phi, gamma, lindblad_gamma, t):
        t=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=16))
 def test_noiseless_branch_postselection_probability_is_half_the_norm(alpha, phi, omega, t):
     cfg = planar(alpha, np.deg2rad(phi), omega)
-    lindblad = noise_mod._LindbladK3([cfg], NoiseConfig(gamma=0.0))
-    _, prob = lindblad.correlator(np.array([0]), np.array([t]))
+    lindblad = noise_mod._LindbladK3(*_batch([cfg], NoiseConfig(gamma=0.0)))
+    _, prob = lindblad.correlator(np.array([0]), omega * np.array([t]))
     assert np.allclose(prob[0], 0.5 * norm_factor_sq(cfg, np.array(t)), rtol=0.0, atol=1e-12)
 
 
@@ -792,8 +798,8 @@ def test_noiseless_branch_postselection_probability_is_half_the_norm(alpha, phi,
 @given(rows=_ROWS, gamma=st.floats(0.02, 20.0), model=_MODELS)
 def test_every_lifetime_brackets_the_first_crossing(rows, gamma, model):
     cfgs, noise = _configs(rows), NoiseConfig(gamma=gamma)
-    lo, hi, _ = noise_mod._brackets(cfgs, noise, model)
-    k3 = noise_mod._K3_MODELS[model](cfgs, noise)
+    lo, hi, _ = noise_mod._brackets(*_batch(cfgs, noise), model)
+    k3 = noise_mod._K3_MODELS[model](*_batch(cfgs, noise))
     for row in np.flatnonzero(~np.isnan(lo)):
         scan = SCAN_OMEGA_STEP * np.arange(1, int(lo[row] / SCAN_OMEGA_STEP) + 2)
         scan = scan[scan <= lo[row]]
@@ -805,16 +811,24 @@ def test_every_lifetime_brackets_the_first_crossing(rows, gamma, model):
 
 
 @_PROPERTY
-@given(rows=_ROWS, kappa=st.floats(0.02, 30.0), log_omega=st.floats(-3.0, 3.0), model=_MODELS)
-def test_lifetimes_depend_only_on_gamma_over_omega(rows, kappa, log_omega, model):
-    # omega only sets the units: tau(gamma, omega) omega = tau(gamma / omega, 1)
+@given(alphas=st.lists(st.floats(0.0, np.pi / 4), min_size=1, max_size=4),
+       phi=st.floats(10.0, 175.0), kappa=st.floats(0.02, 30.0),
+       log_omega=st.floats(-200.0, 200.0), model=_MODELS)
+@example(alphas=[0.0, np.pi / 4], phi=115.0, kappa=0.5, log_omega=-200.0, model="bloch")
+@example(alphas=[0.0, np.pi / 4], phi=115.0, kappa=0.5, log_omega=200.0, model="lindblad")
+def test_lifetimes_depend_only_on_gamma_over_omega(alphas, phi, kappa, log_omega, model):
+    # omega only sets the units: tau(gamma, omega) omega = tau(gamma / omega, 1), from
+    # omega = 1e-200 to 1e200 (gamma / omega is kappa to rounding)
     omega = 10.0 ** log_omega
-    lo, hi, peak = noise_mod._brackets(_configs(rows), NoiseConfig(gamma=kappa), model)
-    cfgs = [planar(alpha, np.deg2rad(phi), omega) for alpha, phi in rows]
-    slo, shi, speak = noise_mod._brackets(cfgs, NoiseConfig(gamma=kappa * omega), model)
-    assert np.allclose(omega * slo, lo, rtol=1e-9, atol=0.0, equal_nan=True)
-    assert np.allclose(omega * shi, hi, rtol=1e-9, atol=0.0, equal_nan=True)
-    assert np.allclose(speak, peak, rtol=0.0, atol=1e-10)
+    ref = gain_curve(np.deg2rad(phi), NoiseConfig(gamma=kappa), alphas, model=model)
+    scaled = gain_curve(np.deg2rad(phi), NoiseConfig(gamma=kappa * omega), alphas, model=model,
+                        omega=omega)
+    assert [p.status for p in scaled] == [p.status for p in ref]
+    for p, q in zip(ref, scaled):
+        if p.tau_alpha is not None:
+            assert abs(omega * q.tau_alpha - p.tau_alpha) <= 1e-9 * p.tau_alpha
+        if p.gain is not None:
+            assert abs(q.gain - p.gain) <= 1e-9 * p.gain
 
 
 def test_lindblad_k3_holds_down_to_tiny_gamma():
@@ -822,8 +836,8 @@ def test_lindblad_k3_holds_down_to_tiny_gamma():
     cfg = planar(np.pi / 4, np.deg2rad(90.0))
     exact = [k3_at(cfg, 1.0).k3, k3_at(cfg, 3.0).k3]
     for gamma in (1e-20, 1e-44, 1e-50, 1e-62, 1e-100, 1e-300):
-        values = noise_mod._LindbladK3([cfg], NoiseConfig(gamma))(np.array([0]),
-                                                                   np.array([[1.0, 3.0]]))[0]
+        model = noise_mod._LindbladK3(*_batch([cfg], NoiseConfig(gamma)))
+        values = model(np.array([0]), np.array([[1.0, 3.0]]))[0]
         assert np.all(np.abs(values - exact) < 1e-12), gamma
 
 
@@ -845,11 +859,11 @@ _KAPPAS = (st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(kappa=_KAPPAS, u=st.lists(st.just(0.0) | st.floats(1e-150, 60.0), min_size=1, max_size=8))
+@given(kappa=_KAPPAS, u=st.lists(st.just(0.0) | st.floats(1e-300, 60.0), min_size=1, max_size=8))
 def test_e_zz_matches_the_damped_rotation(kappa, u):
     # the real-arithmetic E_zz against the 2x2 exponential it replaced, on both sides
-    # of critical damping kappa = 2 and up to kappa = 1e300, without a warning (below
-    # u ~ 1e-154 the reference's squares underflow and it returns NaN; see the limits)
+    # of critical damping kappa = 2, up to kappa = 1e300 and down to u = 1e-300,
+    # without a warning
     u = np.array(u)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
