@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -326,6 +327,9 @@ def _run_verify_circuits(config: RunConfig):
 def _run_selftest(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     omega = config.omega
+    if not math.isfinite(12.0 / omega):
+        raise ValueError(f"--omega {omega!r} is too small for selftest: its longest time, "
+                         f"12 / omega, is not finite")
     checks = []
 
     def random_axis():

@@ -8,7 +8,7 @@ axis at axis_theta(cfg)), with its transverse components damped at rate kappa:
     ds/du = g(u) axis x s - kappa (sx, sy, 0)
 
 The equation is linear with a generator of period 2 pi, so it is solved in
-Floquet form from one period of its fundamental matrix, built from 4th-order
+Floquet form from one period of its fundamental matrix, built from 6th-order
 Magnus steps (see _BlochK3); no adaptive solver is involved.
 
 The microscopic route evolves the joint ancilla (x) system state under the
@@ -45,7 +45,7 @@ from .superpose import SuperpositionConfig, axis_theta, planar, planar_angle
 
 MAGNUS_TOL = 1e-10
 MAGNUS_MAX_STEPS = 2 ** 15
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 _PERIOD = 2.0 * np.pi  # of the Bloch generator in u = omega t
 SCAN_OMEGA_STEP = 1e-2
 LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at u = this / min(kappa, 1)
@@ -88,39 +88,53 @@ def _row_model(model, cfg: SuperpositionConfig, noise: NoiseConfig):
 def _magnus_steps(a, b, kappa, u0, u1) -> np.ndarray:
     """exp(Omega), shape u0.shape + (2, 2), of the steps [u0, u1] within one period.
 
-    a and b broadcast against u0 and u1. Omega = [[-kappa h, c - df], [c + df, 0]] with
-    df the exact rotation angle and c = (sqrt 3 / 12) h^2 kappa (g1 - g2) the commutator
-    term (g1, g2 the rates df/du at the Gauss points).
+    a and b broadcast against u0 and u1. Omega is the 6th-order Magnus exponent on three
+    Gauss nodes (Blanes et al., see _BlochK3) with its first term exact, -k (I + Z) + df J
+    (k = kappa h / 2, df the exact rotation angle); the nested commutators, in G_i = h g(u0
+    + c_i h), p = (sqrt 15 / 3)(G3 - G1) and q = (10 / 3)(G3 - 2 G2 + G1), close in
+    span{Z, X, J}. They take k capped at pi / 2: the series' convergence bound, integral of
+    ||A|| < pi, fails once kappa h >= pi, where its k^3 terms add error, not accuracy, and
+    the exact first term alone holds the Zeno decay of s_z; the cap keeps products finite.
     """
     h = u1 - u0
-    x = 0.5 * np.stack([u0, u1, u0 + _GAUSS[0] * h, u0 + _GAUSS[1] * h])
+    x = 0.5 * np.stack([u0, u1, *(u0 + c * h for c in _GAUSS)])
     ca, sb = a * np.cos(x), b * np.sin(x)
     df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
-    g = a * b / (ca[2:] ** 2 + sb[2:] ** 2)
-    c = (np.sqrt(3.0) / 12.0) * h * h * kappa * (g[0] - g[1])
-    return _damped_rotation(-0.5 * kappa * h, c, df)
+    g1, g2, g3 = h * a * b / (ca[2:] ** 2 + sb[2:] ** 2)
+    k = 0.5 * kappa * h
+    p, q = (math.sqrt(15.0) / 3.0) * (g3 - g1), (10.0 / 3.0) * (g3 - 2.0 * g2 + g1)
+    kc = np.minimum(k, 0.5 * np.pi)
+    w, v = 1.0 - kc * kc / 15.0, (20.0 * g2 + q) / 15.0
+    z = -k + kc * (2.0 * p * p * w - q * v) / 120.0
+    c = -kc * p * (g2 * v + 20.0 * w) / 120.0
+    return _damped_rotation(-k, z, c, df + kc * kc * (2.0 * p * p * g2 + 20.0 * q) / 1800.0)
 
 
-def _damped_rotation(mu, c, df) -> np.ndarray:
-    """exp([[2 mu, c - df], [c + df, 0]]) for mu <= 0 (c, df broadcast), shape mu.shape + (2, 2).
+def _damped_rotation(mu, z, c, df) -> np.ndarray:
+    """exp([[mu + z, c - df], [c + df, mu - z]]) for mu <= 0, shape mu.shape + (2, 2).
 
-    The exponent is mu I + N, N^2 = r^2 I, so this is e^(mu + r) [(1 + e^-2r) / 2 I + (1 -
-    e^-2r) / 2r N], exact at r = 0; mu + r = (c^2 - df^2) / (r - mu) has no cancellation
-    and is capped at 0 (these flows never lengthen a vector). The squares are of mu, c and
-    df scaled by the power of two s that brings the largest into [1/2, 1) (exact short of
-    subnormals), so none overflows however large mu is, nor underflows however small.
+    z, c, df broadcast. The exponent is mu I + N, N = z Z + c X + df J, N^2 = r^2 I, taken in
+    real arithmetic on each side of r^2 = 0. For real r >= 0 it is e^(mu + r) [(1 + e^-2r)
+    / 2 I + (1 - e^-2r) / 2r N], where mu + r = ((z - mu)(z + mu) + c^2 - df^2) / (r - mu)
+    has no cancellation and is capped at 0 (these flows never lengthen a vector); for r =
+    i w it is e^mu [cos w I + sin w / w N]; both are exact at r = 0. The squares are of mu,
+    z, c and df scaled by the power of two s that brings the largest into [1/2, 1) (exact
+    short of subnormals): none overflows however large mu is, nor underflows however small.
     """
-    largest = np.maximum(np.maximum(abs(mu), abs(c)), abs(df))
+    largest = np.maximum(np.maximum(abs(mu), abs(z)), np.maximum(abs(c), abs(df)))
     s = np.ldexp(1.0, np.frexp(largest)[1])
-    mu_s, c_s, df_s = mu / s, c / s, df / s
-    r_s = np.sqrt(mu_s * mu_s + c_s * c_s - df_s * df_s + 0j)
-    r = s * r_s
-    lead = s * ((c_s * c_s - df_s * df_s) / np.where(r_s == mu_s, 1.0, r_s - mu_s))
-    lead = np.exp(np.minimum(lead.real, 0.0) + 1j * lead.imag)
-    q = np.where(r == 0.0, 1.0, -np.expm1(-2.0 * r) / np.where(r == 0.0, 1.0, 2.0 * r))
-    half = 0.5 + 0.5 * np.exp(-2.0 * r)
-    parts = np.stack([half + mu * q, q * (c - df), q * (c + df), half - mu * q], axis=-1)
-    return (lead[..., None] * parts).real.reshape(mu.shape + (2, 2))
+    mu_s, z_s, c_s, df_s = mu / s, z / s, c / s, df / s
+    r2_s = z_s * z_s + c_s * c_s - df_s * df_s
+    r_s = np.sqrt(abs(r2_s))
+    r, real, zero = s * r_s, r2_s >= 0.0, r_s == 0.0
+    lead = (z_s - mu_s) * (z_s + mu_s) + c_s * c_s - df_s * df_s
+    lead = s * (lead / np.where(r_s == mu_s, 1.0, r_s - mu_s))
+    lead = np.exp(np.where(real, np.minimum(lead, 0.0), mu))
+    half = np.where(real, 0.5 + 0.5 * np.exp(-2.0 * r), np.cos(r))
+    q = np.where(real, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / np.where(zero, 1.0, r)
+    q = np.where(zero, 1.0, q)
+    parts = np.stack([half + z * q, q * (c - df), q * (c + df), half - z * q], axis=-1)
+    return (lead[..., None] * parts).reshape(mu.shape + (2, 2))
 
 
 def _powers(m: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -137,32 +151,37 @@ class _BlochK3:
 
     phi is one angle or one per row. In the frame (a, b = z x a, z) of the axis a, s_a
     decays as exp(-kappa u) and (s_b, s_z) obeys [[-kappa, -g], [g, 0]], g = df/du. For
-    each row its fundamental matrix Phi is tabulated over one period 2 pi on Magnus-4
-    steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) uniform in f, so short
-    where the rate spikes; then (s_b, s_z)(u) = E(p - u_j) Phi_j M^k (s_b, s_z)(0), M =
-    Phi(2 pi), u = 2 pi k + p with p in step j (Floquet, Ann. Sci. ENS 12, 47 (1883)). A
-    row's step count doubles from 64 until its Phi moves by at most MAGNUS_TOL at the
-    shared nodes (the error falls as steps^-4) or reaches MAGNUS_MAX_STEPS; at kappa = 0
-    or A = B one step is exact. Called with row indices and a (rows x m) block of u, it
-    returns K3 there and no post-selection probability (the Bloch route has none).
+    each row its fundamental matrix Phi is tabulated over one period 2 pi on 6th-order
+    Magnus steps (_magnus_steps; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
+    uniform in f, so short where the rate spikes; then (s_b, s_z)(u) = E(p - u_j) Phi_j M^k
+    (s_b, s_z)(0), M = Phi(2 pi), u = 2 pi k + p with p in step j (Floquet, Ann. Sci. ENS
+    12, 47 (1883)). A row's step count doubles from 64 until its Phi moves by at most
+    MAGNUS_TOL at the shared nodes (the error falls as steps^-6) or reaches
+    MAGNUS_MAX_STEPS; at kappa = 0 or A = B one step is exact. steps and residuals hold
+    each row's final count and last move (0 for one exact step). Called with row indices
+    and a (rows x m) block of u, it returns K3 there and no post-selection probability.
     """
 
     def __init__(self, alphas, phi, kappa):
         alphas, phi = np.broadcast_arrays(np.asarray(alphas, dtype=float), phi)
         self._kappa, self._a = kappa, np.cos(alphas) + np.sin(alphas)
         self._b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * alphas))
-        self._tables = [self._converged_table(r) for r in range(len(alphas))]
-        self._monodromy = np.array([table[-1] for _, table in self._tables])
+        tables, residuals = zip(*(self._converged_table(r) for r in range(len(alphas))))
+        self._nodes, self._phi = (np.concatenate(part) for part in zip(*tables))
+        self._first = np.cumsum([0] + [len(u) for u, _ in tables])  # row r's nodes start here
+        self.steps, self.residuals = np.diff(self._first) - 1, np.array(residuals)
 
     def _converged_table(self, row: int):
         n = 1 if self._kappa == 0.0 or self._a[row] == self._b[row] else 64
         u, phi = self._table(row, n)
+        residual = 0.0
         while 1 < n < MAGNUS_MAX_STEPS:
             n, coarse = 2 * n, phi
             u, phi = self._table(row, n)
-            if np.abs(phi[::2] - coarse).max() <= MAGNUS_TOL:
+            residual = np.abs(phi[::2] - coarse).max()
+            if residual <= MAGNUS_TOL:
                 break
-        return u, phi
+        return (u, phi), residual
 
     def _table(self, row: int, n: int):
         a, b = self._a[row], self._b[row]
@@ -177,14 +196,15 @@ class _BlochK3:
         """(s_b, s_z) of each row at its u (rows x m) from sbz (rows x 2) at u = 0."""
         k = np.floor(u / _PERIOD)
         p = np.clip(u - k * _PERIOD, 0.0, _PERIOD)
-        u_j, phi_j = np.empty(p.shape), np.empty(p.shape + (2, 2))
-        for i, row in enumerate(rows):
-            nodes, phi = self._tables[row]
-            j = np.clip(np.searchsorted(nodes, p[i], side="right") - 1, 0, len(nodes) - 2)
-            u_j[i], phi_j[i] = nodes[j], phi[j]
-        v = _powers(self._monodromy[rows], k) @ sbz[:, None, :, None]
-        steps = _magnus_steps(self._a[rows, None], self._b[rows, None], self._kappa, u_j, p)
-        return (steps @ phi_j @ v)[..., 0]
+        a, b, n = self._a[rows, None], self._b[rows, None], self.steps[rows, None]
+        # flat index j of the step holding p: from psi = f / 2, uniform in steps (see _table),
+        psi = np.arctan2(b * np.sin(0.5 * p), a * np.cos(0.5 * p))  # then to the last node <= p
+        j = self._first[rows, None] + np.minimum(psi * n // np.pi, n - 1).astype(int)
+        j -= self._nodes[j] > p
+        j += (j < self._first[rows + 1, None] - 2) & (self._nodes[j + 1] <= p)
+        v = _powers(self._phi[self._first[rows + 1] - 1], k) @ sbz[:, None, :, None]
+        steps = _magnus_steps(a, b, self._kappa, self._nodes[j], p)
+        return (steps @ self._phi[j] @ v)[..., 0]
 
     def __call__(self, rows: np.ndarray, u: np.ndarray):
         pole = np.broadcast_to([0.0, 1.0], (len(rows), 2))  # Z_AXIS in every row's frame

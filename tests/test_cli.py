@@ -501,6 +501,18 @@ def test_selftest_runs_cleanly_at_tiny_omega(tmp_path, capsys):
         assert "FAIL" not in capsys.readouterr().out, omega
 
 
+@pytest.mark.parametrize("omega", ("1e-308", "5e-324"))
+def test_selftest_rejects_an_omega_its_times_overflow_at(tmp_path, omega):
+    # its longest time, 12 / omega, is inf here: once a NaN step count deep in the Bloch
+    # route (exit 2 with an unrelated message) or an uncaught OverflowError
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgsim",
+                           "selftest", "--omega", omega, "--out", str(tmp_path / "s.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "--omega" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "s.json").exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = (tmp_path / n for n in ("a.csv", "b.csv"))
     assert run(RunConfig(experiment="ttb-map", grid=6, out=str(a))) == 0

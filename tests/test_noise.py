@@ -225,6 +225,93 @@ def test_stiff_bloch_stays_finite_and_bounded():
                 assert np.all(np.isfinite(s)) and np.linalg.norm(s) <= 1.0 + 1e-9
 
 
+def test_stiff_bloch_matches_radau_past_the_magnus_convergence_bound():
+    # at gamma = 1e3-1e4 and phi >= 175 deg the capped tables still have steps with
+    # kappa h > pi, outside the Magnus series' convergence bound; uncapped, the 6th-order
+    # terms there grow as (kappa h)^3 and the trajectory was off by up to 8e-6
+    ts = np.linspace(0.1, 4.0, 14)
+    for phi_deg in (175.0, 178.0):
+        for gamma in (1e3, 1e4):
+            cfg, noise = planar(np.pi / 4, np.deg2rad(phi_deg)), NoiseConfig(gamma)
+            ref = solve_ivp(_bloch_rhs_fn(cfg, noise), (0.0, 4.0), [0.0, 0.0, 1.0],
+                            method="Radau", rtol=1e-12, atol=1e-13, t_eval=ts)
+            traj = integrate_bloch(cfg, noise, 4.0)
+            err = max(np.abs(traj(t) - ref.y[:, k]).max() for k, t in enumerate(ts))
+            assert err < 1e-7, (phi_deg, gamma, err)
+
+
+def test_bloch_flow_finds_the_step_a_node_search_finds():
+    # flow takes each point's step from the inverse of the uniform-in-f node map; against
+    # a per-row search of the nodes, with the rest of flow's arithmetic as it is, it must
+    # give the same bytes on the nodes, one ulp either side of them, both ends of the
+    # first period and points in between
+    model = noise_mod._BlochK3([0.0, 0.3, np.pi / 4, 1.2], np.deg2rad(170.0), 3.0)
+    rng = np.random.default_rng(7)
+    sbz = np.array([[0.6, 0.8]])
+    for row in range(4):
+        first, last = model._first[row], model._first[row + 1] - 1
+        nodes, phi = model._nodes[first:last + 1], model._phi[first:last + 1]
+        p = np.concatenate([nodes, np.nextafter(nodes, -1.0), np.nextafter(nodes, 7.0),
+                            rng.uniform(0.0, 2.0 * np.pi, 100)])
+        p = np.clip(p, 0.0, np.nextafter(2.0 * np.pi, 0.0))[None]  # u = 2 pi is M^1 at p = 0
+        j = np.minimum(nodes.searchsorted(p, side="right"), len(nodes) - 1) - 1
+        ab = model._a[[row], None], model._b[[row], None]
+        steps = noise_mod._magnus_steps(*ab, 3.0, nodes[j], p)
+        v = noise_mod._powers(model._phi[[last]], np.zeros(p.shape)) @ sbz[:, None, :, None]
+        ref = (steps @ phi[j] @ v)[..., 0]
+        assert np.array_equal(model.flow(np.array([row]), p, sbz), ref), row
+
+
+def test_bloch_tables_converge_at_sixth_order():
+    # a wrong Magnus coefficient still converges, only more slowly: on a smooth row the
+    # move of Phi between successive doublings falls ~64x per level at 6th order (16x at 4th)
+    model = noise_mod._BlochK3([np.pi / 4], np.deg2rad(115.0), 1.0)
+    tables = [model._table(0, n)[1] for n in (32, 64, 128, 256)]
+    moves = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(tables, tables[1:])]
+    assert all(a / b >= 40.0 for a, b in zip(moves, moves[1:])), moves
+
+
+def test_no_bloch_row_stops_at_the_step_cap_short_of_the_tolerance():
+    # a row stops doubling once Phi moves by at most MAGNUS_TOL, or at MAGNUS_MAX_STEPS;
+    # up to kappa = 100 and phi = 175 deg every row meets the tolerance first
+    for phi_deg in (150.0, 160.0, 170.0, 175.0):
+        for kappa in (10.0, 30.0, 100.0):
+            model = noise_mod._BlochK3(DEFAULT_ALPHA_GRID, np.deg2rad(phi_deg), kappa)
+            assert model.steps.shape == model.residuals.shape == (len(DEFAULT_ALPHA_GRID),)
+            assert np.all(model.steps <= noise_mod.MAGNUS_MAX_STEPS)
+            assert np.all(model.residuals <= noise_mod.MAGNUS_TOL), (phi_deg, kappa, model.steps)
+    assert model.steps[0] == 1 and model.residuals[0] == 0.0  # alpha = 0: one exact step
+
+
+_MODERATE = st.floats(-6.0, 6.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(mu=st.floats(-20.0, 0.0), z=_MODERATE, c=_MODERATE, df=_MODERATE)
+def test_damped_rotation_matches_expm(mu, z, c, df):
+    # exp(mu I + z Z + c X + df J) on both sides of r^2 = z^2 + c^2 - df^2 = 0, where
+    # the flow does not lengthen a vector (mu + Re r <= 0; past it the lead is capped);
+    # e^mu is factored out of expm, whose scaling and squaring would lose ~e^(2 |mu|) eps
+    assume(mu + math.sqrt(max(z * z + c * c - df * df, 0.0)) <= 0.0)
+    out = noise_mod._damped_rotation(np.float64(mu), z, c, df)
+    ref = math.exp(mu) * expm(np.array([[z, c - df], [c + df, -z]]))
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max(), (out, ref)
+
+
+_HUGE = st.just(0.0) | st.tuples(st.floats(-300.0, 300.0), st.sampled_from((-1.0, 1.0))).map(
+    lambda es: es[1] * 10.0 ** es[0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(mu=_HUGE, z=_HUGE, c=_HUGE, df=_HUGE)
+def test_damped_rotation_stays_finite_at_any_magnitude(mu, z, c, df):
+    # every argument from 1e-300 to 1e300 in size: no overflow, no NaN, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = noise_mod._damped_rotation(np.float64(-abs(mu)), z, c, df)
+    assert out.shape == (2, 2) and np.all(np.isfinite(out))
+
+
 def test_bloch_norm_behavior():
     cfg = planar(np.pi / 8, 1.0)
     quiet = integrate_bloch(cfg, NoiseConfig(gamma=0.0), 10.0)
@@ -868,7 +955,8 @@ def test_e_zz_matches_the_damped_rotation(kappa, u):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         e_zz = noise_mod._e_zz(np.array(kappa), u)
-        ref = noise_mod._damped_rotation(-0.5 * kappa * u, 0.0, u)[..., 1, 1]
+        mu = -0.5 * kappa * u
+        ref = noise_mod._damped_rotation(mu, mu, 0.0, u)[..., 1, 1]
     assert np.abs(e_zz - ref).max() <= 1e-14, kappa
 
 
