@@ -17,10 +17,11 @@ endings throughout.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ MAX_ROWS = 250_000
 DEFAULT_GAMMA = 1.0 / (4.0 * np.pi)
 
 _DEFAULT_FORMATS = {"verify-circuits": "json", "selftest": "json"}
+_CSV_QUOTED = re.compile('[,"\n]')  # what csv.writer(lineterminator="\n") quotes; not "\r"
+_CSV_BLOCK_ROWS = 4096  # rows per write; one string for a 250000-row table adds 14 MB
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ class Check:
     passed: bool
     detail: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))  # not np.bool_: 1/0, true/false
+
 
 def _cell_csv(v) -> str:
     if v is None:
@@ -108,18 +114,36 @@ def _cell_json(v):
     return float(v)
 
 
+def _is_float_array(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
+
+
 def _cells(col, fmt: str) -> list:
     """A column's cells as _cell_csv gives them, or _cell_json's as json.dumps writes them.
 
-    A float array is formatted once per distinct bit pattern (-0.0 is not 0.0).
+    A float array is formatted once per distinct bit pattern (-0.0 is not 0.0), in CSV by
+    repr itself.
     """
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+    if _is_float_array(col):
         bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
-        return np.array(_cells(bits.view(float).tolist(), fmt), dtype=object)[inverse].tolist()
+        values = bits.view(float).tolist()
+        distinct = list(map(repr, values)) if fmt == "csv" else _cells(values, fmt)
+        return np.array(distinct, dtype=object)[inverse].tolist()
     if fmt == "csv" or not len(col):
         return list(map(_cell_csv, col))
     lines = json.JSONEncoder(separators=("\n", ": ")).encode(list(map(_cell_json, col)))
     return lines[1:-1].split("\n")  # one scalar per line: "\n" in a string is escaped
+
+
+def _csv_quote(cells: list, lone: bool) -> list:
+    """cells quoted as csv.writer(lineterminator="\n") quotes them in its minimal mode.
+
+    A cell holding a comma, a double quote or a newline is quoted, its quotes doubled;
+    lone cells are one-column rows, and an empty one is written "".
+    """
+    if _CSV_QUOTED.search("".join(cells)):
+        cells = ['"' + c.replace('"', '""') + '"' if _CSV_QUOTED.search(c) else c for c in cells]
+    return [c or '""' for c in cells] if lone else cells
 
 
 def emit_series(name: str, columns, data, fmt: str, path: str, meta: dict) -> None:
@@ -127,21 +151,27 @@ def emit_series(name: str, columns, data, fmt: str, path: str, meta: dict) -> No
 
     data holds one column per name in columns. CSV: '#' provenance line
     (experiment name and sorted parameters), header row, minimal RFC-4180
-    quoting, LF endings. JSON: {"meta", "columns", "rows"} as json.dumps with
-    indent=2 and sorted keys. Both are byte-stable for identical inputs.
+    quoting, LF endings, rows written in blocks. JSON: {"meta", "columns", "rows"}
+    as json.dumps with indent=2 and sorted keys. Both are byte-stable for
+    identical inputs.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    rows = zip(*[_cells(col, fmt) for col in data])
+    cells = [_cells(col, fmt) for col in data]
+    if fmt == "csv":  # a float's repr needs no quotes
+        cells = [c if _is_float_array(col) else _csv_quote(c, len(columns) == 1)
+                 for col, c in zip(data, cells)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
             provenance = " ".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
                                   for k, v in sorted(meta.items()))
-            fh.write(f"# lgsim {name} {provenance}".rstrip() + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(columns))
-            writer.writerows(rows)
+            fh.write(f"# lgsim {name} {provenance}".rstrip() + "\n"
+                     + ",".join(_csv_quote(list(columns), len(columns) == 1)) + "\n")
+            rows = map(",".join, zip(*cells))
+            for _ in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK_ROWS):
+                fh.write("\n".join(itertools.islice(rows, _CSV_BLOCK_ROWS)) + "\n")
             return
+        rows = zip(*cells)
         doc = {"meta": {"name": name, **meta}, "columns": list(columns), "rows": []}
         head = json.dumps(doc, indent=2, sort_keys=True)  # "rows" sorts last
         body = ",\n    ".join("[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
@@ -449,10 +479,10 @@ def _run_selftest(config: RunConfig):
 
     traj = integrate_bloch(planar(np.pi / 8, 2.0, omega), NoiseConfig(gamma=0.05), 6.0 / omega)
     samples = np.linspace(0.0, 6.0 / omega, 31)
-    norms = np.array([np.linalg.norm(traj(t)) for t in samples])
+    norms = np.array([np.linalg.norm(s) for s in traj(samples)])
     shrinks = bool(np.all(np.diff(norms) <= 1e-8)) and bool(np.all(norms <= 1.0 + 1e-8))
     quiet_traj = integrate_bloch(planar(np.pi / 8, 2.0, omega), quiet, 6.0 / omega)
-    quiet_dev = max(abs(np.linalg.norm(quiet_traj(t)) - 1.0) for t in samples)
+    quiet_dev = max(abs(np.linalg.norm(s) - 1.0) for s in quiet_traj(samples))
     checks.append(Check("Bloch norm never grows under dephasing", shrinks,
                         f"max norm = {float(norms.max())!r}"))
     checks.append(Check("Bloch norm is conserved without dephasing", quiet_dev < 1e-8,

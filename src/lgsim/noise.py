@@ -215,33 +215,40 @@ class _BlochK3:
 def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, s0=None):
     """Bloch trajectory(t) -> (sx, sy, sz) on [0, t_end] from s0 (default the north pole).
 
-    At gamma = 0 it is the rigid rotation of s0 about the superposition axis by f_of_t.
+    t is one time or an array of them; the result has shape t.shape + (3,). At gamma = 0
+    it is the rigid rotation of s0 about the superposition axis by f_of_t; at kappa = inf
+    (see _brackets) s_z is frozen and the rest of s0 is gone at any t > 0.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     s0 = Z_AXIS if s0 is None else np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError("initial Bloch vector must have shape (3,)")
-    flow = _row_model(_BlochK3, cfg, noise)
+    kappa = _kappa(noise, cfg.omega)
+    flow = None if kappa == np.inf else _row_model(_BlochK3, cfg, noise)
     cos_t, sin_t = np.cos(axis_theta(cfg)), np.sin(axis_theta(cfg))
     frame = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
     s_a, s_b, s_z = frame @ s0
 
-    def trajectory(t: float) -> np.ndarray:
-        if t < -1e-12 or t > t_end + 1e-9:
+    def trajectory(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < -1e-12) or np.any(t > t_end + 1e-9):
             raise ValueError(f"t = {t!r} outside the integrated range [0, {t_end!r}]")
-        u = np.array([[cfg.omega * min(max(t, 0.0), t_end)]])
+        u = cfg.omega * np.minimum(np.maximum(t, 0.0), t_end).reshape(1, -1)
+        if flow is None:
+            return np.where(u[0, :, None] > 0.0, [0.0, 0.0, s0[2]], s0).reshape(t.shape + (3,))
         bz = flow.flow(np.array([0]), u, np.array([[s_b, s_z]]))[0]
-        return (np.column_stack([np.exp(-flow._kappa * u[0]) * s_a, bz]) @ frame)[0]
+        s = np.column_stack([np.exp(-kappa * u[0]) * s_a, bz]) @ frame
+        return s.reshape(t.shape + (3,))
 
     return trajectory
 
 
 def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t: float) -> float:
-    """K3 on the stationary grid from the Bloch state at t and 2t."""
+    """K3 on the stationary grid from the Bloch state at t and 2t (1 at kappa = inf)."""
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
+    if t == 0.0 or _kappa(noise, cfg.omega) == np.inf:  # s_z frozen, as in _brackets
         return 1.0
     u = np.array([[cfg.omega * t]])
     return float(_row_model(_BlochK3, cfg, noise)(np.array([0]), u)[0][0, 0])

@@ -185,6 +185,21 @@ def test_columnar_writer_matches_the_row_writer(tmp_path, experiment):
     _assert_writers_agree(tmp_path, experiment, list(table), list(table.values()), meta)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(table=_tables(), meta=st.dictionaries(st.text(), st.one_of(st.text(), st.floats())))
+@example(table=(["a", "b"], [["a\rb", "a\r\nb"], ["", "\r"]]), meta={})
+@example(table=(["only"], [["", None, "x"]]), meta={})
+@example(table=([""], [["a", ""]]), meta={})
+@example(table=([], []), meta={"k": 1.0})
+def test_emit_series_csv_matches_the_row_writer(tmp_path_factory, table, meta):
+    # csv.writer quotes "\n" but not "\r", and writes a one-column row's empty cell as ""
+    columns, data = table
+    out = tmp_path_factory.mktemp("emit")
+    emit_series("demo", columns, data, "csv", str(out / "new.csv"), meta)
+    _reference_emit("demo", columns, list(zip(*data)), "csv", str(out / "old.csv"), meta)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
 def test_columnar_writer_matches_the_row_writer_on_edge_cells(tmp_path):
     # every cell type a runner may hand over, each kept to its _cell_csv and
     # _cell_json meaning: a bool is 1 or 0, None is empty, np.bool_ is not a bool
@@ -466,6 +481,18 @@ def test_selftest_passes(tmp_path, capsys):
         assert "FAIL" not in stdout
         doc = json.loads(out.read_text())
         assert all(row[1] for row in doc["rows"])  # every check column is true
+
+
+def test_selftest_passed_cells_are_booleans(tmp_path):
+    # some checks hand Check an np.bool_, which was written as True (CSV) and 1.0 (JSON)
+    assert cli.Check("c", np.bool_(False)).passed is False
+    for fmt in ("csv", "json"):
+        assert run(RunConfig(experiment="selftest", format=fmt,
+                             out=str(tmp_path / f"self.{fmt}"))) == 0
+    rows = list(csv.reader((tmp_path / "self.csv").read_text().splitlines()[1:]))
+    assert rows[0][1] == "passed" and {row[1] for row in rows[1:]} == {"1"}
+    doc = json.loads((tmp_path / "self.json").read_text())
+    assert doc["columns"][1] == "passed" and all(row[1] is True for row in doc["rows"])
 
 
 def test_selftest_catches_a_lowered_k3_maximum(tmp_path, monkeypatch, capsys):

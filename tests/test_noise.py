@@ -343,6 +343,29 @@ def test_trajectory_domain_guard():
         integrate_bloch(planar(0.2, 1.0), NoiseConfig(gamma=0.1), 0.0)
 
 
+def test_bloch_trajectory_takes_arrays_of_t():
+    cfg = planar(np.pi / 8, 2.0, omega=1.7)
+    for gamma in (0.0, 0.05, 30.0):
+        traj = integrate_bloch(cfg, NoiseConfig(gamma), 6.0, s0=[0.6, -0.48, 0.64])
+        ts = np.concatenate([[0.0, 6.0], np.linspace(0.0, 6.0, 31), [-1e-13, 6.0 + 1e-10]])
+        stacked = np.stack([traj(float(t)) for t in ts])
+        assert traj(ts).tobytes() == stacked.tobytes()
+        assert traj(ts.reshape(5, 7)).shape == (5, 7, 3) and traj(2.0).shape == (3,)
+    with pytest.raises(ValueError):
+        traj(np.array([1.0, 6.5]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bloch_at_infinite_kappa_is_the_zeno_limit():
+    # gamma / omega past the float range: s_z frozen, the rest gone at once, K3 = 1
+    cfg, noise = planar(0.3, 1.0, omega=1e-10), NoiseConfig(1e300)
+    assert noise_mod._kappa(noise, cfg.omega) == np.inf
+    assert k3_bloch(cfg, noise, 1e10) == 1.0
+    traj = integrate_bloch(cfg, noise, 1e10, s0=[0.6, 0.0, -0.8])
+    assert traj(0.0).tolist() == [0.6, 0.0, -0.8]
+    assert traj(np.array([1e-3, 5e9, 1e10])).tolist() == [[0.0, 0.0, -0.8]] * 3
+
+
 def test_k3_bloch_limits():
     cfg = planar(np.pi / 4, 2.0)
     assert k3_bloch(cfg, NoiseConfig(gamma=0.5), 0.0) == 1.0

@@ -1,12 +1,13 @@
-"""The dataset diff of tools/parity.py, on hand-written datasets (no subprocess, no git)."""
+"""The dataset diffs of tools/parity.py, on hand-written datasets (no subprocess, no git)."""
 
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from tools.parity import diff_datasets, parse_seeds  # noqa: E402
+from tools.parity import diff_datasets, parse_seeds, rerun_differences  # noqa: E402
 
 COLUMNS = ["phi_deg", "alpha", "tau_alpha", "gain", "status"]
 
@@ -54,3 +55,17 @@ def test_mismatched_shapes_are_not_compared_cell_by_cell():
 
 def test_seed_ranges():
     assert parse_seeds(["1-3", "7", "2-4"]) == [1, 2, 3, 7, 4]
+
+
+def test_rerun_differences_lists_items_whose_two_datasets_differ(tmp_path):
+    items = [("maxima", SimpleNamespace(argv=("ttb-map", "--grid", str(k)))) for k in range(5)]
+    first, second = tmp_path / "first", tmp_path / "second"
+    for run in (first, second):
+        run.mkdir()
+        (run / "0.out").write_text("a,b\n1,2\n")  # same bytes
+        (run / "3.out").write_text("x\n")
+    (first / "1.out").write_text("a,b\n1,2\n")
+    (second / "1.out").write_text("a,b\n1,2.0\n")  # same value, other bytes
+    (first / "2.out").write_text("a\n")  # written by one run only; item 4 by neither
+    assert rerun_differences(items, first, second) == ["ttb-map --grid 1", "ttb-map --grid 2"]
+    assert rerun_differences(items, first, first) == []

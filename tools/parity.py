@@ -5,19 +5,22 @@ Run from the root of a source checkout:
     python3 tools/parity.py BASE HEAD --workloads bloch lindblad --seeds 1-30 101-130
 
 Each ref's ``src/`` is exported with ``git archive`` into a temporary
-directory; no worktree is made and nothing is checked out. One subprocess per
-tree, both at once, runs every distinct item that ``perfbench.workloads.build``
+directory; no worktree is made and nothing is checked out. Three subprocesses,
+all at once, each run every distinct item that ``perfbench.workloads.build``
 gives for the chosen workloads and seeds, in-process through
-``lgsim.cli.main``, and checks each dataset with ``perfbench.oracle``. Both
-``perfbench`` modules are imported from this checkout, unchanged, so the two
-trees are judged by the same oracle.
+``lgsim.cli.main``: one on the BASE tree and two on the HEAD tree, whose
+datasets must agree byte for byte, as the CLI promises. Each dataset is
+checked with ``perfbench.oracle``. Both ``perfbench`` modules are imported
+from this checkout, unchanged, so the two trees are judged by the same oracle.
 
 For each item it prints the exit code, status and oracle verdict on both
 sides, whether the dataset bytes are identical, and for a dataset that moved
 the largest |delta| of each column that changed. Status follows
 ``perfbench/run.py``: "ok", "exit1", "exit2", or "oracle" for an exit 0 whose
-dataset the oracle rejects. The last line is one JSON summary. The exit code
-is 0 when no item changed its exit code, status or oracle verdict, else 1.
+dataset the oracle rejects. The last line is one JSON summary; its
+"head_reruns_differ" lists the items whose HEAD datasets differ between the
+two runs. The exit code is 0 when no item changed its exit code, status or
+oracle verdict and both HEAD runs agree, else 1.
 """
 
 from __future__ import annotations
@@ -165,6 +168,17 @@ def _compare(base_path: Path, head_path: Path):
     return False, diff_datasets(load_dataset(str(base_path)), load_dataset(str(head_path)))
 
 
+def rerun_differences(items, first: Path, second: Path) -> list[str]:
+    """argv of each item whose dataset ``<k>.out`` differs between the run directories
+    first and second, in bytes or in being written at all."""
+    differ = []
+    for k, (_, item) in enumerate(items):
+        a, b = first / f"{k}.out", second / f"{k}.out"
+        if a.exists() != b.exists() or (a.exists() and a.read_bytes() != b.read_bytes()):
+            differ.append(" ".join(item.argv))
+    return differ
+
+
 def _fold(total: dict, columns: dict) -> None:
     for name, col in columns.items():
         agg = total.setdefault(name, {"changed": 0, "max_abs": 0.0, "max_rel": 0.0})
@@ -211,13 +225,13 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         (tmp / "items.json").write_text(json.dumps([[item.argv, item.kind]
                                                     for _, item in items]))
-        procs = {}
-        for side, ref in (("base", args.base), ("head", args.head)):
-            src = export_src(ref, tmp / side / "tree")
-            (tmp / side / "out").mkdir()
+        procs, trees = {}, {}
+        for side, ref in (("base", args.base), ("head", args.head), ("rerun", None)):
+            trees[side] = trees["head"] if ref is None else export_src(ref, tmp / side / "tree")
+            (tmp / side / "out").mkdir(parents=True)
             procs[side] = subprocess.Popen([sys.executable, __file__, args.base, args.head,
-                                            "--run-tree", str(src), str(tmp / side / "out"),
-                                            str(tmp / "items.json")])
+                                            "--run-tree", str(trees[side]),
+                                            str(tmp / side / "out"), str(tmp / "items.json")])
         for side, proc in procs.items():
             if proc.wait() != 0:
                 print(f"error: the {side} tree's run failed ({proc.returncode})", file=sys.stderr)
@@ -226,7 +240,9 @@ def main(argv=None) -> int:
                    for side in procs}
 
         summary = {"base": args.base, "head": args.head, "seeds": args.seeds,
-                   "items": len(items), "changed": [], "workloads": {}}
+                   "items": len(items), "changed": [], "workloads": {},
+                   "head_reruns_differ": rerun_differences(items, tmp / "head" / "out",
+                                                           tmp / "rerun" / "out")}
         for k, (name, item) in enumerate(items):
             base, head = records["base"][k], records["head"][k]
             identical, diff = _compare(tmp / "base" / "out" / f"{k}.out",
@@ -246,7 +262,7 @@ def main(argv=None) -> int:
             if any(base[key] != head[key] for key in ("rc", "status", "oracle")):
                 summary["changed"].append(" ".join(item.argv))
     print(json.dumps(summary))
-    return 1 if summary["changed"] else 0
+    return 1 if summary["changed"] or summary["head_reruns_differ"] else 0
 
 
 if __name__ == "__main__":
