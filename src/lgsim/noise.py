@@ -45,6 +45,7 @@ from .superpose import SuperpositionConfig, axis_theta, planar, planar_angle
 
 MAGNUS_TOL = 1e-10
 MAGNUS_MAX_STEPS = 2 ** 15
+_MAGNUS_BUDGET = 2 ** 12  # rows x steps per stacked table build at most; a longer row goes alone
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 _PERIOD = 2.0 * np.pi  # of the Bloch generator in u = omega t
 SCAN_OMEGA_STEP = 1e-2
@@ -53,7 +54,11 @@ _EPS = np.finfo(float).eps
 # smallest peak K3 - 1 whose tau rounding does not set: K3 carries ~100 eps of rounding, which
 # moves tau by about that / peak relative, so 1e-6 at most from this peak on
 PEAK_RESOLUTION = 100.0 * _EPS / 1e-6
-_SCAN_FIRST_CHUNK = 16  # scan points per row in a chunk at least; crossings mostly fall by ~200
+# A scan chunk opens at _SCAN_CHUNK_CAP // rows points per row, _SCAN_FIRST_CHUNK at least,
+# and doubles within the cap: over perfbench's lifetime draws of seeds 1-10 the crossings fall
+# at scan point 101/157/195 (Lindblad) and 112/180/306 (Bloch) at the 5th/50th/95th
+# percentile, so a 3-5 row batch mostly ends its scan in one chunk
+_SCAN_FIRST_CHUNK = 16  # scan points per row in a chunk at least
 _SCAN_CHUNK_CAP = 1024  # (rows x points) per chunk at most, unless that is below 16 points per row
 _ROOT_INTERPOLATED_STEPS = 16  # root-step evaluations per row that may interpolate; later bisect
 _ROOT_MAX_STEPS = 80  # root-step evaluations per row at most; bisection from k >= 2 takes <= 50
@@ -157,47 +162,76 @@ class _BlochK3:
     (s_b, s_z)(0), M = Phi(2 pi), u = 2 pi k + p with p in step j (Floquet, Ann. Sci. ENS
     12, 47 (1883)). A row's step count doubles from 64 until its Phi moves by at most
     MAGNUS_TOL at the shared nodes (the error falls as steps^-6) or reaches
-    MAGNUS_MAX_STEPS; at kappa = 0 or A = B one step is exact. steps and residuals hold
-    each row's final count and last move (0 for one exact step). Called with row indices
-    and a (rows x m) block of u, it returns K3 there and no post-selection probability.
+    MAGNUS_MAX_STEPS; at kappa = 0 or A = B one step is exact. Each doubling level is
+    built for many rows in one stacked call (_tables), in groups of at most
+    _MAGNUS_BUDGET rows x steps (a longer row goes alone) that each run to their last
+    level before the next starts, so the rows in flight stay bounded; every row takes the
+    arithmetic it would take alone. steps and residuals hold each row's final count and
+    last move (0 for one exact step). Called with row indices and a (rows x m) block of u,
+    it returns K3 there and no post-selection probability.
     """
 
     def __init__(self, alphas, phi, kappa):
         alphas, phi = np.broadcast_arrays(np.asarray(alphas, dtype=float), phi)
         self._kappa, self._a = kappa, np.cos(alphas) + np.sin(alphas)
         self._b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * alphas))
-        tables, residuals = zip(*(self._converged_table(r) for r in range(len(alphas))))
-        self._nodes, self._phi = (np.concatenate(part) for part in zip(*tables))
-        self._first = np.cumsum([0] + [len(u) for u, _ in tables])  # row r's nodes start here
-        self.steps, self.residuals = np.diff(self._first) - 1, np.array(residuals)
+        self.steps, self.residuals = np.zeros(len(alphas), dtype=int), np.zeros(len(alphas))
+        exact, done = (kappa == 0.0) | (self._a == self._b), []
+        self._refine(np.flatnonzero(exact), 1, None, done)
+        self._refine(np.flatnonzero(~exact), 64, None, done)
+        self._first = np.concatenate([[0], np.cumsum(self.steps + 1)])  # row r's nodes start here
+        self._nodes, self._phi = np.empty(self._first[-1]), np.empty((self._first[-1], 2, 2))
+        while done:  # the nodes are taken again here, so that no level holds them till now
+            rows, phi = done.pop()
+            at = self._first[rows, None] + np.arange(phi.shape[1])
+            self._nodes[at], self._phi[at] = self._node_table(rows, phi.shape[1] - 1), phi
 
-    def _converged_table(self, row: int):
-        n = 1 if self._kappa == 0.0 or self._a[row] == self._b[row] else 64
-        u, phi = self._table(row, n)
-        residual = 0.0
-        while 1 < n < MAGNUS_MAX_STEPS:
-            n, coarse = 2 * n, phi
-            u, phi = self._table(row, n)
-            residual = np.abs(phi[::2] - coarse).max()
-            if residual <= MAGNUS_TOL:
-                break
-        return (u, phi), residual
+    def _refine(self, rows: np.ndarray, n: int, coarse, done: list) -> None:
+        """Take rows from n steps up the doubling levels; coarse is their Phi on n / 2 steps.
 
-    def _table(self, row: int, n: int):
-        a, b = self._a[row], self._b[row]
+        Rows go in groups of max(1, _MAGNUS_BUDGET // n), each through its later levels
+        before the next group is built. A row stops at MAGNUS_TOL or MAGNUS_MAX_STEPS, and
+        its (rows, Phi) goes to done.
+        """
+        size = max(1, _MAGNUS_BUDGET // n)
+        for start in range(0, rows.size, size):
+            group = rows[start:start + size]
+            phi = self._tables(group, n)
+            going = np.full(group.size, 1 < n < MAGNUS_MAX_STEPS)
+            if coarse is not None:
+                moved = np.abs(phi[:, ::2] - coarse[start:start + size]).max(axis=(1, 2, 3))
+                self.residuals[group] = moved
+                going &= ~(moved <= MAGNUS_TOL)
+            self.steps[group] = n
+            done.append((group[~going], phi[~going]))
+            finer = phi[going]
+            del phi  # the finer levels below must not hold this one
+            if finer.size:
+                self._refine(group[going], 2 * n, finer, done)
+
+    def _node_table(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The nodes (rows x n + 1) of n steps uniform in f over one period."""
         psi = np.linspace(0.0, np.pi, n + 1)  # f / 2
-        u = 2.0 * np.arctan2(a * np.sin(psi), b * np.cos(psi))
-        phi = np.concatenate([np.eye(2)[None], _magnus_steps(a, b, self._kappa, u[:-1], u[1:])])
+        return 2.0 * np.arctan2(self._a[rows, None] * np.sin(psi),
+                                self._b[rows, None] * np.cos(psi))
+
+    def _tables(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Phi (rows x n + 1 x 2 x 2) at the nodes of n steps."""
+        u = self._node_table(rows, n)
+        phi = np.empty(u.shape + (2, 2))
+        phi[:, 0] = np.eye(2)
+        phi[:, 1:] = _magnus_steps(self._a[rows, None], self._b[rows, None], self._kappa,
+                                   u[:, :-1], u[:, 1:])
         for span in (1 << k for k in range(n.bit_length())):  # prefix products, log2(n) passes
-            phi[span:] = phi[span:] @ phi[:-span]
-        return u, phi
+            phi[:, span:] = phi[:, span:] @ phi[:, :-span]
+        return phi
 
     def flow(self, rows: np.ndarray, u: np.ndarray, sbz: np.ndarray) -> np.ndarray:
         """(s_b, s_z) of each row at its u (rows x m) from sbz (rows x 2) at u = 0."""
         k = np.floor(u / _PERIOD)
         p = np.clip(u - k * _PERIOD, 0.0, _PERIOD)
         a, b, n = self._a[rows, None], self._b[rows, None], self.steps[rows, None]
-        # flat index j of the step holding p: from psi = f / 2, uniform in steps (see _table),
+        # flat index j of the step holding p: from psi = f / 2, uniform in steps (_node_table),
         psi = np.arctan2(b * np.sin(0.5 * p), a * np.cos(0.5 * p))  # then to the last node <= p
         j = self._first[rows, None] + np.minimum(psi * n // np.pi, n - 1).astype(int)
         j -= self._nodes[j] > p
@@ -327,36 +361,32 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
 
 
 def _e_zz(kappa, u) -> np.ndarray:
-    """E_zz of exp(u [[-kappa, -1], [1, 0]]) for kappa >= 0 (inf included) and u >= 0, broadcast.
+    """E_zz of exp(u [[-kappa, -1], [1, 0]]) on an array u >= 0, for one kappa >= 0 (inf included).
 
     With s = kappa / 2 and r^2 = s^2 - 1 this is e^(-s u) [cosh(r u) + s sinh(r u) / r], taken
-    in real arithmetic on each side of critical damping. Below s = 1, r = i w with w^2 =
-    (1 - s)(1 + s) (no cancellation as s -> 1), and E_zz = e^(-s u) [cos(w u) + s sin(w u) / w].
-    The phase w u is kept as p - e: below s = 1/2 as u - u d, d = 1 - w = s^2 / (1 + w), so
-    that the rounding of w u (~1e-14 at u = 60) stays out of the undamped cosine.
-    From s = 1 on, with the slow rate a = s - r = 1 / (s + r) and q = -expm1(-2 r u) / (2 r)
-    (q = u at r = 0), E_zz = e^(-a u) (1 + a q): every term is positive, so nothing cancels as
-    r -> 0, and at kappa = inf (a = 0) it is the frozen value 1. Past r = 2^26, a q < 2^-54
-    rounds away beside 1 whatever q is, so q takes r capped there and 2 r u stays finite.
+    in real arithmetic on each side of critical damping; kappa picks the side once. Below s =
+    1, r = i w with w^2 = (1 - s)(1 + s) (no cancellation as s -> 1), and E_zz = e^(-s u)
+    [cos(w u) + s sin(w u) / w]. Below s = 1/2 the phase w u is kept as u - u d, d = 1 - w =
+    s^2 / (1 + w), so that the rounding of w u (~1e-14 at u = 60) stays out of the undamped
+    cosine. From s = 1 on, with the slow rate a = s - r = 1 / (s + r) and q = -expm1(-2 r u)
+    / (2 r) (q = u at r = 0), E_zz = e^(-a u) (1 + a q): every term is positive, so nothing
+    cancels as r -> 0, and at kappa = inf (a = 0) it is the frozen value 1. Past r = 2^26,
+    a q < 2^-54 rounds away beside 1 whatever q is, so q takes r capped there and 2 r u stays
+    finite.
     """
-    s, u = np.broadcast_arrays(0.5 * kappa, u)
-    out = np.empty(s.shape)
-    under = s < 1.0
-    if under.any():
-        so, uo = s[under], u[under]
-        w = np.sqrt((1.0 - so) * (1.0 + so))
-        light = so < 0.5
-        p = np.where(light, uo, w * uo)
-        e = np.where(light, uo * (so * so / (1.0 + w)), 0.0)
-        cp, sp, ce, se = np.cos(p), np.sin(p), np.cos(e), np.sin(e)
-        out[under] = np.exp(-so * uo) * (cp * ce + sp * se + so * (sp * ce - cp * se) / w)
-    if not under.all():
-        so, uo = s[~under], u[~under]
-        r = np.sqrt(so - 1.0) * np.sqrt(so + 1.0)
-        a, r = 1.0 / (so + r), np.minimum(r, 2.0 ** 26)
-        q = np.divide(-np.expm1(-2.0 * r * uo), 2.0 * r, out=uo.copy(), where=r > 0.0)
-        out[~under] = np.exp(-a * uo) * (1.0 + a * q)
-    return out
+    s = 0.5 * kappa
+    if s < 1.0:
+        w = np.sqrt((1.0 - s) * (1.0 + s))
+        if s < 0.5:
+            e = u * (s * s / (1.0 + w))
+            cp, sp, ce, se = np.cos(u), np.sin(u), np.cos(e), np.sin(e)
+            return np.exp(-s * u) * (cp * ce + sp * se + s * (sp * ce - cp * se) / w)
+        p = w * u
+        return np.exp(-s * u) * (np.cos(p) + s * np.sin(p) / w)
+    r = np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
+    a, r = 1.0 / (s + r), min(r, 2.0 ** 26)
+    q = -np.expm1(-2.0 * r * u) / (2.0 * r) if r > 0.0 else u
+    return np.exp(-a * u) * (1.0 + a * q)
 
 
 class _LindbladK3:
@@ -415,8 +445,9 @@ def _first_crossings(k3, horizon: np.ndarray):
     """Brackets (lo, hi) of the first downward crossing of K3 = 1, and peak K3 - 1 before it.
 
     k3(rows, u) gives (K3, probability or None) on a (len(rows) x m) block of u. The scan
-    points are k * SCAN_OMEGA_STEP, k = 1, 2, ..., up to each row's horizon, in chunks
-    that double from _SCAN_FIRST_CHUNK points per row within _SCAN_CHUNK_CAP; a row leaves
+    points are k * SCAN_OMEGA_STEP, k = 1, 2, ..., up to each row's horizon, in chunks of
+    _SCAN_CHUNK_CAP // rows points per row (_SCAN_FIRST_CHUNK at least) that then double
+    within the cap, so a default-size batch mostly scans in one chunk; a row leaves
     the scan at its first point with K3 < 1, and rows that reach the horizon first get
     NaN brackets. The peak is over the scan points before the crossing, or up to the
     horizon without one (-inf on none). _root_step then narrows each scan bracket from
@@ -427,7 +458,7 @@ def _first_crossings(k3, horizon: np.ndarray):
     n = len(horizon)
     lo, hi, peak = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -np.inf)
     f_lo, f_hi = np.zeros(n), np.zeros(n)  # K3 - 1 at the bracket ends (f_lo: last scan point)
-    k0, chunk = 1, _SCAN_FIRST_CHUNK
+    k0, chunk = 1, _SCAN_CHUNK_CAP
     active = np.flatnonzero(SCAN_OMEGA_STEP <= horizon)
     while active.size:
         chunk = min(chunk, max(_SCAN_FIRST_CHUNK, _SCAN_CHUNK_CAP // active.size))
@@ -461,45 +492,50 @@ def _root_step(k3, x1, f1, x2, f2):
     at most 4 eps hi wide, or at a point with K3 = 1 exactly (lo = hi there; u = 0, where
     K3 is 1 by definition, is never evaluated). After _ROOT_INTERPOLATED_STEPS
     evaluations it only bisects, and it stops after _ROOT_MAX_STEPS whatever its width.
-    Otherwise K3(lo) >= 1 > K3(hi).
+    Otherwise K3(lo) >= 1 > K3(hi). The open rows' points live in compact arrays; a row's
+    bracket goes back to its place in (lo, hi) when it stops.
     """
-    x1, f1, x2, f2 = x1.copy(), f1.copy(), x2.copy(), f2.copy()
-    x3, f3, frac = np.zeros_like(x1), np.zeros_like(x1), np.full(x1.shape, 0.5)
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     rows = np.flatnonzero(x2 - x1 > 4.0 * _EPS * x2)  # False on NaN
+    x1, f1, x2, f2 = x1[rows], f1[rows], x2[rows], f2[rows]
+    frac = np.full(rows.size, 0.5)
     for steps in range(1, _ROOT_MAX_STEPS + 1):
         if not rows.size:
             break
-        a, b, fa, fb = x1[rows], x2[rows], f1[rows], f2[rows]
-        x = a + frac[rows] * (b - a)
+        x = x1 + frac * (x2 - x1)
         v, prob = k3(rows, x[:, None])
         _check_postselection(prob, x[:, None])
         fx = v[:, 0] - 1.0
-        same = (fx >= 0.0) == (fa >= 0.0)
-        x3[rows], f3[rows] = np.where(same, a, b), np.where(same, fa, fb)
-        x2[rows], f2[rows] = np.where(same, b, a), np.where(same, fb, fa)
-        x1[rows], f1[rows] = x, fx
-        root = fx == 0.0
-        x2[rows[root]] = x[root]  # an exact root closes the bracket on itself
-        p1, p2 = x1[rows], x2[rows]
-        wide = np.abs(p2 - p1) > 4.0 * _EPS * np.maximum(p1, p2)
-        rows, p1, p2, p3 = rows[wide], p1[wide], p2[wide], x3[rows[wide]]
+        same = (fx >= 0.0) == (f1 >= 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        x2 = np.where(fx == 0.0, x, x2)  # an exact root closes the bracket on itself
+        wide = np.abs(x2 - x1) > 4.0 * _EPS * np.maximum(x1, x2)
+        if not wide.all():
+            stop = rows[~wide]
+            lo[stop], hi[stop] = np.minimum(x1, x2)[~wide], np.maximum(x1, x2)[~wide]
+            rows, x1, f1, x2, f2, x3, f3 = (a[wide] for a in (rows, x1, f1, x2, f2, x3, f3))
         t = np.full(rows.size, 0.5)
         if steps < _ROOT_INTERPOLATED_STEPS:
-            g1, g2, g3 = f1[rows], f2[rows], f3[rows]
-            xi, ph = (p1 - p2) / (p3 - p2), (g1 - g2) / (g3 - g2)  # xi in (0, 1); g3 != g2
-            ok = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
-            g1, g2, g3, al = g1[ok], g2[ok], g3[ok], ((p3 - p1) / (p2 - p1))[ok]
-            t[ok] = g1 / (g1 - g2) * g3 / (g3 - g2) - al * g1 / (g3 - g1) * g2 / (g2 - g3)
-        edge = 2.0 * _EPS * np.maximum(p1, p2) / np.abs(p2 - p1)
-        frac[rows] = np.clip(t, edge, 1.0 - edge)
-    return np.minimum(x1, x2), np.maximum(x1, x2)
+            with np.errstate(all="ignore"):  # rows that fail the test below bisect
+                xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)  # xi in (0, 1)
+                ok = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
+                al = (x3 - x1) / (x2 - x1)
+                t = np.where(ok, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - al * f1 / (f3 - f1) * f2 / (f2 - f3), t)
+        edge = 2.0 * _EPS * np.maximum(x1, x2) / np.abs(x2 - x1)
+        frac = np.clip(t, edge, 1.0 - edge)
+    lo[rows], hi[rows] = np.minimum(x1, x2), np.maximum(x1, x2)
+    return lo, hi
 
 
 def _brackets(alphas, phi, kappa, model: str):
     """_first_crossings, in u, for the rows alphas at branch angle phi under one kappa.
 
     Past kappa = 2 the slowest decay rate falls as 1 / kappa (Zeno regime: Misra &
-    Sudarshan, J. Math. Phys. 18, 756 (1977)): the scan runs to u = 50 / min(kappa, 1). At
+    Sudarshan, J. Math. Phys. 18, 756 (1977)): the scan runs to u = 50 / min(kappa, 1),
+    which is inf where that overflows (a subnormal kappa; the rows still cross early). At
     kappa = inf s_z is frozen, so K3 = 1 in both models: every row gets NaN brackets and
     peak K3 - 1 = 0, what the Lindblad scan finds there, and no model is built.
     """
@@ -509,7 +545,8 @@ def _brackets(alphas, phi, kappa, model: str):
         raise ValueError(f"unknown model {model!r} (expected 'bloch' or 'lindblad')")
     if kappa == np.inf:
         return np.full(len(alphas), np.nan), np.full(len(alphas), np.nan), np.zeros(len(alphas))
-    horizon = np.full(len(alphas), LIFETIME_HORIZON_OVER_MIN_RATE / min(kappa, 1.0))
+    with np.errstate(over="ignore"):  # below kappa ~ 2.8e-307 the horizon is unbounded: inf
+        horizon = np.full(len(alphas), LIFETIME_HORIZON_OVER_MIN_RATE / np.float64(min(kappa, 1.0)))
     return _first_crossings(_K3_MODELS[model](alphas, phi, kappa), horizon)
 
 

@@ -76,8 +76,10 @@ def planar_angle(cfg: SuperpositionConfig) -> float:
     Raises UnsupportedGeometry unless m = x and n = (cos phi, sin phi, 0) with
     phi in [0, pi); the closed-form kinematics below are derived in that frame.
     """
-    m, n = cfg.m_axis, cfg.n_axis
-    if not np.allclose(m, X_AXIS, atol=_PLANAR_TOL):
+    (mx, my, mz), n = cfg.m_axis.tolist(), cfg.n_axis.tolist()
+    # np.allclose(m, X_AXIS, atol=_PLANAR_TOL) in scalars: |m_i - x_i| <= atol + 1e-5 |x_i|
+    if not (abs(mx - 1.0) <= _PLANAR_TOL + 1e-5 and abs(my) <= _PLANAR_TOL
+            and abs(mz) <= _PLANAR_TOL):
         raise UnsupportedGeometry("closed-form kinematics need m_axis along x")
     if abs(n[2]) > _PLANAR_TOL or n[1] < -_PLANAR_TOL:
         raise UnsupportedGeometry("closed-form kinematics need n_axis in the upper xy half-plane")

@@ -266,7 +266,7 @@ def test_bloch_tables_converge_at_sixth_order():
     # a wrong Magnus coefficient still converges, only more slowly: on a smooth row the
     # move of Phi between successive doublings falls ~64x per level at 6th order (16x at 4th)
     model = noise_mod._BlochK3([np.pi / 4], np.deg2rad(115.0), 1.0)
-    tables = [model._table(0, n)[1] for n in (32, 64, 128, 256)]
+    tables = [model._tables(np.array([0]), n)[0] for n in (32, 64, 128, 256)]
     moves = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(tables, tables[1:])]
     assert all(a / b >= 40.0 for a, b in zip(moves, moves[1:])), moves
 
@@ -281,6 +281,37 @@ def test_no_bloch_row_stops_at_the_step_cap_short_of_the_tolerance():
             assert np.all(model.steps <= noise_mod.MAGNUS_MAX_STEPS)
             assert np.all(model.residuals <= noise_mod.MAGNUS_TOL), (phi_deg, kappa, model.steps)
     assert model.steps[0] == 1 and model.residuals[0] == 0.0  # alpha = 0: one exact step
+
+
+def _bloch_row_tables(model, row):
+    """(nodes, Phi) of one row of a _BlochK3."""
+    first, end = model._first[row], model._first[row + 1]
+    return model._nodes[first:end], model._phi[first:end]
+
+
+@pytest.mark.parametrize("budget", [noise_mod._MAGNUS_BUDGET, 200, 64, 1])
+def test_stacked_bloch_levels_equal_one_row_builds_bitwise(monkeypatch, budget):
+    # every doubling level is one stacked build for a group of rows; a row's nodes, Phi,
+    # step count and residual must be the bytes it gets built alone, however the budget
+    # splits the groups: rows that stop at 1 step (alpha = 0), at several levels and at
+    # MAGNUS_MAX_STEPS short of the tolerance (kappa = 1e3, phi = 179.9 deg)
+    monkeypatch.setattr(noise_mod, "_MAGNUS_BUDGET", budget)
+    cases = [(np.linspace(0.0, np.pi / 4, 7), np.deg2rad(115.0), 0.3),
+             (np.array([0.1, 0.5, 0.7, 1.0, 1.4]), np.deg2rad([30.0, 170.0, 90.0, 175.0, 60.0]),
+              30.0),
+             (np.array([np.pi / 4, 0.0, 0.2]), np.deg2rad(179.9), 1e3)]
+    for alphas, phi, kappa in cases:
+        model = noise_mod._BlochK3(alphas, phi, kappa)
+        phis = np.broadcast_to(phi, alphas.shape)
+        for row in range(len(alphas)):
+            alone = noise_mod._BlochK3(alphas[[row]], phis[[row]], kappa)
+            for got, ref in zip(_bloch_row_tables(model, row), _bloch_row_tables(alone, 0)):
+                assert got.tobytes() == ref.tobytes(), (kappa, row)
+            assert model.steps[row] == alone.steps[0], (kappa, row)
+            assert model.residuals[row].tobytes() == alone.residuals[0].tobytes(), (kappa, row)
+    assert model.steps[0] == noise_mod.MAGNUS_MAX_STEPS  # the last case, kappa = 1e3
+    assert model.residuals[0] > noise_mod.MAGNUS_TOL
+    assert model.steps[1] == 1 and model.residuals[1] == 0.0
 
 
 _MODERATE = st.floats(-6.0, 6.0)
@@ -524,6 +555,20 @@ def test_lifetime_lindblad_anchor():
 def test_lifetime_rejects_unknown_model():
     with pytest.raises(ValueError):
         gain_curve(1.0, NoiseConfig(gamma=0.1), alpha_grid=(0.3,), model="exact")
+
+
+@pytest.mark.parametrize("model", ["bloch", "lindblad"])
+@pytest.mark.parametrize("gamma, alphas",
+                         [(5e-324, None), (1e-310, np.linspace(0.0, np.pi / 4, 3))])
+def test_subnormal_gamma_scans_to_an_unbounded_horizon(model, gamma, alphas):
+    # 50 / kappa overflows below kappa ~ 2.8e-307: the horizon is inf, without an overflow
+    # warning, and every row still crosses within the first period
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for phi in (90.0, 115.0, 140.0):
+            points = gain_curve(np.deg2rad(phi), NoiseConfig(gamma), alphas, model=model)
+            assert [p.status for p in points] == ["ok"] * len(points), (phi, points)
+            assert all(0.0 < p.tau_alpha < 2.0 * np.pi for p in points), (phi, points)
 
 
 def test_no_crossing_when_horizon_precedes_first_scan_point():
@@ -878,6 +923,24 @@ def test_engine_rows_do_not_depend_on_their_batch(rows, extra, gamma, model, hor
     assert np.array_equal(run(range(len(cfgs)))[:, :n], alone, equal_nan=True)
 
 
+@pytest.mark.parametrize("model", ["bloch", "lindblad"])
+def test_first_crossings_do_not_depend_on_the_chunk_policy(monkeypatch, model):
+    # a row leaves the scan at its first point with K3 < 1 whatever chunk holds it: from
+    # one point per row and 16 per chunk up to 4096 points per row, (lo, hi, peak) are
+    # the same bytes, rows that reach their horizon first included
+    cfgs = _configs([(0.0, 115.0), (np.pi / 16, 30.0), (np.pi / 8, 170.0), (np.pi / 4, 90.0),
+                     (0.6, 140.0)])
+    args = _batch(cfgs, NoiseConfig(gamma=0.7))
+    horizon = np.array([50.0, 50.0, 0.3, 50.0, 2.5])
+    results = []
+    for first, cap in ((1, 16), (16, 1024), (4096, 65536)):
+        monkeypatch.setattr(noise_mod, "_SCAN_FIRST_CHUNK", first)
+        monkeypatch.setattr(noise_mod, "_SCAN_CHUNK_CAP", cap)
+        k3 = noise_mod._K3_MODELS[model](*args)
+        results.append(np.stack(noise_mod._first_crossings(k3, horizon)).tobytes())
+    assert results[0] == results[1] == results[2]
+
+
 _LOG_UNIFORM_GAMMAS = st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e)
 
 
@@ -981,6 +1044,41 @@ def test_e_zz_matches_the_damped_rotation(kappa, u):
         mu = -0.5 * kappa * u
         ref = noise_mod._damped_rotation(mu, mu, 0.0, u)[..., 1, 1]
     assert np.abs(e_zz - ref).max() <= 1e-14, kappa
+
+
+def _broadcast_e_zz(kappa, u) -> np.ndarray:
+    """E_zz with kappa broadcast against u and each side of critical damping (and of
+    s = 1/2) picked per element by boolean masks: the bytes the one-kappa _e_zz keeps."""
+    s, u = np.broadcast_arrays(0.5 * kappa, u)
+    out = np.empty(s.shape)
+    under = s < 1.0
+    if under.any():
+        so, uo = s[under], u[under]
+        w = np.sqrt((1.0 - so) * (1.0 + so))
+        light = so < 0.5
+        p = np.where(light, uo, w * uo)
+        e = np.where(light, uo * (so * so / (1.0 + w)), 0.0)
+        cp, sp, ce, se = np.cos(p), np.sin(p), np.cos(e), np.sin(e)
+        out[under] = np.exp(-so * uo) * (cp * ce + sp * se + so * (sp * ce - cp * se) / w)
+    if not under.all():
+        so, uo = s[~under], u[~under]
+        r = np.sqrt(so - 1.0) * np.sqrt(so + 1.0)
+        a, r = 1.0 / (so + r), np.minimum(r, 2.0 ** 26)
+        q = np.divide(-np.expm1(-2.0 * r * uo), 2.0 * r, out=uo.copy(), where=r > 0.0)
+        out[~under] = np.exp(-a * uo) * (1.0 + a * q)
+    return out
+
+
+def test_e_zz_equals_the_broadcast_form_bitwise():
+    # _e_zz picks its branch once from the batch's one kappa; on each side of s = 1/2 and
+    # of critical damping, one ulp either side of both, it gives the masked form's bytes
+    rng = np.random.default_rng(11)
+    u = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 0.01, 1.0, 60.0, 1e4],
+                        rng.uniform(0.0, 60.0, 40)]).reshape(6, 8)
+    for kappa in (0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                  np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 2.0 ** 27, np.inf):
+        got, ref = noise_mod._e_zz(np.float64(kappa), u), _broadcast_e_zz(np.float64(kappa), u)
+        assert got.shape == u.shape and got.tobytes() == ref.tobytes(), kappa
 
 
 def test_e_zz_limits():

@@ -1,5 +1,7 @@
 """Kinematics of the normalized superposition of two SU(2) rotations."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,32 @@ def test_planar_angle_needs_canonical_frame():
     rotated_m = SuperpositionConfig(alpha=0.3, n_axis=[1, 0, 0], m_axis=[0, 1, 0])
     with pytest.raises(UnsupportedGeometry):
         planar_angle(rotated_m)
+
+
+def test_planar_angle_accepts_the_m_axes_allclose_accepts():
+    # planar_angle tests m against x in scalars; it must accept exactly the m that
+    # np.allclose(m, X_AXIS, atol=1e-10) accepts (rtol 1e-5 on the x component), one ulp
+    # either side of each bound, and raise the same error on the rest
+    n = np.array([0.0, 1.0, 0.0])
+    x_bound, tol = 1e-10 + 1e-5, 1e-10
+    xs = [1.0, 1.0 + x_bound, 1.0 - x_bound, np.nan, np.inf, -np.inf, 0.0]
+    xs += [np.nextafter(x, d) for x in xs[1:3] for d in (-np.inf, np.inf)]
+    others = [0.0, -0.0, tol, -tol, np.nan, np.inf]
+    others += [np.nextafter(x, d) for x in (tol, -tol) for d in (-np.inf, np.inf)]
+    seen = set()
+    for mx in xs:
+        for my in others:
+            for mz in others:
+                m = np.array([mx, my, mz])
+                cfg = SimpleNamespace(m_axis=m, n_axis=n)
+                close = bool(np.allclose(m, X_AXIS, atol=tol))
+                seen.add(close)
+                if close:
+                    assert planar_angle(cfg) == np.pi / 2, m
+                else:
+                    with pytest.raises(UnsupportedGeometry, match="m_axis along x"):
+                        planar_angle(cfg)
+    assert seen == {True, False}
 
 
 def test_zero_delay_is_scaled_identity():
