@@ -15,7 +15,9 @@ coherence then reads (T+ + T-)/4 where
     T(+/-) = tr[sz W(+/-) sz (1/2) W(+/-)^dag],  W(+/-) = sin(a) U0 +/- cos(a) U1.
 
 Register order is always M (x) A (x) S; two-qubit helpers are control (x)
-target with the same relative order (A (x) S, M (x) S).
+target with the same relative order (A (x) S, M (x) S). The module constants,
+PROJ0, PROJ1, HADAMARD, KET_PLUS and the register's fixed gates and initial
+state, are shared read-only arrays, built once at import.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, X_AXIS, Y_AXIS, Z_AXIS, dagger,
+from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, X_AXIS, Y_AXIS, Z_AXIS, _frozen, dagger,
                      dist_upto_phase, is_density_matrix, kron, rot)
 from .superpose import SuperpositionConfig
 
 POSTSELECT_FLOOR = 1e-12
 VERIFY_TOL = 1e-9  # largest pulse-program distance from its target that passes
 
-PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
-PROJ1 = np.array([[0, 0], [0, 1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+PROJ0 = _frozen(np.array([[1, 0], [0, 0]], dtype=complex))
+PROJ1 = _frozen(np.array([[0, 0], [0, 1]], dtype=complex))
+HADAMARD = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+KET_PLUS = _frozen(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
 
 
 class PostSelectionStarved(RuntimeError):
@@ -52,14 +54,29 @@ def ancilla_state(alpha: float) -> np.ndarray:
     return np.array([np.sin(alpha), np.cos(alpha)], dtype=complex)
 
 
+def _block_diagonal(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """kron(PROJ0, u0) + kron(PROJ1, u1) for 2x2 blocks, filled block by block."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = u0
+    out[2:, 2:] = u1
+    out += 0.0  # a -0.0 entry becomes 0.0, as in the sum of the two krons
+    return out
+
+
 def controlled_u_t0(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
     """A (x) S gate applying the n-axis rotation over [ti, tj] on the A=|0> branch."""
-    return kron(PROJ0, rot(cfg.n_axis, cfg.omega * (tj - ti))) + kron(PROJ1, ID2)
+    return _block_diagonal(rot(cfg.n_axis, cfg.omega * (tj - ti)), ID2)
 
 
 def controlled_u_t1(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
     """A (x) S gate applying the m-axis rotation over [ti, tj] on the A=|1> branch."""
-    return kron(PROJ0, ID2) + kron(PROJ1, rot(cfg.m_axis, cfg.omega * (tj - ti)))
+    return _block_diagonal(ID2, rot(cfg.m_axis, cfg.omega * (tj - ti)))
+
+
+def _evolution(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
+    """U_T1 U_T0, filled as its two blocks: the n rotation on A=|0>, the m one on A=|1>."""
+    delta = cfg.omega * (tj - ti)
+    return _block_diagonal(rot(cfg.n_axis, delta), rot(cfg.m_axis, delta))
 
 
 def u_tilde_pm(cfg: SuperpositionConfig, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +93,8 @@ def u_tilde_pm(cfg: SuperpositionConfig, delta: float) -> tuple[np.ndarray, np.n
 
 def project_ancilla(rho_as: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """<ket|_A rho_AS |ket>_A as an (unnormalized) system matrix."""
-    r4 = rho_as.reshape(2, 2, 2, 2)
-    return np.einsum("a,aibj,b->ij", ket.conj(), r4, ket)
+    # rho[a, i, b, j] as [i, j, a, b]: contract b with ket, then a with conj(ket)
+    return rho_as.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2) @ ket @ ket.conj()
 
 
 def postselect_map(cfg: SuperpositionConfig, rho_s: np.ndarray,
@@ -92,11 +109,11 @@ def postselect_map(cfg: SuperpositionConfig, rho_s: np.ndarray,
     if not is_density_matrix(rho_s):
         raise ValueError("rho_s must be a 2x2 density matrix")
     anc = ancilla_state(cfg.alpha)
-    rho_as = kron(np.outer(anc, anc.conj()), rho_s)
-    gate = controlled_u_t1(cfg, ti, tj) @ controlled_u_t0(cfg, ti, tj)
+    rho_as = kron(anc[:, None] * anc.conj(), rho_s)
+    gate = _evolution(cfg, ti, tj)
     rho_as = gate @ rho_as @ dagger(gate)
     block = project_ancilla(rho_as, KET_PLUS)
-    prob = float(np.trace(block).real)
+    prob = float((block[0, 0] + block[1, 1]).real)  # the trace
     if prob < POSTSELECT_FLOOR:
         raise PostSelectionStarved(f"post-selection probability {prob!r} below floor")
     return block / prob, prob
@@ -127,17 +144,13 @@ class NormalizationSignal(NamedTuple):
     n_minus: float
 
 
-def _embed_m(op: np.ndarray) -> np.ndarray:
-    return kron(op, kron(ID2, ID2))
-
-
-def _embed_a(op: np.ndarray) -> np.ndarray:
-    return kron(ID2, kron(op, ID2))
-
-
-def _controlled_sz_ms() -> np.ndarray:
-    """sigma_z on S when M = |1>, on the full M (x) A (x) S register."""
-    return kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, SIGMA_Z))
+# the register's fixed gates, on M (x) A (x) S: Hadamard on M, Hadamard on A, and
+# sigma_z on S when M = |1>; and its state after the first gate, the Hadamard on M
+# applied to |0><0|_M (x) |0><0|_A (x) 1/2
+_HADAMARD_M = _frozen(kron(HADAMARD, kron(ID2, ID2)))
+_HADAMARD_A = _frozen(kron(ID2, kron(HADAMARD, ID2)))
+_CONTROLLED_SZ_MS = _frozen(kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, SIGMA_Z)))
+_RHO_M_PLUS = _frozen(_HADAMARD_M @ kron(PROJ0, kron(PROJ0, 0.5 * ID2)) @ dagger(_HADAMARD_M))
 
 
 def _run_register(circuit: AncillaCircuit) -> tuple[np.ndarray, np.ndarray]:
@@ -147,27 +160,29 @@ def _run_register(circuit: AncillaCircuit) -> tuple[np.ndarray, np.ndarray]:
     observable tag (controlled-sigma_z, M controls S), the two controlled
     evolution gates, the second tag, and a final Hadamard on A so that the
     |+>/|-> ancilla outcomes land on |0>/|1>. M's coherence is read directly.
+    The Hadamard on M meets the same initial state in every run, so it is
+    applied once, at import (_RHO_M_PLUS).
     """
     cfg = circuit.cfg
-    rho = kron(PROJ0, kron(PROJ0, 0.5 * ID2))
-    gates = [_embed_m(HADAMARD), _embed_a(rot(np.array([0.0, 1.0, 0.0]), np.pi - 2.0 * cfg.alpha))]
+    rho = _RHO_M_PLUS
+    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * cfg.alpha), ID2))]
     if circuit.include_q_controls:
-        gates.append(_controlled_sz_ms())
-    evolution = controlled_u_t1(cfg, circuit.ti, circuit.tj) @ controlled_u_t0(cfg, circuit.ti, circuit.tj)
-    gates.append(kron(ID2, evolution))
+        gates.append(_CONTROLLED_SZ_MS)
+    gates.append(kron(ID2, _evolution(cfg, circuit.ti, circuit.tj)))
     if circuit.include_q_controls:
-        gates.append(_controlled_sz_ms())
-    gates.append(_embed_a(HADAMARD))
+        gates.append(_CONTROLLED_SZ_MS)
+    gates.append(_HADAMARD_A)
     for g in gates:
         rho = g @ rho @ dagger(g)
-    r6 = rho.reshape(2, 2, 2, 2, 2, 2)
-    block0 = np.einsum("msns->mn", r6[:, 0, :, :, 0, :])
-    block1 = np.einsum("msns->mn", r6[:, 1, :, :, 1, :])
-    return block0, block1
+    # trace out S, then keep the M blocks diagonal in the ancilla outcome
+    r = rho.reshape(4, 2, 4, 2)
+    ma = (r[:, 0, :, 0] + r[:, 1, :, 1]).reshape(2, 2, 2, 2)
+    return ma[:, 0, :, 0], ma[:, 1, :, 1]
 
 
 def _coherence(block: np.ndarray) -> float:
-    return float(np.trace(SIGMA_X @ block).real)
+    """tr(sigma_x block): the sum of the two off-diagonal entries' real parts."""
+    return float((block[1, 0] + block[0, 1]).real)
 
 
 def interferometer_signal(circuit: AncillaCircuit) -> InterferometerSignal:

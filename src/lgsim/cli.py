@@ -47,6 +47,7 @@ DEFAULT_GAMMA = 1.0 / (4.0 * np.pi)
 _DEFAULT_FORMATS = {"verify-circuits": "json", "selftest": "json"}
 _CSV_QUOTED = re.compile('[,"\n]')  # what csv.writer(lineterminator="\n") quotes; not "\r"
 _CSV_BLOCK_ROWS = 4096  # rows per write; one string for a 250000-row table adds 14 MB
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json.dumps
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,17 @@ def _is_float_array(col) -> bool:
 def _cells(col, fmt: str) -> list:
     """A column's cells as _cell_csv gives them, or _cell_json's as json.dumps writes them.
 
-    A float array is formatted once per distinct bit pattern (-0.0 is not 0.0), in CSV by
-    repr itself.
+    A float array is formatted once per distinct bit pattern (-0.0 is not 0.0) by repr
+    itself, in JSON with json's NaN, Infinity and -Infinity for the non-finite values.
+    Other JSON columns go through json.JSONEncoder.
     """
     if _is_float_array(col):
         bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
-        values = bits.view(float).tolist()
-        distinct = list(map(repr, values)) if fmt == "csv" else _cells(values, fmt)
+        values = bits.view(float)
+        distinct = list(map(repr, values.tolist()))
+        if fmt == "json":
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                distinct[i] = _JSON_NONFINITE[distinct[i]]
         return np.array(distinct, dtype=object)[inverse].tolist()
     if fmt == "csv" or not len(col):
         return list(map(_cell_csv, col))
@@ -171,11 +176,12 @@ def emit_series(name: str, columns, data, fmt: str, path: str, meta: dict) -> No
             for _ in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK_ROWS):
                 fh.write("\n".join(itertools.islice(rows, _CSV_BLOCK_ROWS)) + "\n")
             return
-        rows = zip(*cells)
+        rows = list(map(",\n      ".join, zip(*cells)))
         doc = {"meta": {"name": name, **meta}, "columns": list(columns), "rows": []}
         head = json.dumps(doc, indent=2, sort_keys=True)  # "rows" sorts last
-        body = ",\n    ".join("[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
-        fh.write(head[:-len("[]\n}")] + (f"[\n    {body}\n  ]" if body else "[]") + "\n}\n")
+        body = "\n    ],\n    [\n      ".join(rows)
+        fh.write(head[:-len("[]\n}")] + (f"[\n    [\n      {body}\n    ]\n  ]" if rows else "[]")
+                 + "\n}\n")
 
 
 # --- experiment runners ------------------------------------------------------
@@ -297,6 +303,10 @@ def _run_lifetime(config: RunConfig, model: str):
 
 
 def _run_soe_profiles(config: RunConfig):
+    # the stencil below reaches 2 d <= 0.002 / omega past the last time 2 pi / omega
+    if not math.isfinite((2.0 * np.pi + 2e-3) / config.omega):
+        raise ValueError(f"--omega {config.omega!r} is too small for soe-profiles: its longest "
+                         f"time, (2 pi + 0.002) / omega, is not finite")
     pd = 135.0 if config.phi is None else config.phi
     phi = np.deg2rad(pd)
     n = config.grid or 2000

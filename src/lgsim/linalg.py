@@ -1,10 +1,14 @@
 """Dense complex linear algebra for small multi-qubit registers.
 
 Matrices are plain complex numpy arrays of dimension 2, 4 or 8 and are treated
-as immutable values: every function returns a fresh array and never mutates its
-arguments. Composition, addition and scaling use the native operators
-(``a @ b``, ``a + b``, ``z * a``); :func:`dagger` covers the remaining
-everyday plumbing.
+as immutable values: no function mutates its arguments, and ``rot``, ``pauli``,
+``kron`` and ``dagger`` return fresh arrays (``dagger`` a transposed view of a
+fresh conjugate). The module constants ``ID2``, ``SIGMA_X``, ``SIGMA_Y``,
+``SIGMA_Z``, ``X_AXIS``, ``Y_AXIS`` and ``Z_AXIS`` are shared read-only arrays,
+and ``as_unit_vector`` hands back its argument itself when that is already a
+float 3-vector, so for an axis constant it returns that shared read-only array.
+Composition, addition and scaling use the native operators (``a @ b``,
+``a + b``, ``z * a``); :func:`dagger` covers the remaining everyday plumbing.
 
 Register convention used package-wide: multi-qubit operators are ordered
 measurement (x) ancilla (x) system, so ``kron(m_op, kron(a_op, s_op))``.
@@ -16,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+_RTOL = np.float64(1e-5)  # np.allclose's rtol, as the float64 it becomes there
 
 
 class InvalidAxis(ValueError):
@@ -57,16 +62,37 @@ def pauli(axis) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
+# rot's eight real slots per angle, real and imaginary parts interleaved:
+# re00 im00 re01 im01 re10 im10 re11 im11. cos(angle/2) fills the real diagonal;
+# the off-diagonal real slots start from cos * 0 and the imaginary ones from +0.0
+_ROT_COS = _frozen(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+_ROT_ZERO = _frozen(np.array([0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0]))
+
+
 def rot(axis, angle) -> np.ndarray:
     """SU(2) rotation exp(-i * pauli(axis) * angle / 2).
 
     Closed form cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the tests check
     it against a Pade matrix exponential. Broadcasts over an array of angles.
+    The entries are written straight into one array, bitwise equal to that complex
+    expression, signed zeros included: with c, s = cos, sin(angle/2), each real slot
+    is c k - (s u - s w), k from _ROT_COS, and each imaginary one 0.0 - (s u - s * 0.0),
+    the values the complex products and sums round to.
     """
-    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
-    if not np.all(np.isfinite(half)):
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None]
+    if np.count_nonzero(np.isfinite(half)) != half.size:
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    return np.cos(half) * ID2 - 1j * np.sin(half) * pauli(axis)
+    x, y, z = as_unit_vector(axis).tolist()
+    # u (first eight): pauli's real part in the imaginary slots, signed zeros (pauli's
+    # real part times 0) in the real ones; w (last eight): pauli's imaginary part in
+    # the real slots
+    sw = np.sin(half) * np.fromiter(
+        (0.0, z, 0.0 * (x + 0.0), x, 0.0 * (x + 0.0 * y + 0.0 * z), x, 0.0, -z,
+         0.0, 0.0, 0.0 - y, 0.0, y + 0.0, 0.0, 0.0, 0.0), float, 16)
+    start = np.cos(half) * _ROT_COS + _ROT_ZERO
+    slots = np.subtract(start, np.subtract(sw[..., :8], sw[..., 8:], out=sw[..., :8]),
+                        out=start)
+    return slots.view(complex).reshape(half.shape[:-1] + (2, 2))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,8 +108,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (last two axes)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def dist_upto_phase(a: np.ndarray, b: np.ndarray):
@@ -100,13 +126,24 @@ def dist_upto_phase(a: np.ndarray, b: np.ndarray):
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """a^dag a = 1 to np.allclose with atol=tol, for a matrix or every matrix of a stack."""
     a = np.asarray(a)
-    return bool(np.allclose(dagger(a) @ a, np.eye(a.shape[0]), atol=tol))
+    return bool(np.allclose(dagger(a) @ a, np.eye(a.shape[-1]), atol=tol))
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """a equals dagger(a) entrywise, judged as np.allclose(a, dagger(a), atol=tol) judges it.
+
+    An entry passes if |a - a^dag| <= tol + 1e-5 |a^dag| with a^dag finite, or if the two
+    are equal; so an infinite entry passes only against an equal one, and a NaN never.
+    """
     a = np.asarray(a)
-    return bool(np.allclose(a, dagger(a), atol=tol))
+    ah = dagger(a)
+    if ah.dtype.kind not in "fc":  # np.isclose compares against an inexact copy
+        ah = ah.astype(np.result_type(ah, 1.0))
+    with np.errstate(invalid="ignore"):  # inf - inf, which the equality test decides
+        close = (abs(a - ah) <= tol + _RTOL * abs(ah)) & np.isfinite(ah) | (a == ah)
+    return bool(close.all())
 
 
 def is_density_matrix(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -114,6 +151,6 @@ def is_density_matrix(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     if not is_hermitian(a, tol):
         return False
-    if abs(np.trace(a).real - 1.0) > tol:
+    if abs(a.trace().real - 1.0) > tol:
         return False
     return bool(np.linalg.eigvalsh(a).min() >= -tol)

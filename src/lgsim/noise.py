@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ancilla import POSTSELECT_FLOOR, PROJ0, PROJ1, PostSelectionStarved
-from .linalg import ID2, SIGMA_Z, Z_AXIS, is_density_matrix, kron, pauli
+from .linalg import ID2, SIGMA_Z, Z_AXIS, _frozen, is_density_matrix, kron, pauli
 from .superpose import SuperpositionConfig, axis_theta, planar, planar_angle
 
 MAGNUS_TOL = 1e-10
@@ -301,6 +301,13 @@ def hamiltonian_as(cfg: SuperpositionConfig) -> np.ndarray:
     return kron(PROJ0, half * pauli(cfg.n_axis)) + kron(PROJ1, half * pauli(cfg.m_axis))
 
 
+# the two sigma_z dephasing superoperators, on the ancilla and on the system:
+# vec(op rho op) - vec(rho) = (kron(op, op^T) - 1) vec(rho)
+_DEPHASERS = tuple(_frozen(np.kron(op, op.T) - np.eye(16, dtype=complex))
+                   for op in (kron(ID2, SIGMA_Z), kron(SIGMA_Z, ID2)))
+_EYE4 = _frozen(np.eye(4, dtype=complex))
+
+
 def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
     """16x16 superoperator of the master equation on row-major vec(rho).
 
@@ -308,10 +315,12 @@ def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
     of Havel, J. Math. Phys. 44, 534 (2003)).
     """
     h = hamiltonian_as(cfg)
-    eye = np.eye(4, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in (kron(ID2, SIGMA_Z), kron(SIGMA_Z, ID2)):
-        lv += (0.5 * noise.gamma) * (np.kron(op, op.T) - np.eye(16, dtype=complex))
+    # kron(h, 1) - kron(1, h^T) as [i, k, j, l] = h_ij 1_kl - 1_ij h_lk, the same products
+    commutator = h[:, None, :, None] * _EYE4[None, :, None, :] \
+        - _EYE4[:, None, :, None] * h.T[None, :, None, :]
+    lv = -1j * commutator.reshape(16, 16)
+    for dephaser in _DEPHASERS:
+        lv += (0.5 * noise.gamma) * dephaser
     return lv
 
 
@@ -325,7 +334,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a = a * math.ldexp(1.0, -s)
     eye = out = np.eye(len(a), dtype=a.dtype)
     for k in range(18, 0, -1):  # Horner: I + a (I + a / 2 (I + ... (I + a / 18)))
-        out = eye + a @ out / k
+        # numpy divides a complex array by k as a multiply by 1 / k (Smith's method);
+        # adding eye turns the multiply's -0.0 back to 0.0, so for the complex a this
+        # is called with it is bitwise a @ out / k, at a fraction of the cost
+        out = eye + a @ out * (1.0 / k)
     for _ in range(s):
         out = out @ out
     return out

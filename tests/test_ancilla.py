@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lgsim import ancilla
 from lgsim.ancilla import (
+    HADAMARD,
     KET_PLUS,
     PROJ0,
     PROJ1,
@@ -36,7 +38,8 @@ from lgsim.linalg import (
     kron,
     rot,
 )
-from lgsim.superpose import norm_factor_sq, planar, superposed_unitary, unnormalized_superposed
+from lgsim.superpose import (SuperpositionConfig, norm_factor_sq, planar, superposed_unitary,
+                             unnormalized_superposed)
 
 
 def _random_density(rng):
@@ -295,3 +298,119 @@ def test_verification_report_shape():
     assert empty.max_distance() == {}
     assert empty.passed  # vacuous
     assert "nothing to verify" in empty.summary()
+
+
+# --- the replaced forms, kept as oracles ------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(_bits(a), _bits(b)), (a, b)
+
+
+def _signed_zero_cfgs():
+    """Configurations whose axes have signed-zero components, and random ones."""
+    axes = [np.array(v) for v in ([0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [-1.0, 0.0, -0.0],
+                                  [0.6, -0.0, 0.8], [-0.0, -0.8, 0.6], [0.0, 1.0, -0.0])]
+    cfgs = [SuperpositionConfig(alpha=0.4, n_axis=n, m_axis=m, omega=1.3)
+            for n in axes for m in axes if float(n @ m) > -1.0]
+    rng = np.random.default_rng(41)
+    return cfgs + [_random_planar(rng) for _ in range(20)]
+
+
+_DELAYS = [(0.0, 0.0), (0.7, 0.7), (-0.0, 0.0), (0.0, 0.9), (0.0, 4.5), (2.0, 0.3), (0.0, 1e-320)]
+
+
+def test_controlled_gates_are_bitwise_their_kron_sums():
+    for cfg in _signed_zero_cfgs():
+        for ti, tj in _DELAYS:
+            angle = cfg.omega * (tj - ti)
+            _assert_bitwise(controlled_u_t0(cfg, ti, tj),
+                            kron(PROJ0, rot(cfg.n_axis, angle)) + kron(PROJ1, ID2))
+            _assert_bitwise(controlled_u_t1(cfg, ti, tj),
+                            kron(PROJ0, ID2) + kron(PROJ1, rot(cfg.m_axis, angle)))
+
+
+def test_register_constants_are_bitwise_their_kron_forms():
+    _assert_bitwise(ancilla._HADAMARD_M, kron(HADAMARD, kron(ID2, ID2)))
+    _assert_bitwise(ancilla._HADAMARD_A, kron(ID2, kron(HADAMARD, ID2)))
+    _assert_bitwise(ancilla._CONTROLLED_SZ_MS,
+                    kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, SIGMA_Z)))
+    h_m = kron(HADAMARD, kron(ID2, ID2))
+    _assert_bitwise(ancilla._RHO_M_PLUS,
+                    h_m @ kron(PROJ0, kron(PROJ0, 0.5 * ID2)) @ dagger(h_m))
+    _assert_bitwise(Y_AXIS, np.array([0.0, 1.0, 0.0]))
+
+
+def _project_oracle(rho_as, ket):
+    return np.einsum("a,aibj,b->ij", ket.conj(), rho_as.reshape(2, 2, 2, 2), ket)
+
+
+def _register_oracle(circuit):
+    """The register as first written: every gate built by kron, traces by einsum."""
+    cfg = circuit.cfg
+    csz = kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, SIGMA_Z))
+    rho = kron(PROJ0, kron(PROJ0, 0.5 * ID2))
+    gates = [kron(HADAMARD, kron(ID2, ID2)),
+             kron(ID2, kron(rot(np.array([0.0, 1.0, 0.0]), np.pi - 2.0 * cfg.alpha), ID2))]
+    if circuit.include_q_controls:
+        gates.append(csz)
+    gates.append(kron(ID2, controlled_u_t1(cfg, circuit.ti, circuit.tj)
+                      @ controlled_u_t0(cfg, circuit.ti, circuit.tj)))
+    if circuit.include_q_controls:
+        gates.append(csz)
+    gates.append(kron(ID2, kron(HADAMARD, ID2)))
+    for g in gates:
+        rho = g @ rho @ dagger(g)
+    r6 = rho.reshape(2, 2, 2, 2, 2, 2)
+    return (np.einsum("msns->mn", r6[:, 0, :, :, 0, :]),
+            np.einsum("msns->mn", r6[:, 1, :, :, 1, :]))
+
+
+def test_projection_and_partial_traces_match_their_einsum_forms():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho_as = a @ a.conj().T
+        rho_as /= np.trace(rho_as).real
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        for k in (KET_PLUS, ket / np.linalg.norm(ket)):
+            assert np.abs(project_ancilla(rho_as, k) - _project_oracle(rho_as, k)).max() < 1e-15
+    for cfg in _signed_zero_cfgs():
+        for ti, tj in _DELAYS:
+            for tags in (True, False):
+                circuit = AncillaCircuit(cfg, ti, tj, include_q_controls=tags)
+                for block, expect in zip(ancilla._run_register(circuit), _register_oracle(circuit)):
+                    assert np.abs(block - expect).max() < 1e-15
+
+
+def test_postselect_map_matches_its_kron_route():
+    rng = np.random.default_rng(47)
+    for cfg in _signed_zero_cfgs()[-10:]:
+        rho = _random_density(rng)
+        delta = rng.uniform(0.1, 5.0)
+        anc = ancilla_state(cfg.alpha)
+        gate = controlled_u_t1(cfg, 0.0, delta) @ controlled_u_t0(cfg, 0.0, delta)
+        rho_as = gate @ kron(np.outer(anc, anc.conj()), rho) @ dagger(gate)
+        block = _project_oracle(rho_as, KET_PLUS)
+        out, prob = postselect_map(cfg, rho, 0.0, delta)
+        assert abs(prob - np.trace(block).real) < 1e-15
+        assert np.abs(out - block / np.trace(block).real).max() < 1e-15
+
+
+def test_shared_constants_are_read_only():
+    from lgsim import linalg, noise
+    constants = [linalg.ID2, linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z, linalg.X_AXIS,
+                 linalg.Y_AXIS, linalg.Z_AXIS, PROJ0, PROJ1, HADAMARD, KET_PLUS,
+                 ancilla._HADAMARD_M, ancilla._HADAMARD_A, ancilla._CONTROLLED_SZ_MS,
+                 ancilla._RHO_M_PLUS, *noise._DEPHASERS]
+    for c in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            c += 1.0
+    # the axis check hands an axis constant back as itself, still read-only
+    assert linalg.as_unit_vector(linalg.Y_AXIS) is linalg.Y_AXIS

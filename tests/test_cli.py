@@ -109,6 +109,8 @@ def _tables(draw):
 @example(table=(["only"], [[]]), meta={})
 @example(table=(["only"], [[-0.0, "q\"u,o\nte \u00fc", None]]), meta={"k": 1e-300})
 @example(table=(["a", "b"], [[float("nan"), float("-inf")], [float("inf"), True]]), meta={})
+@example(table=(["f", "g"], [np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, np.nan]),
+                             np.array([1e16, -1e-5, np.inf, 0.1, 1e16, -np.inf, 0.1])]), meta={})
 def test_emit_series_json_matches_json_dumps(tmp_path_factory, table, meta):
     columns, data = table
     path = tmp_path_factory.mktemp("emit") / "t.json"
@@ -538,6 +540,33 @@ def test_selftest_rejects_an_omega_its_times_overflow_at(tmp_path, omega):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "--omega" in proc.stderr
     assert "Traceback" not in proc.stderr and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("omega", ("1e-308", "5e-324"))
+def test_soe_profiles_rejects_an_omega_its_times_overflow_at(tmp_path, omega):
+    # its last time 2 pi / omega (and the stencil's 0.002 / omega past it) is inf here:
+    # once 7 RuntimeWarnings and NaN checks, "max relative FD mismatch = nan"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgsim",
+                           "soe-profiles", "--omega", omega, "--out", str(tmp_path / "s.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "--omega" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "s.csv").exists()
+
+
+def test_soe_profiles_still_runs_at_tiny_omega(tmp_path):
+    # just above the cut the run is clean, and its dataset is the one run() writes
+    for omega in ("1e-300", "3.5e-308"):
+        sub, direct = tmp_path / "sub.csv", tmp_path / "direct.csv"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgsim",
+                               "soe-profiles", "--omega", omega, "--out", str(sub)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout and not proc.stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(RunConfig(experiment="soe-profiles", omega=float(omega), out=str(direct))) == 0
+        assert sub.read_bytes() == direct.read_bytes()
 
 
 def test_reruns_are_byte_identical(tmp_path):

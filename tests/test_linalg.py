@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from lgsim.linalg import (
+    DEFAULT_TOL,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -162,3 +166,171 @@ def test_density_matrix_on_larger_register():
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     assert is_density_matrix(rho)
+
+
+# --- the replaced forms, kept as oracles ------------------------------------
+
+def _rot_oracle(axis, angle):
+    """rot as two complex products: cos(angle/2) * 1 - i sin(angle/2) * pauli(axis)."""
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None, None]
+    return np.cos(half) * ID2 - 1j * np.sin(half) * pauli(axis)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(_bits(a), _bits(b)), (a, b)
+
+
+# axes with signed-zero components, on and off the coordinate axes
+_SIGNED_AXES = [np.array(v) for v in (
+    [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, -1.0],
+    [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0], [-0.0, 1.0, -0.0], [0.0, -1.0, 0.0],
+    [0.6, -0.0, 0.8], [-0.6, 0.8, -0.0], [-0.0, -0.8, 0.6], [0.6, -0.8, 0.0])]
+# +-0, tiny (half underflows to +-0), cos(angle/2) of both signs, a full turn, huge
+_EDGE_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.7, -0.7, 3.0, -3.0, 5.0, -5.0,
+                2.0 * np.pi, -2.0 * np.pi, 4.0 * np.pi, 1e300, -1e300]
+
+
+def test_rot_is_bitwise_the_complex_expression_on_edge_values():
+    for axis in _SIGNED_AXES:
+        for angle in _EDGE_ANGLES:
+            for form in (angle, np.float64(angle), np.array(angle)):   # scalars and 0-d
+                _assert_bitwise(rot(axis, form), _rot_oracle(axis, form))
+        stack = np.array(_EDGE_ANGLES).reshape(4, 4)
+        _assert_bitwise(rot(axis, stack), _rot_oracle(axis, stack))
+        _assert_bitwise(rot(axis, stack[:0]), _rot_oracle(axis, stack[:0]))
+    _assert_bitwise(rot(list(Y_AXIS), 1), _rot_oracle(list(Y_AXIS), 1))   # list axis, int angle
+
+
+@st.composite
+def _axes(draw):
+    """Unit axes, some with components of either sign set to exactly zero."""
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    for i in draw(st.lists(st.integers(0, 2), max_size=2)):
+        v[i] = 0.0
+    n = float(np.linalg.norm(v))
+    assume(n > 1e-3)
+    v = v / n
+    return v * np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3)))
+
+
+_ANGLES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_EDGE_ANGLES))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(axis=_axes(), angles=st.lists(_ANGLES, max_size=7), scalar=_ANGLES)
+def test_rot_is_bitwise_the_complex_expression(axis, angles, scalar):
+    _assert_bitwise(rot(axis, scalar), _rot_oracle(axis, scalar))
+    _assert_bitwise(rot(axis, np.array(angles)), _rot_oracle(axis, np.array(angles)))
+    _assert_bitwise(rot(axis, np.array(angles)[:, None]), _rot_oracle(axis, np.array(angles)[:, None]))
+
+
+def test_rot_keeps_its_axis_check():
+    with pytest.raises(InvalidAxis):
+        rot([0.5, 0.5, 0.5], 0.3)
+    with pytest.raises(InvalidAxis):
+        rot([1.0, 0.0], 0.3)
+
+
+def test_dagger_and_is_unitary_on_stacks():
+    rng = np.random.default_rng(29)
+    axis = _random_axis(rng)
+    stack = rot(axis, rng.uniform(-4 * np.pi, 4 * np.pi, size=(3, 5)))
+    daggers = dagger(stack)
+    assert daggers.shape == (3, 5, 2, 2)
+    for i, j in np.ndindex(3, 5):
+        assert np.array_equal(daggers[i, j], stack[i, j].conj().T)
+    assert is_unitary(stack)
+    broken = stack.copy()
+    broken[2, 1] *= 1.01
+    assert not is_unitary(broken)
+    assert is_unitary(rot(axis, np.array([]))) and dagger(rot(axis, np.array([]))).shape == (0, 2, 2)
+    # a matrix keeps its conjugate transpose bit for bit
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    _assert_bitwise(dagger(m), m.conj().T)
+    _assert_bitwise(dagger(m.real), m.real.conj().T)
+
+
+def _outcome(fn, *args):
+    """fn's return value, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle and the helper must fail alike
+        return type(exc)
+
+
+def _hermitian_oracle(a, tol=DEFAULT_TOL):
+    return bool(np.allclose(a, np.asarray(a).conj().T, atol=tol))
+
+
+def _density_oracle(a, tol=DEFAULT_TOL):
+    a = np.asarray(a)
+    if not _hermitian_oracle(a, tol):
+        return False
+    if abs(np.trace(a).real - 1.0) > tol:
+        return False
+    return bool(np.linalg.eigvalsh(a).min() >= -tol)
+
+
+_EDGE = [np.nan, np.inf, -np.inf, 0.0, -0.0, DEFAULT_TOL, np.nextafter(DEFAULT_TOL, 1.0),
+         np.nextafter(DEFAULT_TOL, 0.0), 1e-5, 1e300]
+
+
+@st.composite
+def _near_hermitian(draw):
+    """A 2x2 or 4x4 Hermitian matrix, often a density matrix, moved by steps at the
+    tolerance's edge or by NaN and infinite entries."""
+    n = draw(st.sampled_from([2, 4]))
+    values = st.floats(-2.0, 2.0)
+    re = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    im = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):  # a density matrix, so that is_density_matrix can accept
+        m = re + 1j * im
+        h = m @ m.conj().T
+        assume(np.trace(h).real > 1e-3)
+        h = h / np.trace(h).real
+    else:
+        h = re + re.T + 1j * (im - im.T)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        # a step of exactly tol + 1e-5 |a_ji| (and its neighbours) lands on the edge
+        step = (float(draw(st.sampled_from(_EDGE)))  # Python floats: NaN arithmetic is silent
+                + draw(st.sampled_from([0.0, 1.0, -1.0])) * 1e-5 * float(abs(h[j, i])))
+        step = complex(0.0, step) if draw(st.booleans()) else complex(step, 0.0)
+        if draw(st.booleans()):
+            h[i, j] = step
+            if draw(st.booleans()):
+                h[j, i] = np.conj(h[i, j])
+        else:
+            h[i, j] = h[i, j] + step
+    return h
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(a=_near_hermitian(), tol=st.sampled_from([DEFAULT_TOL, 0.0, 1e-6]))
+@example(a=np.array([[np.inf, 0.0], [0.0, 1.0]]), tol=DEFAULT_TOL)
+@example(a=np.array([[0.5, np.inf], [np.inf, 0.5]]), tol=DEFAULT_TOL)
+@example(a=np.array([[0.5, np.inf], [1.0, 0.5]]), tol=DEFAULT_TOL)
+@example(a=np.array([[0.5, np.nan], [np.nan, 0.5]]), tol=DEFAULT_TOL)
+@example(a=np.array([[0.5, complex(np.inf, 1.0)], [complex(np.inf, -1.0), 0.5]]), tol=DEFAULT_TOL)
+@example(a=np.array([[0.5, 1e-10], [0.0, 0.5]]), tol=DEFAULT_TOL)
+@example(a=np.array([[0.5, np.nextafter(1e-10, 1.0)], [0.0, 0.5]]), tol=DEFAULT_TOL)
+def test_hermitian_and_density_tests_accept_what_allclose_accepts(a, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # both routes warn alike, if at all
+        assert _outcome(is_hermitian, a, tol) == _outcome(_hermitian_oracle, a, tol)
+        assert _outcome(is_density_matrix, a, tol) == _outcome(_density_oracle, a, tol)
+
+
+def test_hermitian_test_on_other_dtypes():
+    for a in (np.array([[1, 2], [2, 1]]), np.array([[1, 2], [3, 1]]),
+              np.array([[True, False], [False, True]]), np.array([[1, 0], [0, 1]], dtype=np.int8),
+              np.array([[0.5, 0.25], [0.25, 0.5]], dtype=np.float32),
+              np.array([[0.5, 0.25j], [-0.25j, 0.5]], dtype=np.complex64),
+              [[0.5, 0.5], [0.5, 0.5]]):
+        assert is_hermitian(a) == _hermitian_oracle(a)
+        assert is_density_matrix(a) == _density_oracle(a)

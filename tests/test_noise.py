@@ -1124,3 +1124,51 @@ def test_evolve_lindblad_is_a_quantum_channel(n_axis, m_axis, seed, omega_t, gam
     assert abs(np.trace(rho) - 1.0) <= tol
     assert np.abs(rho - rho.conj().T).max() <= tol
     assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -tol
+
+
+# --- the replaced forms, kept as oracles ------------------------------------
+
+def _liouvillian_oracle(cfg, noise):
+    """The superoperator as first written, every term by np.kron."""
+    h = hamiltonian_as(cfg)
+    eye = np.eye(4, dtype=complex)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in (kron(ID2, SIGMA_Z), kron(SIGMA_Z, ID2)):
+        lv += (0.5 * noise.gamma) * (np.kron(op, op.T) - np.eye(16, dtype=complex))
+    return lv
+
+
+def _expm_oracle(a):
+    """noise._expm with its Horner step written a @ out / k."""
+    s = max(math.frexp(float(np.abs(a).sum(axis=0).max()))[1] + 1, 0)
+    a = a * math.ldexp(1.0, -s)
+    eye = out = np.eye(len(a), dtype=a.dtype)
+    for k in range(18, 0, -1):
+        out = eye + a @ out / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+def test_liouvillian_and_propagator_are_bitwise_their_first_forms():
+    rng = np.random.default_rng(53)
+    cfgs = [planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, np.pi - 0.05),
+                   omega=rng.uniform(0.1, 3.0)) for _ in range(40)]
+    cfgs.append(SuperpositionConfig(alpha=0.3, n_axis=np.array([-0.0, 0.6, -0.8]),
+                                    m_axis=np.array([1.0, -0.0, 0.0])))
+    for cfg in cfgs:
+        for gamma in (0.0, GAMMA_REF, 7.5):
+            noise = NoiseConfig(gamma=gamma)
+            lv = liouvillian(cfg, noise)
+            assert _same_bits(lv, _liouvillian_oracle(cfg, noise))
+            for t in (0.0, 0.37, 3.3, 40.0):
+                assert _same_bits(noise_mod._expm(lv * t), _expm_oracle(lv * t))
+    for _ in range(20):  # dense inputs with exact zeros
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a[rng.random((16, 16)) < 0.3] = 0.0
+        assert _same_bits(noise_mod._expm(a), _expm_oracle(a))
