@@ -15,7 +15,10 @@ coherence then reads (T+ + T-)/4 where
     T(+/-) = tr[sz W(+/-) sz (1/2) W(+/-)^dag],  W(+/-) = sin(a) U0 +/- cos(a) U1.
 
 Register order is always M (x) A (x) S; two-qubit helpers are control (x)
-target with the same relative order (A (x) S, M (x) S). The module constants,
+target with the same relative order (A (x) S, M (x) S). Wherever a function
+takes a config, an alpha, a time or a state (an AncillaCircuit's cfg, ti and tj
+too), it takes a stack of them, as superpose does; the stacks broadcast against
+each other in front of the matrix axes. The module constants,
 PROJ0, PROJ1, HADAMARD, KET_PLUS and the register's fixed gates and initial
 state, are shared read-only arrays, built once at import.
 """
@@ -29,7 +32,7 @@ import numpy as np
 
 from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, X_AXIS, Y_AXIS, Z_AXIS, _frozen, dagger,
                      dist_upto_phase, is_density_matrix, kron, rot)
-from .superpose import SuperpositionConfig
+from .superpose import SuperpositionConfig, _branches, _fields
 
 POSTSELECT_FLOOR = 1e-12
 VERIFY_TOL = 1e-9  # largest pulse-program distance from its target that passes
@@ -51,32 +54,31 @@ def ancilla_state(alpha: float) -> np.ndarray:
     sin(alpha) weight of that branch in the superposition. Produced in circuit
     form by a y rotation of angle pi - 2*alpha acting on |0>.
     """
-    return np.array([np.sin(alpha), np.cos(alpha)], dtype=complex)
+    return np.stack((np.sin(alpha), np.cos(alpha)), axis=-1).astype(complex)
 
 
 def _block_diagonal(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """kron(PROJ0, u0) + kron(PROJ1, u1) for 2x2 blocks, filled block by block."""
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = u0
-    out[2:, 2:] = u1
+    """kron(PROJ0, u0) + kron(PROJ1, u1) for 2x2 blocks (or stacks), filled block by block."""
+    out = np.zeros(np.broadcast_shapes(u0.shape, u1.shape)[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = u0
+    out[..., 2:, 2:] = u1
     out += 0.0  # a -0.0 entry becomes 0.0, as in the sum of the two krons
     return out
 
 
 def controlled_u_t0(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
     """A (x) S gate applying the n-axis rotation over [ti, tj] on the A=|0> branch."""
-    return _block_diagonal(rot(cfg.n_axis, cfg.omega * (tj - ti)), ID2)
+    return _block_diagonal(_branches(cfg, np.asarray(tj, dtype=float) - ti)[2], ID2)
 
 
 def controlled_u_t1(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
     """A (x) S gate applying the m-axis rotation over [ti, tj] on the A=|1> branch."""
-    return _block_diagonal(ID2, rot(cfg.m_axis, cfg.omega * (tj - ti)))
+    return _block_diagonal(ID2, _branches(cfg, np.asarray(tj, dtype=float) - ti)[3])
 
 
 def _evolution(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
     """U_T1 U_T0, filled as its two blocks: the n rotation on A=|0>, the m one on A=|1>."""
-    delta = cfg.omega * (tj - ti)
-    return _block_diagonal(rot(cfg.n_axis, delta), rot(cfg.m_axis, delta))
+    return _block_diagonal(*_branches(cfg, np.asarray(tj, dtype=float) - ti)[2:])
 
 
 def u_tilde_pm(cfg: SuperpositionConfig, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -85,16 +87,15 @@ def u_tilde_pm(cfg: SuperpositionConfig, delta: float) -> tuple[np.ndarray, np.n
     The + combination is exactly the unnormalized superposed rotation; the -
     one is what the orthogonal ancilla outcome prepares.
     """
-    u0 = rot(cfg.n_axis, cfg.omega * delta)
-    u1 = rot(cfg.m_axis, cfg.omega * delta)
-    return (np.sin(cfg.alpha) * u0 + np.cos(cfg.alpha) * u1,
-            np.sin(cfg.alpha) * u0 - np.cos(cfg.alpha) * u1)
+    sa, ca, u0, u1 = _branches(cfg, delta)
+    return sa * u0 + ca * u1, sa * u0 - ca * u1
 
 
 def project_ancilla(rho_as: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """<ket|_A rho_AS |ket>_A as an (unnormalized) system matrix."""
     # rho[a, i, b, j] as [i, j, a, b]: contract b with ket, then a with conj(ket)
-    return rho_as.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2) @ ket @ ket.conj()
+    r = rho_as.reshape(rho_as.shape[:-2] + (2, 2, 2, 2))
+    return np.moveaxis(r, (-3, -1), (-4, -3)) @ ket @ ket.conj()
 
 
 def postselect_map(cfg: SuperpositionConfig, rho_s: np.ndarray,
@@ -108,15 +109,16 @@ def postselect_map(cfg: SuperpositionConfig, rho_s: np.ndarray,
     rho_s = np.asarray(rho_s, dtype=complex)
     if not is_density_matrix(rho_s):
         raise ValueError("rho_s must be a 2x2 density matrix")
-    anc = ancilla_state(cfg.alpha)
-    rho_as = kron(anc[:, None] * anc.conj(), rho_s)
+    (alpha,) = _fields(cfg, "alpha")
+    anc = ancilla_state(alpha)
+    rho_as = kron(anc[..., :, None] * anc.conj()[..., None, :], rho_s)
     gate = _evolution(cfg, ti, tj)
     rho_as = gate @ rho_as @ dagger(gate)
     block = project_ancilla(rho_as, KET_PLUS)
-    prob = float((block[0, 0] + block[1, 1]).real)  # the trace
-    if prob < POSTSELECT_FLOOR:
-        raise PostSelectionStarved(f"post-selection probability {prob!r} below floor")
-    return block / prob, prob
+    prob = (block[..., 0, 0] + block[..., 1, 1]).real  # the trace
+    if np.count_nonzero(prob < POSTSELECT_FLOOR):
+        raise PostSelectionStarved(f"post-selection probability {float(prob.min())!r} below floor")
+    return block / prob[..., None, None], (prob if prob.shape else float(prob))
 
 
 @dataclass(frozen=True)
@@ -163,26 +165,27 @@ def _run_register(circuit: AncillaCircuit) -> tuple[np.ndarray, np.ndarray]:
     The Hadamard on M meets the same initial state in every run, so it is
     applied once, at import (_RHO_M_PLUS).
     """
-    cfg = circuit.cfg
+    (alpha,) = _fields(circuit.cfg, "alpha")
     rho = _RHO_M_PLUS
-    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * cfg.alpha), ID2))]
+    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * alpha), ID2))]
     if circuit.include_q_controls:
         gates.append(_CONTROLLED_SZ_MS)
-    gates.append(kron(ID2, _evolution(cfg, circuit.ti, circuit.tj)))
+    gates.append(kron(ID2, _evolution(circuit.cfg, circuit.ti, circuit.tj)))
     if circuit.include_q_controls:
         gates.append(_CONTROLLED_SZ_MS)
     gates.append(_HADAMARD_A)
     for g in gates:
         rho = g @ rho @ dagger(g)
     # trace out S, then keep the M blocks diagonal in the ancilla outcome
-    r = rho.reshape(4, 2, 4, 2)
-    ma = (r[:, 0, :, 0] + r[:, 1, :, 1]).reshape(2, 2, 2, 2)
-    return ma[:, 0, :, 0], ma[:, 1, :, 1]
+    r = rho.reshape(rho.shape[:-2] + (4, 2, 4, 2))
+    ma = (r[..., :, 0, :, 0] + r[..., :, 1, :, 1]).reshape(r.shape[:-4] + (2, 2, 2, 2))
+    return ma[..., :, 0, :, 0], ma[..., :, 1, :, 1]
 
 
 def _coherence(block: np.ndarray) -> float:
     """tr(sigma_x block): the sum of the two off-diagonal entries' real parts."""
-    return float((block[1, 0] + block[0, 1]).real)
+    c = (block[..., 1, 0] + block[..., 0, 1]).real
+    return c if c.shape else float(c)
 
 
 def interferometer_signal(circuit: AncillaCircuit) -> InterferometerSignal:

@@ -374,7 +374,7 @@ def _run_selftest(config: RunConfig):
 
     def random_axis():
         v = rng.normal(size=3)
-        return v / np.linalg.norm(v)
+        return v / math.sqrt(v.dot(v))  # np.linalg.norm(v), as that computes it
 
     def random_cfg():
         while True:
@@ -386,51 +386,42 @@ def _run_selftest(config: RunConfig):
     def random_planar():
         return planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.05, np.pi - 0.05), omega)
 
-    def random_rho():
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = a @ dagger(a)
-        return rho / np.trace(rho).real
+    # each randomized check draws all its inputs first, in the order one draw at a time
+    # takes them, then evaluates its identity once over the stacks (configs as objects)
+    def stacked(k, draw):
+        return [np.array(col) for col in zip(*[draw() for _ in range(k)])]
 
-    worst = max(dist_upto_phase(rot(ax, a) @ rot(ax, b), rot(ax, a + b))
-                for ax, a, b in ((random_axis(), rng.uniform(-6, 6), rng.uniform(-6, 6))
-                                 for _ in range(10)))
+    ax, a, b = stacked(10, lambda: (random_axis(), rng.uniform(-6, 6), rng.uniform(-6, 6)))
+    r_a, r_b, r_ab = rot(ax, np.stack((a, b, a + b)))
+    worst = float(dist_upto_phase(r_a @ r_b, r_ab).max())
     checks.append(Check("rotations about one axis compose", worst < 1e-12, f"max = {worst:.3e}"))
 
-    worst = 0.0
-    for _ in range(20):
-        cfg = random_cfg()
-        delta = rng.uniform(0.0, 6.0)
-        ut = unnormalized_superposed(cfg, delta)
-        direct = 0.5 * np.trace(ut @ dagger(ut)).real
-        worst = max(worst, abs(float(norm_factor_sq(cfg, delta)) - direct))
+    cfgs, deltas = stacked(20, lambda: (random_cfg(), rng.uniform(0.0, 6.0)))
+    ut = unnormalized_superposed(cfgs, deltas)
+    direct = 0.5 * np.trace(ut @ dagger(ut), axis1=-2, axis2=-1).real
+    worst = float(np.abs(norm_factor_sq(cfgs, deltas) - direct).max())
     checks.append(Check("norm factor matches the trace definition", worst < 1e-12,
                         f"max = {worst:.3e}"))
 
-    worst, spread = 0.0, 0.0
-    for _ in range(10):
-        cfg = random_planar()
-        delta = rng.uniform(0.1, 5.0)
-        u = superposed_unitary(cfg, delta)
-        probs = []
-        for _ in range(3):
-            rho = random_rho()
-            out, prob = postselect_map(cfg, rho, 0.0, delta)
-            worst = max(worst, float(np.abs(out - u @ rho @ dagger(u)).max()))
-            probs.append(prob)
-        spread = max(spread, max(probs) - min(probs))
+    # a (10, 1) stack of configs and delays against a (10, 3) stack of states a a^dag / tr
+    cfgs, deltas, a = stacked(10, lambda: (random_planar(), rng.uniform(0.1, 5.0), [
+        rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]))
+    cfgs, deltas, rhos = cfgs[:, None], deltas[:, None], a @ dagger(a)
+    rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
+    u = superposed_unitary(cfgs, deltas)
+    out, prob = postselect_map(cfgs, rhos, 0.0, deltas)
+    worst = float(np.abs(out - u @ rhos @ dagger(u)).max())
+    spread = float(np.ptp(prob, axis=1).max())
     checks.append(Check("post-selected channel equals the normalized conjugation",
                         worst < 1e-10, f"max = {worst:.3e}"))
     checks.append(Check("post-selection probability is state-independent",
                         spread < 1e-12, f"max spread = {spread:.3e}"))
 
-    worst_id, worst_corr = 0.0, 0.0
-    for _ in range(10):
-        cfg = random_planar()
-        delta = rng.uniform(0.1, 5.0)
-        sig = interferometer_signal(AncillaCircuit(cfg, 0.0, delta))
-        norm = normalization_signal(AncillaCircuit(cfg, 0.0, delta, include_q_controls=False))
-        worst_id = max(worst_id, abs(sig.re_cm - 0.25 * (sig.t_plus + sig.t_minus)))
-        worst_corr = max(worst_corr, abs(sig.t_plus / norm.n_plus - correlator(cfg, 0.0, delta)))
+    cfgs, deltas = stacked(10, lambda: (random_planar(), rng.uniform(0.1, 5.0)))
+    sig = interferometer_signal(AncillaCircuit(cfgs, 0.0, deltas))
+    norm = normalization_signal(AncillaCircuit(cfgs, 0.0, deltas, include_q_controls=False))
+    worst_id = float(np.abs(sig.re_cm - 0.25 * (sig.t_plus + sig.t_minus)).max())
+    worst_corr = float(np.abs(sig.t_plus / norm.n_plus - correlator(cfgs, 0.0, deltas)).max())
     checks.append(Check("interferometer coherence identity", worst_id < 1e-10,
                         f"max = {worst_id:.3e}"))
     checks.append(Check("normalized coherence reproduces the correlator",
@@ -438,13 +429,11 @@ def _run_selftest(config: RunConfig):
 
     quiet = NoiseConfig(gamma=0.0)
     cfg = planar(np.pi / 8, np.deg2rad(135.0), omega)
-    worst = 0.0
-    for t in (0.4 / omega, 1.1 / omega):
-        exact = k3_at(cfg, t).k3
-        bloch = k3_bloch(cfg, quiet, t)
-        joint = (2.0 * noisy_correlator(cfg, quiet, 0.0, t)
-                 - noisy_correlator(cfg, quiet, 0.0, 2.0 * t))
-        worst = max(worst, abs(bloch - exact), abs(joint - exact))
+    ts = np.array([0.4, 1.1]) / omega
+    exact = k3_at(cfg, ts).k3
+    c = noisy_correlator(cfg, quiet, 0.0, np.concatenate([ts, 2.0 * ts]))
+    worst = float(max(np.abs(k3_bloch(cfg, quiet, ts) - exact).max(),
+                      np.abs(2.0 * c[:2] - c[2:] - exact).max()))
     checks.append(Check("all three noiseless routes agree on K3", worst < 1e-6,
                         f"max = {worst:.3e}"))
 
@@ -453,13 +442,12 @@ def _run_selftest(config: RunConfig):
     noisy = NoiseConfig(gamma=DEFAULT_GAMMA)
     cfg = planar(np.pi / 4, np.deg2rad(115.0), omega)
     rho_a = np.outer(ancilla_state(cfg.alpha), ancilla_state(cfg.alpha))
-    worst = 0.0
-    for t in (0.37 / omega, 1.9 / omega, 3.3 / omega):
-        blocks = [project_ancilla(evolve_lindblad(np.kron(rho_a, p), cfg, noisy, t), KET_PLUS)
-                  for p in (PROJ0, PROJ1)]
-        c = sum(q * 0.5 * float(np.trace(SIGMA_Z @ b).real / np.trace(b).real)
-                for q, b in zip((1.0, -1.0), blocks))
-        worst = max(worst, abs(c - noisy_correlator(cfg, noisy, 0.0, t)))
+    branches = np.array([np.kron(rho_a, p) for p in (PROJ0, PROJ1)])
+    ts = np.array([0.37, 1.9, 3.3]) / omega
+    blocks = project_ancilla(evolve_lindblad(branches, cfg, noisy, ts), KET_PLUS)
+    sz = 0.5 * (np.trace(SIGMA_Z @ blocks, axis1=-2, axis2=-1).real
+                / np.trace(blocks, axis1=-2, axis2=-1).real)
+    worst = float(np.abs(sz[:, 0] - sz[:, 1] - noisy_correlator(cfg, noisy, 0.0, ts)).max())
     checks.append(Check("joint-state propagator matches the closed-form correlator",
                         worst < 1e-10, f"max = {worst:.3e}"))
 
@@ -468,11 +456,9 @@ def _run_selftest(config: RunConfig):
     checks.append(Check("pulse sequences verify on a spot grid", report.passed,
                         f"max = {max(report.max_distance().values()):.3e}"))
 
-    worst = 0.0
-    for _ in range(15):
-        cfg = random_planar()
-        t = rng.uniform(0.0, 12.0) / omega  # omega*t in [0, 12], like the other draws
-        worst = max(worst, abs(float(np.cos(f_of_t(cfg, t))) - correlator(cfg, 0.0, t)))
+    # omega*t in [0, 12], like the other draws
+    cfgs, ts = stacked(15, lambda: (random_planar(), rng.uniform(0.0, 12.0) / omega))
+    worst = float(np.abs(np.cos(f_of_t(cfgs, ts)) - correlator(cfgs, 0.0, ts)).max())
     checks.append(Check("accumulated angle reproduces the correlator", worst < 1e-10,
                         f"max = {worst:.3e}"))
 
@@ -489,10 +475,11 @@ def _run_selftest(config: RunConfig):
 
     traj = integrate_bloch(planar(np.pi / 8, 2.0, omega), NoiseConfig(gamma=0.05), 6.0 / omega)
     samples = np.linspace(0.0, 6.0 / omega, 31)
-    norms = np.array([np.linalg.norm(s) for s in traj(samples)])
+    s = traj(samples)
+    norms = np.sqrt(np.vecdot(s, s))  # each np.linalg.norm(s[k]), as that computes it
     shrinks = bool(np.all(np.diff(norms) <= 1e-8)) and bool(np.all(norms <= 1.0 + 1e-8))
-    quiet_traj = integrate_bloch(planar(np.pi / 8, 2.0, omega), quiet, 6.0 / omega)
-    quiet_dev = max(abs(np.linalg.norm(s) - 1.0) for s in quiet_traj(samples))
+    s = integrate_bloch(planar(np.pi / 8, 2.0, omega), quiet, 6.0 / omega)(samples)
+    quiet_dev = float(np.abs(np.sqrt(np.vecdot(s, s)) - 1.0).max())
     checks.append(Check("Bloch norm never grows under dephasing", shrinks,
                         f"max norm = {float(norms.max())!r}"))
     checks.append(Check("Bloch norm is conserved without dephasing", quiet_dev < 1e-8,

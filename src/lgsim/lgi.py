@@ -11,7 +11,8 @@ bounded by 1.5; superpositions push it toward the algebraic bound of 3.
 
 U is again an SU(2) rotation, so C has a closed form in which a config enters
 through three scalars only; it is the one route here. `correlator` and `k3_at`
-are its one-point calls; k3_curve samples it over a grid of omega*t. The
+take it at a config or a stack of configs (as superpose takes them) and at times
+that broadcast against it; k3_curve samples it over a grid of omega*t. The
 maximum of K3 over omega*t is solved for, not searched for: K3 rises to the
 one root of a quartic in sin^2(omega*t / 2) that is monotone on [0, 1], so
 k3_max, ttb_map and k3max_surface report it with its first location, in
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import X_AXIS, Z_AXIS, as_unit_vector
-from .superpose import SuperpositionConfig, UnsupportedGeometry, _checked_norm_sq
+from .superpose import SuperpositionConfig, UnsupportedGeometry, _checked_norm_sq, _fields
 
 @dataclass(frozen=True)
 class CorrelatorSet:
@@ -56,7 +57,7 @@ def _coefficients(alpha, n_axes, m_axes, q_axis=Z_AXIS):
     """
     alpha = np.asarray(alpha, dtype=float)
     sa, ca = np.sin(alpha), np.cos(alpha)
-    v = sa[:, None] * n_axes + ca[:, None] * m_axes
+    v = sa[..., None] * n_axes + ca[..., None] * m_axes
     return sa + ca, _dot3(v, v), _dot3(v, as_unit_vector(q_axis))
 
 
@@ -86,14 +87,18 @@ def _correlator_terms(coef, cos_x, sin_x):
 def correlator(cfg: SuperpositionConfig, ti: float, tj: float, q_axis=Z_AXIS) -> float:
     """Two-time correlator (1/2) tr[Q U Q U^dag] of the observable along q_axis.
 
-    The closed form at one point, clamped to [-1, 1]; raises
-    DegenerateSuperposition where superposed_unitary would.
+    The closed form, clamped to [-1, 1], at one config or a stack of them and at
+    times that broadcast against it; raises DegenerateSuperposition where
+    superposed_unitary would.
     """
-    delta = tj - ti
+    delta = np.asarray(tj, dtype=float) - ti
     _checked_norm_sq(cfg, delta)
-    x = 0.5 * (cfg.omega * delta)
-    c = _correlator_terms(_config_coefficients(cfg, q_axis), np.cos(x), np.sin(x))[0]
-    return float(min(1.0, max(-1.0, c)))
+    alpha, n, m, omega = _fields(cfg, "alpha", "n_axis", "m_axis", "omega")
+    # on a trailing axis of one: one config takes a stack's array arithmetic (x**2 as x * x)
+    x = 0.5 * (omega * delta)[..., None]
+    coef = _coefficients(alpha[..., None], n[..., None, :], m[..., None, :], q_axis)
+    c = np.minimum(1.0, np.maximum(-1.0, _correlator_terms(coef, np.cos(x), np.sin(x))[..., 0]))
+    return c if c.shape else float(c)
 
 
 def _k3_terms(coef, trig):
@@ -146,14 +151,13 @@ def _k3_maxima(coef) -> tuple[np.ndarray, np.ndarray]:
 
 
 def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS) -> CorrelatorSet:
-    """Correlators and K3 at the grid (0, t, 2t).
+    """Correlators and K3 at the grid (0, t, 2t), for t and cfg as correlator takes them.
 
     C23 is C12: the correlator depends on the delay only, and 2t - t == t
     exactly in floating point (Sterbenz's lemma).
     """
-    c12 = correlator(cfg, 0.0, t, q_axis)
+    c12, c13 = correlator(cfg, 0.0, np.multiply.outer((1.0, 2.0), t), q_axis)
     c23 = c12
-    c13 = correlator(cfg, 0.0, 2.0 * t, q_axis)
     return CorrelatorSet(c12=c12, c23=c23, c13=c13, k3=c12 + c23 - c13)
 
 

@@ -6,7 +6,9 @@ as immutable values: no function mutates its arguments, and ``rot``, ``pauli``,
 fresh conjugate). The module constants ``ID2``, ``SIGMA_X``, ``SIGMA_Y``,
 ``SIGMA_Z``, ``X_AXIS``, ``Y_AXIS`` and ``Z_AXIS`` are shared read-only arrays,
 and ``as_unit_vector`` hands back its argument itself when that is already a
-float 3-vector, so for an axis constant it returns that shared read-only array.
+float array, so for an axis constant it returns that shared read-only array.
+An axis may be a stack of axes, shape (..., 3), wherever ``rot`` or ``pauli``
+takes one; it broadcasts against the angles like one more stack axis.
 Composition, addition and scaling use the native operators (``a @ b``,
 ``a + b``, ``z * a``); :func:`dagger` covers the remaining everyday plumbing.
 
@@ -16,6 +18,8 @@ Two-qubit helpers keep the same relative order (control first).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -47,19 +51,20 @@ Z_AXIS = _frozen(np.array([0.0, 0.0, 1.0]))
 
 
 def as_unit_vector(axis, tol: float = 1e-12) -> np.ndarray:
-    """Validate a 3-vector as a unit vector and return it as float ndarray."""
+    """Validate a unit 3-vector, or each of a stack of them (shape (..., 3)), as a float ndarray."""
     v = np.asarray(axis, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise InvalidAxis(f"axis must be a 3-vector, got shape {v.shape}")
-    if abs(np.dot(v, v) - 1.0) > tol:
-        raise InvalidAxis(f"axis must have unit norm, got |v| = {np.linalg.norm(v)!r}")
+    off = abs(np.vecdot(v, v) - 1.0)
+    if any((off > tol).flat):
+        raise InvalidAxis(f"axis must have unit norm, got |v|^2 - 1 = {np.max(off)!r}")
     return v
 
 
 def pauli(axis) -> np.ndarray:
     """Pauli matrix along a unit axis: ax*sigma_x + ay*sigma_y + az*sigma_z."""
-    v = as_unit_vector(axis)
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    v = as_unit_vector(axis)[..., None, None]
+    return v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
 
 
 # rot's eight real slots per angle, real and imaginary parts interleaved:
@@ -73,26 +78,30 @@ def rot(axis, angle) -> np.ndarray:
     """SU(2) rotation exp(-i * pauli(axis) * angle / 2).
 
     Closed form cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the tests check
-    it against a Pade matrix exponential. Broadcasts over an array of angles.
+    it against a Pade matrix exponential. Broadcasts over an array of angles and a
+    stack of axes, shape (..., 3), to broadcast(angle.shape, axis.shape[:-1]) + (2, 2).
     The entries are written straight into one array, bitwise equal to that complex
     expression, signed zeros included: with c, s = cos, sin(angle/2), each real slot
     is c k - (s u - s w), k from _ROT_COS, and each imaginary one 0.0 - (s u - s * 0.0),
     the values the complex products and sums round to.
     """
-    half = 0.5 * np.asarray(angle, dtype=float)[..., None]
-    if np.count_nonzero(np.isfinite(half)) != half.size:
+    a = np.asarray(angle, dtype=float)
+    if not all(np.isfinite(a).flat):
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    x, y, z = as_unit_vector(axis).tolist()
+    v = as_unit_vector(axis)
+    half = 0.5 * a[..., None]
     # u (first eight): pauli's real part in the imaginary slots, signed zeros (pauli's
     # real part times 0) in the real ones; w (last eight): pauli's imaginary part in
-    # the real slots
-    sw = np.sin(half) * np.fromiter(
+    # the real slots; one row of sixteen per axis of the stack
+    uw = np.fromiter(itertools.chain.from_iterable(
         (0.0, z, 0.0 * (x + 0.0), x, 0.0 * (x + 0.0 * y + 0.0 * z), x, 0.0, -z,
-         0.0, 0.0, 0.0 - y, 0.0, y + 0.0, 0.0, 0.0, 0.0), float, 16)
-    start = np.cos(half) * _ROT_COS + _ROT_ZERO
+         0.0, 0.0, 0.0 - y, 0.0, y + 0.0, 0.0, 0.0, 0.0) for x, y, z in v.reshape(-1, 3).tolist()),
+        float, v.size // 3 * 16).reshape(v.shape[:-1] + (16,))
+    sw = np.sin(half) * uw
+    start = np.add(np.cos(half) * _ROT_COS, _ROT_ZERO, out=np.empty(sw.shape[:-1] + (8,)))
     slots = np.subtract(start, np.subtract(sw[..., :8], sw[..., 8:], out=sw[..., :8]),
                         out=start)
-    return slots.view(complex).reshape(half.shape[:-1] + (2, 2))
+    return slots.view(complex).reshape(sw.shape[:-1] + (2, 2))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,10 +156,10 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_density_matrix(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian, unit trace, eigenvalues >= -tol."""
+    """Hermitian, unit trace, eigenvalues >= -tol: for a matrix or every matrix of a stack."""
     a = np.asarray(a)
     if not is_hermitian(a, tol):
         return False
-    if abs(a.trace().real - 1.0) > tol:
+    if np.any(abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0) > tol):
         return False
     return bool(np.linalg.eigvalsh(a).min() >= -tol)

@@ -260,7 +260,8 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
         raise ValueError("initial Bloch vector must have shape (3,)")
     kappa = _kappa(noise, cfg.omega)
     flow = None if kappa == np.inf else _row_model(_BlochK3, cfg, noise)
-    cos_t, sin_t = np.cos(axis_theta(cfg)), np.sin(axis_theta(cfg))
+    theta = axis_theta(cfg)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     frame = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
     s_a, s_b, s_z = frame @ s0
 
@@ -278,14 +279,17 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     return trajectory
 
 
-def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t: float) -> float:
-    """K3 on the stationary grid from the Bloch state at t and 2t (1 at kappa = inf)."""
-    if t < 0.0:
+def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t):
+    """K3 on the stationary grid from the Bloch state at t and 2t (1 at t = 0 and kappa = inf),
+    at one time or an array of them, all from one model."""
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(t < 0.0):
         raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0 or _kappa(noise, cfg.omega) == np.inf:  # s_z frozen, as in _brackets
-        return 1.0
-    u = np.array([[cfg.omega * t]])
-    return float(_row_model(_BlochK3, cfg, noise)(np.array([0]), u)[0][0, 0])
+    u = cfg.omega * t.reshape(1, -1)
+    k3 = np.ones_like(u)  # at t = 0, and at every t once s_z is frozen, as in _brackets
+    if _kappa(noise, cfg.omega) < np.inf:
+        k3 = np.where(u > 0.0, _row_model(_BlochK3, cfg, noise)(np.array([0]), u)[0], 1.0)
+    return k3.reshape(t.shape) if t.shape else float(k3[0, 0])
 
 
 # --- Lindblad route ---------------------------------------------------------
@@ -325,51 +329,58 @@ def liouvillian(cfg: SuperpositionConfig, noise: NoiseConfig) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring a degree-18 Taylor sum.
+    """exp(a) by scaling and squaring a degree-18 Taylor sum, for a matrix or each of a stack.
 
     Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 3: a / 2^s has 1-norm <= 1/2, so the
-    terms past degree 18 add at most 2e-23 in norm, and the sum is squared s times.
+    terms past degree 18 add at most 2e-23 in norm, and the sum is squared s times (per matrix).
     """
-    s = max(math.frexp(float(np.abs(a).sum(axis=0).max()))[1] + 1, 0)
-    a = a * math.ldexp(1.0, -s)
-    eye = out = np.eye(len(a), dtype=a.dtype)
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 1, 0)
+    a = a * np.ldexp(1.0, -s)[..., None, None]
+    eye = out = np.eye(a.shape[-1], dtype=a.dtype)
     for k in range(18, 0, -1):  # Horner: I + a (I + a / 2 (I + ... (I + a / 18)))
         # numpy divides a complex array by k as a multiply by 1 / k (Smith's method);
         # adding eye turns the multiply's -0.0 back to 0.0, so for the complex a this
         # is called with it is bitwise a @ out / k, at a fraction of the cost
         out = eye + a @ out * (1.0 / k)
-    for _ in range(s):
-        out = out @ out
+    for j in range(int(s.max())):
+        squared = s > j
+        out[squared] = out[squared] @ out[squared]
     return out
 
 
 def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConfig,
-                    t: float) -> np.ndarray:
-    """Joint state at time t under the dephasing master equation."""
+                    t) -> np.ndarray:
+    """Joint state at time t under the dephasing master equation, of shape t.shape + rho0.shape.
+
+    rho0 may be a stack of states and t an array of times: one propagator per t, and each
+    state goes through it alone (a matrix-vector product), bitwise as in a one-state call.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
-    if not is_density_matrix(rho0):
+    if rho0.shape[-2:] != (4, 4) or not is_density_matrix(rho0):
         raise ValueError("rho0 must be a 4x4 density matrix")
-    if t < 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(t < 0.0):
         raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
-        return rho0.copy()
-    return (_expm(liouvillian(cfg, noise) * t) @ rho0.ravel()).reshape(4, 4)
+    props = _expm(liouvillian(cfg, noise) * t[..., None, None])
+    props = props.reshape(t.shape + (1,) * (rho0.ndim - 2) + (16, 16))
+    return (props @ rho0.reshape(rho0.shape[:-2] + (16, 1))).reshape(t.shape + rho0.shape)
 
 
-def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float,
-                     tj: float) -> float:
+def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float, tj):
     """Two-time correlator with the ancilla channel evolved under dephasing (planar cfg).
 
     Each sigma_z eigenstate of S is evolved jointly with a fresh ancilla for tj - ti,
     post-selected on |+>, and the signed halves of <sigma_z> are summed, each over its
-    branch's post-selection probability: at gamma = 0 the unitary correlator.
+    branch's post-selection probability: at gamma = 0 the unitary correlator. tj may be
+    an array of times, all taken by one model.
     """
-    if tj < ti:
+    delta = np.asarray(tj, dtype=float) - ti
+    if np.count_nonzero(delta < 0.0):
         raise ValueError("tj must be >= ti")
-    u = cfg.omega * np.array([[tj - ti]])
+    u = cfg.omega * delta.reshape(1, -1)
     c, prob = _row_model(_LindbladK3, cfg, noise).correlator(np.array([0]), u)
     _check_postselection(prob, u)
-    return float(c[0, 0])
+    return c.reshape(delta.shape) if delta.shape else float(c[0, 0])
 
 
 def _e_zz(kappa, u) -> np.ndarray:
@@ -423,11 +434,12 @@ class _LindbladK3:
     def correlator(self, rows: np.ndarray, u: np.ndarray):
         """(C, post-selection probability), each of u's shape (rows x m)."""
         e_zz = _e_zz(self._kappa, u)
-        ku = np.multiply(self._kappa, u, out=np.zeros_like(u), where=u != 0.0)  # 0 at u = 0 always
-        coherent = self._s[rows, None] * np.exp(-ku)
         c2, d2 = self._c2[rows, None], self._d2[rows, None]
-        norm = 1.0 + coherent * (c2 + d2 * e_zz)
-        with np.errstate(divide="ignore", invalid="ignore"):  # starved points raise in the caller
+        # kappa u overflows to inf, the limit of e^-kappa u = 0; starved points raise in the caller
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ku = np.multiply(self._kappa, u, out=np.zeros_like(u), where=u != 0.0)  # 0 at u = 0
+            coherent = self._s[rows, None] * np.exp(-ku)
+            norm = 1.0 + coherent * (c2 + d2 * e_zz)
             c = (e_zz + coherent * (c2 * e_zz + d2)) / norm
         return c, 0.5 * norm
 

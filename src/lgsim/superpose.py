@@ -9,11 +9,16 @@ f(d) about a fixed axis in the n-m plane. For the planar family (m along x,
 n at longitude phi in the xy-plane) everything has closed form: the rotation
 axis longitude theta, the accumulated angle f(t), and the instantaneous
 angular speed g(t) = df/dt, which is non-uniform in t whenever alpha > 0.
+
+The functions of delta or t also take a stack of configs (any sequence or array
+of them) in place of one, broadcast against delta or t like one more array; one
+config is the stack of shape (), and a float comes back for scalar times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -54,6 +59,8 @@ class SuperpositionConfig:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         n = as_unit_vector(self.n_axis)
         m = as_unit_vector(self.m_axis)
+        if n.shape != (3,) or m.shape != (3,):
+            raise InvalidAxis("a config takes one n axis and one m axis")
         n.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "n_axis", n)
@@ -89,11 +96,27 @@ def planar_angle(cfg: SuperpositionConfig) -> float:
     return phi
 
 
+def _fields(cfg, *fields) -> list:
+    """Each field (attribute name or function of one config) of a config stack of shape S, as
+    an array of shape S (a number) or S + (3,) (an axis); one config is the stack of shape ()."""
+    cfgs = np.asarray(cfg, dtype=object)
+    cols = [np.array(list(map(f if callable(f) else attrgetter(f), cfgs.ravel().tolist())))
+            for f in fields]
+    return [col.reshape(cfgs.shape + col.shape[1:]) for col in cols]
+
+
+def _branches(cfg: SuperpositionConfig, delta):
+    """sin, cos(alpha) as (..., 1, 1) and rot(n, omega*delta), rot(m, omega*delta) from one rot."""
+    alpha, axes, omega = _fields(cfg, "alpha", attrgetter("n_axis", "m_axis"), "omega")
+    u = rot(axes, (omega * np.asarray(delta, dtype=float))[..., None])
+    return (np.sin(alpha)[..., None, None], np.cos(alpha)[..., None, None],
+            u[..., 0, :, :], u[..., 1, :, :])
+
+
 def unnormalized_superposed(cfg: SuperpositionConfig, delta: float) -> np.ndarray:
     """sin(alpha) * rot(n, omega*delta) + cos(alpha) * rot(m, omega*delta)."""
-    angle = cfg.omega * delta
-    return (np.sin(cfg.alpha) * rot(cfg.n_axis, angle)
-            + np.cos(cfg.alpha) * rot(cfg.m_axis, angle))
+    sa, ca, u_n, u_m = _branches(cfg, delta)
+    return sa * u_n + ca * u_m
 
 
 def norm_factor_sq(cfg: SuperpositionConfig, delta: float):
@@ -103,32 +126,33 @@ def norm_factor_sq(cfg: SuperpositionConfig, delta: float):
     valid for arbitrary axes; the trace route is the test-side cross-check.
     Accepts scalar or array delta.
     """
-    x = 0.5 * cfg.omega * np.asarray(delta, dtype=float)
-    dot = float(np.dot(cfg.n_axis, cfg.m_axis))
-    nsq = 1.0 + np.sin(2.0 * cfg.alpha) * (np.cos(x) ** 2 + dot * np.sin(x) ** 2)
+    alpha, n, m, omega = _fields(cfg, "alpha", "n_axis", "m_axis", "omega")
+    x = 0.5 * omega * np.asarray(delta, dtype=float)
+    nsq = 1.0 + np.sin(2.0 * alpha) * (np.cos(x) ** 2 + np.vecdot(n, m) * np.sin(x) ** 2)
     return nsq if nsq.shape else float(nsq)
 
 
 def _checked_norm_sq(cfg: SuperpositionConfig, delta: float) -> float:
     """N^2(delta), raising DegenerateSuperposition where it falls below NORM_FLOOR."""
     nsq = norm_factor_sq(cfg, delta)
-    if nsq < NORM_FLOOR:
+    if np.count_nonzero(nsq < NORM_FLOOR):
         raise DegenerateSuperposition(
-            f"superposition norm collapses at omega*delta = {cfg.omega * delta!r} (N^2 = {nsq!r})")
+            f"superposition norm collapses (N^2 = {float(np.min(nsq))!r} < {NORM_FLOOR})")
     return nsq
 
 
 def superposed_unitary(cfg: SuperpositionConfig, delta: float) -> np.ndarray:
     """The normalized superposed rotation W(delta) / N(delta), an SU(2) element."""
-    return unnormalized_superposed(cfg, delta) / np.sqrt(_checked_norm_sq(cfg, delta))
+    return (unnormalized_superposed(cfg, delta)
+            / np.sqrt(_checked_norm_sq(cfg, delta))[..., None, None])
 
 
-def _half_angle_coeffs(cfg: SuperpositionConfig) -> tuple[float, float, float]:
-    """(A, B, phi): cos(f/2) = A cos(wt/2)/N, sin(f/2) = B sin(wt/2)/N."""
-    phi = planar_angle(cfg)
-    a = np.cos(cfg.alpha) + np.sin(cfg.alpha)
-    b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * cfg.alpha))
-    return float(a), float(b), phi
+def _half_angle_coeffs(cfg: SuperpositionConfig):
+    """(A, B, phi, omega): cos(f/2) = A cos(wt/2)/N, sin(f/2) = B sin(wt/2)/N."""
+    alpha, phi, omega = _fields(cfg, "alpha", planar_angle, "omega")
+    a = np.cos(alpha) + np.sin(alpha)
+    b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * alpha))
+    return a, b, phi, omega
 
 
 def axis_theta(cfg: SuperpositionConfig) -> float:
@@ -137,7 +161,7 @@ def axis_theta(cfg: SuperpositionConfig) -> float:
     Planar configurations only. theta lies in [0, pi) and interpolates from 0
     (pure m-axis rotation at alpha = 0) to phi (pure n-axis at alpha = pi/2).
     """
-    _, b, phi = _half_angle_coeffs(cfg)
+    _, b, phi, _ = _half_angle_coeffs(cfg)
     cos_t = (np.cos(cfg.alpha) + np.cos(phi) * np.sin(cfg.alpha)) / b
     sin_t = np.sin(cfg.alpha) * np.sin(phi) / b
     theta = float(np.arctan2(sin_t, cos_t))
@@ -152,8 +176,8 @@ def f_of_t(cfg: SuperpositionConfig, t):
     A, B > 0; that phase stays within pi/2 of wt/2, which fixes the winding
     number in closed form (no grid unwrapping needed). Accepts arrays.
     """
-    a, b, _ = _half_angle_coeffs(cfg)
-    x = 0.5 * cfg.omega * np.asarray(t, dtype=float)
+    a, b, _, omega = _half_angle_coeffs(cfg)
+    x = 0.5 * omega * np.asarray(t, dtype=float)
     psi = np.arctan2(b * np.sin(x), a * np.cos(x))
     winding = np.round((x - psi) / (2.0 * np.pi))
     f = 2.0 * (psi + 2.0 * np.pi * winding)
@@ -168,8 +192,8 @@ def soe(cfg: SuperpositionConfig, t):
     is returned everywhere (including f = 0 mod 2 pi). At alpha = 0 this is
     identically omega. Accepts scalar or array t.
     """
-    a, b, _ = _half_angle_coeffs(cfg)
-    g = cfg.omega * a * b / np.asarray(norm_factor_sq(cfg, t))
+    a, b, _, omega = _half_angle_coeffs(cfg)
+    g = omega * a * b / np.asarray(norm_factor_sq(cfg, t))
     return g if g.shape else float(g)
 
 
@@ -179,5 +203,5 @@ def soe_span(cfg: SuperpositionConfig) -> float:
     N^2 ranges over [B^2, A^2] (minimum at omega*t = pi, maximum at 0), so the
     span is omega (A/B - B/A). Grid evaluation of soe() is the test-side check.
     """
-    a, b, _ = _half_angle_coeffs(cfg)
+    a, b, _, _ = _half_angle_coeffs(cfg)
     return float(cfg.omega * (a / b - b / a))

@@ -414,3 +414,80 @@ def test_shared_constants_are_read_only():
             c += 1.0
     # the axis check hands an axis constant back as itself, still read-only
     assert linalg.as_unit_vector(linalg.Y_AXIS) is linalg.Y_AXIS
+
+
+# --- stacks against one-config calls ----------------------------------------
+
+def _general_cfgs(rng, k):
+    cfgs = []
+    while len(cfgs) < k:
+        n, m = rng.normal(size=3), rng.normal(size=3)
+        n, m = n / np.linalg.norm(n), m / np.linalg.norm(m)
+        if float(n @ m) > -0.99:
+            cfgs.append(SuperpositionConfig(alpha=rng.uniform(0.0, np.pi / 2), n_axis=n,
+                                            m_axis=m, omega=rng.uniform(0.2, 3.0)))
+    return cfgs
+
+
+def _within(a, b, tol=1e-15):
+    return np.shape(a) == np.shape(b) and np.abs(np.asarray(a) - np.asarray(b)).max() <= tol
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6), general=st.booleans())
+def test_postselect_map_on_stacked_pairs_is_each_pair_alone(seed, k, general):
+    rng = np.random.default_rng(seed)
+    cfgs = _general_cfgs(rng, k) if general else [_random_planar(rng) for _ in range(k)]
+    rhos = np.array([_random_density(rng) for _ in range(k)])
+    ti, tj = rng.uniform(0.0, 1.0, size=k), rng.uniform(1.0, 6.0, size=k)
+    out, prob = postselect_map(cfgs, rhos, ti, tj)
+    assert out.shape == (k, 2, 2) and prob.shape == (k,)
+    for i in range(k):
+        one_out, one_prob = postselect_map(cfgs[i], rhos[i], ti[i], tj[i])
+        assert type(one_prob) is float
+        assert _within(out[i], one_out) and _within(prob[i], one_prob)
+    # every config against three states, as selftest draws them
+    states = np.array([[_random_density(rng) for _ in range(3)] for _ in range(k)])
+    out, prob = postselect_map(np.array(cfgs, dtype=object)[:, None], states, 0.0, tj[:, None])
+    assert out.shape == (k, 3, 2, 2) and prob.shape == (k, 3)
+    for i in range(k):
+        for j in range(3):
+            one_out, one_prob = postselect_map(cfgs[i], states[i, j], 0.0, tj[i])
+            assert _within(out[i, j], one_out) and _within(prob[i, j], one_prob)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6))
+def test_register_runs_on_a_stack_are_each_circuit_alone(seed, k):
+    rng = np.random.default_rng(seed)
+    cfgs = [_random_planar(rng) for _ in range(k)]
+    deltas = rng.uniform(0.1, 5.0, size=k)
+    sig = interferometer_signal(AncillaCircuit(cfgs, 0.0, deltas))
+    norm = normalization_signal(AncillaCircuit(cfgs, 0.0, deltas, include_q_controls=False))
+    for i in range(k):
+        one = interferometer_signal(AncillaCircuit(cfgs[i], 0.0, deltas[i]))
+        one_norm = normalization_signal(AncillaCircuit(cfgs[i], 0.0, deltas[i],
+                                                       include_q_controls=False))
+        assert all(type(v) is float for v in one + one_norm)
+        assert all(_within(a[i], b) for a, b in zip(sig + norm, one + one_norm))
+
+
+def test_gates_and_projections_on_stacks_are_bitwise_each_alone():
+    rng = np.random.default_rng(59)
+    cfgs = _signed_zero_cfgs()
+    ti, tj = rng.uniform(-1.0, 1.0, size=len(cfgs)), rng.uniform(0.0, 5.0, size=len(cfgs))
+    for func in (controlled_u_t0, controlled_u_t1, ancilla._evolution):
+        _assert_bitwise(func(cfgs, ti, tj),
+                        np.array([func(c, a, b) for c, a, b in zip(cfgs, ti, tj)]))
+    plus, minus = u_tilde_pm(cfgs, tj)
+    for c, t, p, m in zip(cfgs, tj, plus, minus):
+        one_p, one_m = u_tilde_pm(c, t)
+        _assert_bitwise(p, one_p)
+        _assert_bitwise(m, one_m)
+        _assert_bitwise(p, unnormalized_superposed(c, t))
+    alphas = rng.uniform(0.0, np.pi / 2, size=(2, 3))
+    _assert_bitwise(ancilla_state(alphas),
+                    np.array([[ancilla_state(a) for a in row] for row in alphas]))
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    _assert_bitwise(project_ancilla(a, KET_PLUS),
+                    np.array([project_ancilla(r, KET_PLUS) for r in a]))

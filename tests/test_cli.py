@@ -13,12 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lgsim.ancilla as ancilla
 import lgsim.cli as cli
 import lgsim.lgi as lgi
 import lgsim.noise as noise
-from lgsim.ancilla import build_pulse_library
+import lgsim.superpose as superpose
+from lgsim.ancilla import (KET_PLUS, PROJ0, PROJ1, AncillaCircuit, ancilla_state,
+                           build_pulse_library, interferometer_signal, normalization_signal,
+                           postselect_map, project_ancilla)
 from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
                        main, run)
+from lgsim.lgi import correlator, k3_at
+from lgsim.linalg import SIGMA_Z, dagger, dist_upto_phase, rot
+from lgsim.superpose import (SuperpositionConfig, f_of_t, norm_factor_sq, planar,
+                             superposed_unitary, unnormalized_superposed)
 from test_ancilla import _per_point_matrix, _per_point_targets
 
 
@@ -518,6 +526,171 @@ def test_selftest_catches_a_broken_propagator(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "FAIL selftest: joint-state propagator matches the closed-form correlator" in stdout
     assert stdout.count("FAIL") == 1
+
+
+def test_selftest_catches_a_wrong_postselected_channel(tmp_path, monkeypatch, capsys):
+    # mutation: the ancilla prepared with its two amplitudes swapped, cos(alpha)|0> +
+    # sin(alpha)|1>: still a conjugation, with a state-independent probability, but by the
+    # other superposition
+    real = ancilla.ancilla_state
+    monkeypatch.setattr(ancilla, "ancilla_state", lambda alpha: real(np.pi / 2 - alpha))
+    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL selftest: post-selected channel equals the normalized conjugation" in stdout
+    assert stdout.count("FAIL") == 1
+
+
+def test_selftest_catches_a_misread_interferometer(tmp_path, monkeypatch, capsys):
+    # mutation: the coherence of the whole M register read 1 % high
+    real = ancilla.InterferometerSignal
+    monkeypatch.setattr(ancilla, "InterferometerSignal",
+                        lambda t_plus, t_minus, re_cm: real(t_plus, t_minus, 1.01 * re_cm))
+    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL selftest: interferometer coherence identity" in stdout
+    assert stdout.count("FAIL") == 1
+
+
+def test_selftest_catches_a_wrong_norm_factor(tmp_path, monkeypatch, capsys):
+    # mutation: the closed form of N^2 with the wrong sign on its n.m term
+    def wrong(cfg, delta):
+        alpha, n, m, omega = superpose._fields(cfg, "alpha", "n_axis", "m_axis", "omega")
+        x = 0.5 * omega * np.asarray(delta)
+        return 1.0 + np.sin(2.0 * alpha) * (np.cos(x) ** 2 - np.vecdot(n, m) * np.sin(x) ** 2)
+
+    monkeypatch.setattr(cli, "norm_factor_sq", wrong)
+    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL selftest: norm factor matches the trace definition" in stdout
+    assert stdout.count("FAIL") == 1
+
+
+def _per_draw_selftest(seed, omega):
+    """The selftest's draw-by-draw checks as first written: each draw, then its one-config
+    calls, one at a time. Returns {check name: detail} for the checks it covers."""
+    rng = np.random.default_rng(seed)
+    details = {}
+
+    def random_axis():
+        v = rng.normal(size=3)
+        return v / np.linalg.norm(v)
+
+    def random_cfg():
+        while True:
+            n_axis, m_axis = random_axis(), random_axis()
+            if float(n_axis @ m_axis) > -0.99:
+                return SuperpositionConfig(alpha=rng.uniform(0.0, np.pi / 2),
+                                           n_axis=n_axis, m_axis=m_axis, omega=omega)
+
+    def random_planar():
+        return planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.05, np.pi - 0.05), omega)
+
+    def random_rho():
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ dagger(a)
+        return rho / np.trace(rho).real
+
+    worst = max(dist_upto_phase(rot(ax, a) @ rot(ax, b), rot(ax, a + b))
+                for ax, a, b in ((random_axis(), rng.uniform(-6, 6), rng.uniform(-6, 6))
+                                 for _ in range(10)))
+    details["rotations about one axis compose"] = f"max = {worst:.3e}"
+
+    worst = 0.0
+    for _ in range(20):
+        cfg = random_cfg()
+        delta = rng.uniform(0.0, 6.0)
+        ut = unnormalized_superposed(cfg, delta)
+        direct = 0.5 * np.trace(ut @ dagger(ut)).real
+        worst = max(worst, abs(float(norm_factor_sq(cfg, delta)) - direct))
+    details["norm factor matches the trace definition"] = f"max = {worst:.3e}"
+
+    worst, spread = 0.0, 0.0
+    for _ in range(10):
+        cfg = random_planar()
+        delta = rng.uniform(0.1, 5.0)
+        u = superposed_unitary(cfg, delta)
+        probs = []
+        for _ in range(3):
+            rho = random_rho()
+            out, prob = postselect_map(cfg, rho, 0.0, delta)
+            worst = max(worst, float(np.abs(out - u @ rho @ dagger(u)).max()))
+            probs.append(prob)
+        spread = max(spread, max(probs) - min(probs))
+    details["post-selected channel equals the normalized conjugation"] = f"max = {worst:.3e}"
+    details["post-selection probability is state-independent"] = f"max spread = {spread:.3e}"
+
+    worst_id, worst_corr = 0.0, 0.0
+    for _ in range(10):
+        cfg = random_planar()
+        delta = rng.uniform(0.1, 5.0)
+        sig = interferometer_signal(AncillaCircuit(cfg, 0.0, delta))
+        norm = normalization_signal(AncillaCircuit(cfg, 0.0, delta, include_q_controls=False))
+        worst_id = max(worst_id, abs(sig.re_cm - 0.25 * (sig.t_plus + sig.t_minus)))
+        worst_corr = max(worst_corr, abs(sig.t_plus / norm.n_plus - correlator(cfg, 0.0, delta)))
+    details["interferometer coherence identity"] = f"max = {worst_id:.3e}"
+    details["normalized coherence reproduces the correlator"] = f"max = {worst_corr:.3e}"
+
+    quiet = noise.NoiseConfig(gamma=0.0)
+    cfg = planar(np.pi / 8, np.deg2rad(135.0), omega)
+    worst = 0.0
+    for t in (0.4 / omega, 1.1 / omega):
+        exact = k3_at(cfg, t).k3
+        bloch = noise.k3_bloch(cfg, quiet, t)
+        joint = (2.0 * noise.noisy_correlator(cfg, quiet, 0.0, t)
+                 - noise.noisy_correlator(cfg, quiet, 0.0, 2.0 * t))
+        worst = max(worst, abs(bloch - exact), abs(joint - exact))
+    details["all three noiseless routes agree on K3"] = f"max = {worst:.3e}"
+
+    noisy = noise.NoiseConfig(gamma=DEFAULT_GAMMA)
+    cfg = planar(np.pi / 4, np.deg2rad(115.0), omega)
+    rho_a = np.outer(ancilla_state(cfg.alpha), ancilla_state(cfg.alpha))
+    worst = 0.0
+    for t in (0.37 / omega, 1.9 / omega, 3.3 / omega):
+        blocks = [project_ancilla(noise.evolve_lindblad(np.kron(rho_a, p), cfg, noisy, t),
+                                  KET_PLUS) for p in (PROJ0, PROJ1)]
+        c = sum(q * 0.5 * float(np.trace(SIGMA_Z @ b).real / np.trace(b).real)
+                for q, b in zip((1.0, -1.0), blocks))
+        worst = max(worst, abs(c - noise.noisy_correlator(cfg, noisy, 0.0, t)))
+    details["joint-state propagator matches the closed-form correlator"] = f"max = {worst:.3e}"
+
+    worst = 0.0
+    for _ in range(15):
+        cfg = random_planar()
+        t = rng.uniform(0.0, 12.0) / omega
+        worst = max(worst, abs(float(np.cos(f_of_t(cfg, t))) - correlator(cfg, 0.0, t)))
+    details["accumulated angle reproduces the correlator"] = f"max = {worst:.3e}"
+    return details
+
+
+@pytest.mark.parametrize("omega", (1.0, 1e6, 1e-100))
+def test_stacked_selftest_reads_what_the_draw_by_draw_checks_read(tmp_path, omega):
+    # the same draws in the same order, each identity evaluated once over all of them:
+    # every detail the per-draw loops would write, to the last printed digit
+    for seed in range(6):
+        out = tmp_path / f"self{seed}.json"
+        assert main(["selftest", "--seed", str(seed), "--omega", repr(omega),
+                     "--out", str(out)]) == 0
+        written = {row[0]: row[2] for row in json.loads(out.read_text())["rows"]}
+        expect = _per_draw_selftest(seed, omega)
+        assert {name: written[name] for name in expect} == expect, seed
+
+
+@pytest.mark.parametrize("argv", (["--omega", "1e-308"], ["--gamma", "1e308"]))
+def test_lindblad_lifetimes_at_kappa_near_the_float_range_run_cleanly(tmp_path, argv):
+    # kappa = gamma / omega ~ 8e306 and 1e308: kappa u overflowed to inf in the correlator
+    # ("overflow encountered in multiply"); e^(-kappa u) = 0 is the limit it stands for.
+    # K3 stays 1 (s_z frozen): every row reads unresolved, and no scan finds a crossing
+    out = tmp_path / "l.csv"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgsim",
+                           "lifetime-lindblad", *argv, "--grid", "2", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert _statuses(out) == ["unresolved"] * 9
+    assert proc.stdout.count("FAIL lifetime-lindblad: every scan found a crossing") == 3
 
 
 def test_selftest_runs_cleanly_at_tiny_omega(tmp_path, capsys):

@@ -446,3 +446,38 @@ def test_k3_curve_rate_invariance():
     slow = k3_curve(planar(np.pi / 8, 2.0, omega=1.0), us)
     fast = k3_curve(planar(np.pi / 8, 2.0, omega=2.5), us)
     assert np.allclose(slow.k3, fast.k3, atol=1e-12)
+
+
+# --- stacks of configs against one-config calls -----------------------------
+
+def _correlator_oracle(cfg, ti, tj, q_axis=Z_AXIS):
+    """correlator as first written for one config: a one-row batch of the closed form."""
+    delta = tj - ti
+    x = 0.5 * (cfg.omega * delta)
+    c = lgi._correlator_terms(lgi._config_coefficients(cfg, q_axis), np.cos(x), np.sin(x))[0]
+    return float(min(1.0, max(-1.0, c)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 7))
+def test_correlator_on_a_stack_is_each_config_alone(seed, k):
+    rng = np.random.default_rng(seed)
+    cfgs = [planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, np.pi - 0.05),
+                   omega=rng.uniform(0.2, 3.0)) for _ in range(k)]
+    ti, tj = rng.uniform(0.0, 2.0), rng.uniform(0.0, 12.0, size=k)
+    q = np.array([0.6, 0.0, 0.8])
+    for q_axis in (Z_AXIS, q):
+        stacked = correlator(cfgs, ti, tj, q_axis)
+        assert stacked.shape == (k,)
+        for cfg, t, c in zip(cfgs, tj, stacked):
+            one = correlator(cfg, ti, t, q_axis)
+            assert type(one) is float and one == c == _correlator_oracle(cfg, ti, t, q_axis)
+    sets = k3_at(cfgs, tj)
+    for cfg, t, c12, c13, k3 in zip(cfgs, tj, sets.c12, sets.c13, sets.k3):
+        one = k3_at(cfg, t)
+        assert (one.c12, one.c13, one.k3) == (c12, c13, k3)
+        assert one.c13 == _correlator_oracle(cfg, 0.0, 2.0 * t)
+    # every config against every time
+    grid = correlator(np.array(cfgs, dtype=object)[:, None], 0.0, tj)
+    assert grid.shape == (k, k)
+    assert all(grid[i, j] == correlator(cfgs[i], 0.0, tj[j]) for i in range(k) for j in range(k))

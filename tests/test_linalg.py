@@ -334,3 +334,58 @@ def test_hermitian_test_on_other_dtypes():
               [[0.5, 0.5], [0.5, 0.5]]):
         assert is_hermitian(a) == _hermitian_oracle(a)
         assert is_density_matrix(a) == _density_oracle(a)
+
+
+# --- stacks of axes ---------------------------------------------------------
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(axes=st.lists(_axes(), min_size=1, max_size=6),
+       angles=st.lists(_ANGLES, min_size=6, max_size=6))
+def test_rot_on_a_stack_of_axes_is_bitwise_each_axis_alone(axes, angles):
+    k, v = len(axes), np.array(axes)
+    pairs = rot(v, np.array(angles[:k]))  # axis i at angle i
+    assert pairs.shape == (k, 2, 2)
+    grid = rot(v[:, None], np.array(angles))  # every axis at every angle
+    assert grid.shape == (k, 6, 2, 2)
+    shared = rot(v, angles[0])  # every axis at one angle
+    for i, axis in enumerate(axes):
+        _assert_bitwise(pairs[i], _rot_oracle(axis, angles[i]))
+        _assert_bitwise(pairs[i], rot(axis, angles[i]))
+        _assert_bitwise(grid[i], _rot_oracle(axis, np.array(angles)))
+        _assert_bitwise(shared[i], _rot_oracle(axis, angles[0]))
+
+
+def test_rot_on_a_stack_of_signed_zero_axes():
+    v = np.array(_SIGNED_AXES).reshape(3, 4, 3)
+    for angle in _EDGE_ANGLES:
+        _assert_bitwise(rot(v, angle),
+                        np.array([[_rot_oracle(ax, angle) for ax in row] for row in v]))
+    _assert_bitwise(rot(v[:0], 0.3), np.empty((0, 4, 2, 2), dtype=complex))
+
+
+def test_axis_checks_and_pauli_on_stacks():
+    v = np.array([[1.0, 0.0, 0.0], [0.6, -0.0, 0.8]])
+    assert as_unit_vector(v) is v
+    _assert_bitwise(pauli(v), np.array([pauli(axis) for axis in v]))
+    bad = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5]])  # one row off the unit sphere
+    for call in (as_unit_vector, pauli, lambda a: rot(a, 0.3)):
+        with pytest.raises(InvalidAxis):
+            call(bad)
+    with pytest.raises(InvalidAxis):
+        as_unit_vector(np.ones((2, 2)))
+
+
+def test_density_matrix_test_on_stacks():
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    rhos = a @ dagger(a)
+    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+    assert is_density_matrix(rhos) and all(is_density_matrix(r) for r in rhos)
+    spoilers = (1.1 * rhos[3],  # trace 1.1
+                np.diag([1.5, -0.5]),  # unit trace, an eigenvalue -0.5
+                rhos[3] + np.array([[0.0, 0.1], [0.0, 0.0]]))  # not Hermitian
+    for spoiler in spoilers:
+        bad = rhos.copy()
+        bad[3] = spoiler
+        assert not is_density_matrix(spoiler)
+        assert not is_density_matrix(bad)

@@ -1172,3 +1172,59 @@ def test_liouvillian_and_propagator_are_bitwise_their_first_forms():
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a[rng.random((16, 16)) < 0.3] = 0.0
         assert _same_bits(noise_mod._expm(a), _expm_oracle(a))
+
+
+# --- stacks of states and arrays of times against one-state, one-time calls ---
+
+def test_evolve_lindblad_on_stacks_is_bitwise_each_state_and_time_alone():
+    rng = np.random.default_rng(61)
+    states = np.array([_random_joint_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    ts = np.array([0.0, 0.37, 1.9, 3.3, 40.0])
+    for cfg in (planar(0.7, 2.0, omega=1.3), planar(np.pi / 4, np.deg2rad(115.0))):
+        for gamma in (0.0, GAMMA_REF, 7.5):
+            noise = NoiseConfig(gamma=gamma)
+            lv = liouvillian(cfg, noise)
+            out = evolve_lindblad(states, cfg, noise, ts)
+            assert out.shape == (5, 2, 3, 4, 4)
+            for k, t in enumerate(ts):
+                one_t = evolve_lindblad(states, cfg, noise, t)
+                assert _same_bits(out[k], one_t)
+                for i, j in itertools.product(range(2), range(3)):
+                    alone = evolve_lindblad(states[i, j], cfg, noise, t)
+                    assert _same_bits(one_t[i, j], alone)
+                    # the first form: the propagator on the flattened state
+                    first = (_expm_oracle(lv * t) @ states[i, j].ravel()).reshape(4, 4)
+                    assert np.array_equal(alone, first)  # a t = 0 zero may change sign
+                    assert t == 0.0 or _same_bits(alone, first)
+
+
+def test_expm_on_a_stack_squares_each_matrix_its_own_times():
+    rng = np.random.default_rng(67)
+    a = rng.normal(size=(7, 16, 16)) + 1j * rng.normal(size=(7, 16, 16))
+    a *= np.array([0.0, 1e-3, 0.02, 0.3, 1.0, 7.0, 60.0])[:, None, None]  # 0 to 9 squarings
+    stacked = noise_mod._expm(a.reshape(7, 1, 16, 16))
+    for k in range(7):
+        assert _same_bits(stacked[k, 0], noise_mod._expm(a[k]))
+        assert _same_bits(stacked[k, 0], _expm_oracle(a[k]))
+
+
+def test_noisy_correlator_and_k3_bloch_at_an_array_of_times_are_each_time_alone():
+    cfg = planar(np.pi / 8, np.deg2rad(135.0), omega=1.7)
+    ts = np.array([[0.0, 0.4, 1.1], [2.2, 3.5, 7.0]])
+    for gamma in (0.0, GAMMA_REF, 3.0, 1e300):
+        noise = NoiseConfig(gamma=gamma)
+        for func, ti in ((noisy_correlator, 0.3), (k3_bloch, None)):
+            args = (ti,) if ti is not None else ()
+            out = func(cfg, noise, *args, ts + (ti or 0.0))
+            assert out.shape == ts.shape
+            for t, value in zip((ts + (ti or 0.0)).ravel(), out.ravel()):
+                one = func(cfg, noise, *args, float(t))
+                assert type(one) is float and one == value
+    with pytest.raises(ValueError):
+        k3_bloch(cfg, NoiseConfig(0.1), np.array([0.5, -0.1]))
+    with pytest.raises(ValueError):
+        noisy_correlator(cfg, NoiseConfig(0.1), 1.0, np.array([2.0, 0.5]))
+    with pytest.raises(ValueError):
+        evolve_lindblad(np.eye(4) / 4, cfg, NoiseConfig(0.1), np.array([0.5, -0.1]))
+    with pytest.raises(ValueError):
+        evolve_lindblad(np.eye(2) / 2, cfg, NoiseConfig(0.1), 0.5)

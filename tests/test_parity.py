@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from tools.parity import diff_datasets, parse_seeds, rerun_differences  # noqa: E402
+from tools.parity import (_fold, diff_datasets, parse_seeds, rerun_differences,  # noqa: E402
+                          text_delta)
 
 COLUMNS = ["phi_deg", "alpha", "tau_alpha", "gain", "status"]
 
@@ -69,3 +70,41 @@ def test_rerun_differences_lists_items_whose_two_datasets_differ(tmp_path):
     (first / "2.out").write_text("a\n")  # written by one run only; item 4 by neither
     assert rerun_differences(items, first, second) == ["ttb-map --grid 1", "ttb-map --grid 2"]
     assert rerun_differences(items, first, first) == []
+
+
+def test_numbers_inside_text_cells_are_compared_per_row_name():
+    columns = ["check", "passed", "detail"]
+    base = [["channel", True, "max = 1.611e-15"], ["spread", True, "max spread = 3.331e-16"],
+            ["channel", True, "max = 1.0e-16"], ["scan", True, "closed - dense = -1.5e-12"],
+            ["norm", True, "max norm = nan"], ["other", True, "no draws"]]
+    head = [["channel", True, "max = 2.055e-15"], ["spread", True, "max spread = 1.110e-16"],
+            ["channel", True, "max = 1.0e-16"], ["scan", True, "closed - dense = -1.0e-12"],
+            ["norm", True, "max norm = nan"], ["other", True, "two draws"]]
+    detail = diff_datasets((columns, base), (columns, head))["columns"]["detail"]
+    assert detail["changed"] == 4 and detail["max_abs"] is None  # still text cells
+    rows = detail["by_row"]
+    assert set(rows) == {"channel", "spread", "scan", "other"}  # unchanged rows are absent
+    assert rows["channel"]["changed"] == 1
+    assert math.isclose(rows["channel"]["max_abs"], 4.44e-16, rel_tol=1e-9)
+    assert math.isclose(rows["spread"]["max_abs"], 2.221e-16, rel_tol=1e-9)
+    assert math.isclose(rows["scan"]["max_abs"], 5e-13, rel_tol=1e-9)
+    assert rows["other"] == {"changed": 1, "max_abs": None}  # its words moved
+
+
+def test_text_delta():
+    assert text_delta("max = 1.5e-16", "max = 1.5e-16") == 0.0
+    assert math.isclose(text_delta("a 1 b 2.5", "a 1.5 b 2.0"), 0.5)
+    assert text_delta("max = 1e-16", "min = 1e-16") is None
+    assert text_delta("max = 1e-16", "max = 1e-16, 2") is None
+    assert text_delta("K3 = nan", "K3 = nan") == 0.0
+    assert text_delta("gain(alpha=pi/4) = inf", "gain(alpha=pi/4) = 1.25") == math.inf
+
+
+def test_row_moves_add_up_over_items():
+    columns = ["check", "detail"]
+    total = {}
+    for b, h in (("max = 1e-16", "max = 3e-16"), ("max = 2e-16", "max = 2.5e-16")):
+        _fold(total, diff_datasets((columns, [["c", b]]), (columns, [["c", h]]))["columns"])
+    assert total["detail"]["changed"] == 2 and total["detail"]["max_abs"] is None
+    assert total["detail"]["by_row"]["c"]["changed"] == 2
+    assert math.isclose(total["detail"]["by_row"]["c"]["max_abs"], 2e-16)

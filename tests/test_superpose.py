@@ -4,9 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgsim.lgi import correlator
-from lgsim.linalg import ID2, X_AXIS, dagger, dist_upto_phase, is_unitary, rot
+from lgsim.linalg import ID2, X_AXIS, InvalidAxis, dagger, dist_upto_phase, is_unitary, rot
 from lgsim.superpose import (
     DegenerateSuperposition,
     SuperpositionConfig,
@@ -203,3 +204,96 @@ def test_soe_positive_and_span():
         assert np.isclose(soe_span(cfg), g.max() - g.min(), atol=1e-6)
     assert np.isclose(soe_span(planar(np.pi / 4, np.pi / 2)), 1.0 / np.sqrt(2))
     assert np.isclose(soe_span(planar(0.0, 1.0)), 0.0)
+
+
+# --- stacks of configs against one-config calls -----------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(_bits(a), _bits(b)), (a, b)
+
+
+def _assert_close(a, b):
+    """Equal to 1e-15, relative past 1: N^2 rounds by its own power x**2 at one scalar time,
+    where a stack squares by x * x."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-15 * np.maximum(1.0, np.abs(b)))
+
+
+def _stack_of_configs(seed, k, general):
+    """k configs (arbitrary axes, or planar) and k delays drawn from seed."""
+    rng = np.random.default_rng(seed)
+    if general:
+        cfgs = []
+        while len(cfgs) < k:
+            n, m = _random_axis(rng), _random_axis(rng)
+            if float(n @ m) > -0.99:
+                cfgs.append(SuperpositionConfig(alpha=rng.uniform(0.0, np.pi / 2), n_axis=n,
+                                                m_axis=m, omega=rng.uniform(0.2, 3.0)))
+    else:
+        cfgs = [planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, np.pi - 0.05),
+                       omega=rng.uniform(0.2, 3.0)) for _ in range(k)]
+    return cfgs, rng.uniform(0.0, 12.0, size=k)
+
+
+def _norm_factor_sq_oracle(cfg, delta):
+    """norm_factor_sq as first written, for one config."""
+    x = 0.5 * cfg.omega * delta
+    return 1.0 + np.sin(2.0 * cfg.alpha) * (np.cos(x) ** 2
+                                            + float(np.dot(cfg.n_axis, cfg.m_axis)) * np.sin(x) ** 2)
+
+
+def _unnormalized_oracle(cfg, delta):
+    """unnormalized_superposed as first written: one rot call per branch."""
+    angle = cfg.omega * delta
+    return np.sin(cfg.alpha) * rot(cfg.n_axis, angle) + np.cos(cfg.alpha) * rot(cfg.m_axis, angle)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 7), general=st.booleans())
+def test_a_stack_of_configs_is_each_config_alone(seed, k, general):
+    cfgs, deltas = _stack_of_configs(seed, k, general)
+    ws = unnormalized_superposed(cfgs, deltas)
+    for cfg, delta, w in zip(cfgs, deltas, ws):
+        _assert_bitwise(w, unnormalized_superposed(cfg, delta))
+        _assert_bitwise(w, _unnormalized_oracle(cfg, delta))
+        _assert_bitwise(norm_factor_sq(cfg, delta), _norm_factor_sq_oracle(cfg, delta))
+    for func in (norm_factor_sq, superposed_unitary):
+        _assert_close(func(cfgs, deltas), np.array([func(c, d) for c, d in zip(cfgs, deltas)]))
+    # a (k, 1) stack against k x 3 delays: each row is one config's array call
+    stack = np.array(cfgs, dtype=object)[:, None]
+    grid = deltas[:, None] * np.array([0.5, 1.0, 2.0])
+    funcs = (norm_factor_sq, superposed_unitary) + (() if general else (f_of_t, soe))
+    for func in funcs:
+        _assert_bitwise(func(stack, grid), np.array([func(c, row) for c, row in zip(cfgs, grid)]))
+    if not general:
+        _assert_bitwise(f_of_t(cfgs, deltas), np.array([f_of_t(c, d) for c, d in zip(cfgs, deltas)]))
+        _assert_close(soe(cfgs, deltas), np.array([soe(c, d) for c, d in zip(cfgs, deltas)]))
+
+
+def test_one_config_calls_keep_their_types():
+    cfg = planar(0.4, 1.1, omega=1.7)
+    for func in (norm_factor_sq, f_of_t, soe):
+        assert type(func(cfg, 0.3)) is float
+        assert func(cfg, np.array([0.3, 0.4])).shape == (2,)
+    assert superposed_unitary(cfg, 0.3).shape == (2, 2)
+    assert superposed_unitary([cfg], [0.3]).shape == (1, 2, 2)
+
+
+def test_a_stack_raises_where_one_of_its_configs_would():
+    bad = SuperpositionConfig(alpha=np.pi / 4, n_axis=[1.0, 0.0, 0.0],
+                              m_axis=[-np.cos(1e-7), np.sin(1e-7), 0.0])
+    good = planar(0.3, 1.0)
+    with pytest.raises(DegenerateSuperposition):
+        superposed_unitary(bad, np.pi)
+    with pytest.raises(DegenerateSuperposition):
+        superposed_unitary([good, bad], [np.pi, np.pi])
+    with pytest.raises(UnsupportedGeometry):
+        f_of_t([good, bad], [1.0, 1.0])
+    with pytest.raises(InvalidAxis):
+        SuperpositionConfig(alpha=0.3, n_axis=np.eye(3)[:2], m_axis=np.eye(3)[:2])

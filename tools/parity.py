@@ -15,7 +15,10 @@ from this checkout, unchanged, so the two trees are judged by the same oracle.
 
 For each item it prints the exit code, status and oracle verdict on both
 sides, whether the dataset bytes are identical, and for a dataset that moved
-the largest |delta| of each column that changed. Status follows
+the largest |delta| of each column that changed. A text cell that moved only
+in the numbers written in it (a selftest detail such as "max = 1.611e-15")
+counts by the largest |delta| of those numbers, per row name (the row's first
+cell, a selftest check name): the summary's "by_row". Status follows
 ``perfbench/run.py``: "ok", "exit1", "exit2", or "oracle" for an exit 0 whose
 dataset the oracle rejects. The last line is one JSON summary; its
 "head_reruns_differ" lists the items whose HEAD datasets differ between the
@@ -30,6 +33,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tarfile
@@ -118,6 +122,22 @@ def _number(cell):
         return None
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def text_delta(base, head):
+    """Largest |delta| of the numbers written in two text cells that differ in nothing else.
+
+    None when the texts differ elsewhere too (in their words or in how many numbers they
+    hold); NaN equals NaN.
+    """
+    b, h = str(base), str(head)
+    if _NUMBER.sub("#", b) != _NUMBER.sub("#", h):
+        return None
+    pairs = zip(map(float, _NUMBER.findall(b)), map(float, _NUMBER.findall(h)))
+    return max((abs(y - x) for x, y in pairs if x != y and not (x != x and y != y)), default=0.0)
+
+
 def diff_datasets(base, head) -> dict:
     """Cell-by-cell differences of two datasets, each (columns, rows) as load_dataset gives.
 
@@ -125,7 +145,9 @@ def diff_datasets(base, head) -> dict:
     cells, "max_abs": |delta|, "max_rel": |delta| / |base|, "first": [base, head] of its
     first changed cell}}}, listing only columns with a changed cell. Two numbers compare by
     value (NaN equals NaN); anything else by its text, with max_abs and max_rel None for a
-    column whose changed cells are not all numbers.
+    column whose changed cells are not all numbers. Where some of those cells moved only in
+    the numbers written in them, the column also has "by_row": {first cell of the row:
+    {"changed": cells, "max_abs": largest text_delta, None if a cell moved in more}}.
     """
     (base_cols, base_rows), (head_cols, head_rows) = base, head
     if base_cols != head_cols:
@@ -134,7 +156,7 @@ def diff_datasets(base, head) -> dict:
         return {"shape": f"{len(base_rows)} -> {len(head_rows)} rows", "columns": {}}
     columns = {}
     for j, name in enumerate(base_cols):
-        changed, max_abs, max_rel, first = 0, 0.0, 0.0, None
+        changed, max_abs, max_rel, first, by_row = 0, 0.0, 0.0, None, {}
         for b_row, h_row in zip(base_rows, head_rows):
             b, h = b_row[j], h_row[j]
             x, y = _number(b), _number(h)
@@ -149,12 +171,21 @@ def diff_datasets(base, head) -> dict:
                 continue
             else:
                 max_abs = max_rel = None
+                _fold_row(by_row, str(b_row[0]), text_delta(b, h))
             changed += 1
             first = first or [b, h]
         if changed:
             columns[name] = {"changed": changed, "max_abs": max_abs, "max_rel": max_rel,
                              "first": first}
+            if any(row["max_abs"] is not None for row in by_row.values()):
+                columns[name]["by_row"] = by_row
     return {"shape": None, "columns": columns}
+
+
+def _fold_row(by_row: dict, key: str, delta, cells: int = 1) -> None:
+    row = by_row.setdefault(key, {"changed": 0, "max_abs": 0.0})
+    row["changed"] += cells
+    row["max_abs"] = None if None in (row["max_abs"], delta) else max(row["max_abs"], delta)
 
 
 def _compare(base_path: Path, head_path: Path):
@@ -185,6 +216,8 @@ def _fold(total: dict, columns: dict) -> None:
         agg["changed"] += col["changed"]
         for key in ("max_abs", "max_rel"):
             agg[key] = None if None in (agg[key], col[key]) else max(agg[key], col[key])
+        for key, row in col.get("by_row", {}).items():
+            _fold_row(agg.setdefault("by_row", {}), key, row["max_abs"], row["changed"])
 
 
 def _line(name, item, base, head, identical, diff) -> str:
@@ -202,6 +235,8 @@ def _line(name, item, base, head, identical, diff) -> str:
             f"{col} max|d| {d['max_abs']:.3g} (rel {d['max_rel']:.3g}, {d['changed']} cells)"
             if d["max_abs"] is not None
             else f"{col} {d['changed']} cells, first {d['first'][0]!r} -> {d['first'][1]!r}"
+            + "".join(f"; {key}: {row['changed']} cells, max|d| {row['max_abs']}"
+                      for key, row in d.get("by_row", {}).items())
             for col, d in diff["columns"].items())
     return text
 
