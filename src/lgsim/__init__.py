@@ -17,17 +17,14 @@ from .superpose import (NORM_FLOOR, DegenerateSuperposition, SuperpositionConfig
                         UnsupportedGeometry, axis_theta, f_of_t, norm_factor_sq, planar,
                         planar_angle, soe, soe_span, superposed_unitary,
                         unnormalized_superposed)
-from .lgi import (CorrelatorSet, K3Curve, correlator, k3_at, k3_curve, k3_max,
-                  k3max_surface, ttb_map)
-from .ancilla import (AncillaCircuit, Coupling, InterferometerSignal, LibraryEntry,
-                      NormalizationSignal, PostSelectionStarved, PulseSequence,
-                      Rotation, VerificationReport, ancilla_state,
-                      build_pulse_library, controlled_u_t0, controlled_u_t1,
+from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
+from .ancilla import (Coupling, InterferometerSignal, NormalizationSignal,
+                      PostSelectionStarved, PulseSequence, Rotation, VerificationReport,
+                      ancilla_state, build_pulse_library, controlled_u_t0, controlled_u_t1,
                       interferometer_signal, normalization_signal, postselect_map,
                       project_ancilla, u_tilde_pm, verify_pulse_sequences)
-from .noise import (DEFAULT_ALPHA_GRID, GainPoint, NoiseConfig, evolve_lindblad,
-                    gain_curve, hamiltonian_as, integrate_bloch, k3_bloch, liouvillian,
-                    noisy_correlator)
+from .noise import (DEFAULT_ALPHA_GRID, NoiseConfig, evolve_lindblad, gain_curve,
+                    hamiltonian_as, integrate_bloch, k3_bloch, liouvillian, noisy_correlator)
 
 __version__ = "0.1.0"
 
@@ -40,16 +37,13 @@ __all__ = [
     "UnsupportedGeometry", "axis_theta", "f_of_t", "norm_factor_sq", "planar",
     "planar_angle", "soe", "soe_span", "superposed_unitary",
     "unnormalized_superposed",
-    "CorrelatorSet", "K3Curve", "correlator", "k3_at", "k3_curve", "k3_max",
-    "k3max_surface", "ttb_map",
-    "AncillaCircuit", "Coupling", "InterferometerSignal", "LibraryEntry",
-    "NormalizationSignal", "PostSelectionStarved", "PulseSequence", "Rotation",
-    "VerificationReport", "ancilla_state", "build_pulse_library",
-    "controlled_u_t0", "controlled_u_t1", "interferometer_signal",
+    "correlator", "k3_at", "k3_curve", "k3_max", "k3max_surface", "ttb_map",
+    "Coupling", "InterferometerSignal", "NormalizationSignal", "PostSelectionStarved",
+    "PulseSequence", "Rotation", "VerificationReport", "ancilla_state",
+    "build_pulse_library", "controlled_u_t0", "controlled_u_t1", "interferometer_signal",
     "normalization_signal", "postselect_map", "project_ancilla", "u_tilde_pm",
     "verify_pulse_sequences",
-    "DEFAULT_ALPHA_GRID", "GainPoint", "NoiseConfig",
-    "evolve_lindblad", "gain_curve", "hamiltonian_as", "integrate_bloch", "k3_bloch",
-    "liouvillian", "noisy_correlator",
+    "DEFAULT_ALPHA_GRID", "NoiseConfig", "evolve_lindblad", "gain_curve", "hamiltonian_as",
+    "integrate_bloch", "k3_bloch", "liouvillian", "noisy_correlator",
     "__version__",
 ]

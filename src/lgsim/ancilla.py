@@ -14,13 +14,17 @@ coherence then reads (T+ + T-)/4 where
 
     T(+/-) = tr[sz W(+/-) sz (1/2) W(+/-)^dag],  W(+/-) = sin(a) U0 +/- cos(a) U1.
 
+interferometer_signal(cfg, ti, tj) reads the tagged run and
+normalization_signal(cfg, ti, tj) the same run without the tags.
+build_pulse_library gives (PulseSequence, target) pairs, the program's name
+being PulseSequence.name.
+
 Register order is always M (x) A (x) S; two-qubit helpers are control (x)
 target with the same relative order (A (x) S, M (x) S). Wherever a function
-takes a config, an alpha, a time or a state (an AncillaCircuit's cfg, ti and tj
-too), it takes a stack of them, as superpose does; the stacks broadcast against
-each other in front of the matrix axes. The module constants,
-PROJ0, PROJ1, HADAMARD, KET_PLUS and the register's fixed gates and initial
-state, are shared read-only arrays, built once at import.
+takes a config, an alpha, a time or a state, it takes a stack of them, as
+superpose does; the stacks broadcast against each other in front of the matrix
+axes. The module constants, PROJ0, PROJ1, HADAMARD, KET_PLUS and the register's
+fixed gates and initial state, are shared read-only arrays, built once at import.
 """
 
 from __future__ import annotations
@@ -121,20 +125,6 @@ def postselect_map(cfg: SuperpositionConfig, rho_s: np.ndarray,
     return block / prob[..., None, None], (prob if prob.shape else float(prob))
 
 
-@dataclass(frozen=True)
-class AncillaCircuit:
-    """One run of the three-qubit interferometric correlator circuit.
-
-    include_q_controls=False drops both controlled-sigma_z gates, which turns
-    the run into the normalization measurement of the same coherences.
-    """
-
-    cfg: SuperpositionConfig
-    ti: float
-    tj: float
-    include_q_controls: bool = True
-
-
 class InterferometerSignal(NamedTuple):
     t_plus: float
     t_minus: float
@@ -155,25 +145,23 @@ _CONTROLLED_SZ_MS = _frozen(kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, 
 _RHO_M_PLUS = _frozen(_HADAMARD_M @ kron(PROJ0, kron(PROJ0, 0.5 * ID2)) @ dagger(_HADAMARD_M))
 
 
-def _run_register(circuit: AncillaCircuit) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the 8-dim register; return M blocks for ancilla outcomes 0/1.
+def _run_register(cfg: SuperpositionConfig, ti: float, tj: float,
+                  tagged: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate the 8-dim register over [ti, tj]; return M blocks for ancilla outcomes 0/1.
 
     Gate order: Hadamard on M and the preparation rotation on A, the first
     observable tag (controlled-sigma_z, M controls S), the two controlled
     evolution gates, the second tag, and a final Hadamard on A so that the
     |+>/|-> ancilla outcomes land on |0>/|1>. M's coherence is read directly.
+    Untagged, both controlled-sigma_z gates are dropped: the normalization run.
     The Hadamard on M meets the same initial state in every run, so it is
     applied once, at import (_RHO_M_PLUS).
     """
-    (alpha,) = _fields(circuit.cfg, "alpha")
+    (alpha,) = _fields(cfg, "alpha")
     rho = _RHO_M_PLUS
-    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * alpha), ID2))]
-    if circuit.include_q_controls:
-        gates.append(_CONTROLLED_SZ_MS)
-    gates.append(kron(ID2, _evolution(circuit.cfg, circuit.ti, circuit.tj)))
-    if circuit.include_q_controls:
-        gates.append(_CONTROLLED_SZ_MS)
-    gates.append(_HADAMARD_A)
+    tags = [_CONTROLLED_SZ_MS] if tagged else []
+    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * alpha), ID2)), *tags,
+             kron(ID2, _evolution(cfg, ti, tj)), *tags, _HADAMARD_A]
     for g in gates:
         rho = g @ rho @ dagger(g)
     # trace out S, then keep the M blocks diagonal in the ancilla outcome
@@ -188,31 +176,27 @@ def _coherence(block: np.ndarray) -> float:
     return c if c.shape else float(c)
 
 
-def interferometer_signal(circuit: AncillaCircuit) -> InterferometerSignal:
-    """Coherence readout of the tagged circuit.
+def interferometer_signal(cfg: SuperpositionConfig, ti: float, tj: float) -> InterferometerSignal:
+    """Coherence readout of the tagged circuit over [ti, tj].
 
     t_plus and t_minus are the per-ancilla-outcome coherences scaled to match
     tr[sz W(+/-) sz (1/2) W(+/-)^dag]; re_cm = (coherence of the full M state)/2
     equals (t_plus + t_minus)/4. Dividing t_plus by the normalization run's
     n_plus reproduces the two-time correlator.
     """
-    if not circuit.include_q_controls:
-        raise ValueError("interferometer_signal needs the observable tags enabled")
-    block0, block1 = _run_register(circuit)
+    block0, block1 = _run_register(cfg, ti, tj, tagged=True)
     t_plus = 2.0 * _coherence(block0)
     t_minus = 2.0 * _coherence(block1)
     re_cm = 0.5 * _coherence(block0 + block1)
     return InterferometerSignal(t_plus=t_plus, t_minus=t_minus, re_cm=re_cm)
 
 
-def normalization_signal(circuit: AncillaCircuit) -> NormalizationSignal:
+def normalization_signal(cfg: SuperpositionConfig, ti: float, tj: float) -> NormalizationSignal:
     """Same circuit with the observable tags off; yields the branch norms.
 
     n_plus equals the squared norm factor N^2 of the superposed rotation.
     """
-    if circuit.include_q_controls:
-        raise ValueError("normalization_signal needs include_q_controls=False")
-    block0, block1 = _run_register(circuit)
+    block0, block1 = _run_register(cfg, ti, tj, tagged=False)
     return NormalizationSignal(n_plus=2.0 * _coherence(block0),
                                n_minus=2.0 * _coherence(block1))
 
@@ -259,17 +243,8 @@ class PulseSequence:
         return u
 
 
-@dataclass(frozen=True)
-class LibraryEntry:
-    """A pulse sequence paired with the controlled gate it must realize."""
-
-    name: str
-    sequence: PulseSequence
-    target: np.ndarray
-
-
-def build_pulse_library(phi, omega_t) -> list[LibraryEntry]:
-    """Pulse programs for the three controlled gates of the interferometer.
+def build_pulse_library(phi, omega_t) -> list[tuple[PulseSequence, np.ndarray]]:
+    """(program, target) pairs for the three controlled gates of the interferometer.
 
     Register is control (x) S (control = M for the observable tag, A for the
     evolution gates). The zz-coupling realization of controlled-sigma_z picks
@@ -316,9 +291,7 @@ def build_pulse_library(phi, omega_t) -> list[LibraryEntry]:
     t0_target = kron(PROJ0, rot(X_AXIS, omega_t)) + kron(PROJ1, ID2)
     t1_target = kron(PROJ0, ID2) + kron(PROJ1, np.cos(half) * ID2 - 1j * np.sin(half) * phi_spin)
 
-    return [LibraryEntry("controlled_sz", cz_seq, cz_target),
-            LibraryEntry("controlled_evolution_0", t0_seq, t0_target),
-            LibraryEntry("controlled_evolution_1", t1_seq, t1_target)]
+    return [(cz_seq, cz_target), (t0_seq, t0_target), (t1_seq, t1_target)]
 
 
 @dataclass(frozen=True)
@@ -350,8 +323,7 @@ def verify_pulse_sequences(phi_values, omega_t_values) -> VerificationReport:
     """Check every pulse program against its target over a parameter grid, as one batch."""
     phi, omega_t = np.meshgrid(np.asarray(phi_values, dtype=float),
                                np.asarray(omega_t_values, dtype=float), indexing="ij")
-    library = build_pulse_library(phi, omega_t)
     return VerificationReport(
-        distances={e.name: np.broadcast_to(dist_upto_phase(e.sequence.matrix(), e.target),
-                                           phi.shape) for e in library},
+        distances={seq.name: np.broadcast_to(dist_upto_phase(seq.matrix(), target), phi.shape)
+                   for seq, target in build_pulse_library(phi, omega_t)},
         tolerance=VERIFY_TOL)

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import KET_PLUS, PROJ0, PROJ1, AncillaCircuit, ancilla_state, \
-    interferometer_signal, normalization_signal, postselect_map, project_ancilla, \
-    verify_pulse_sequences
+from .ancilla import KET_PLUS, PROJ0, PROJ1, ancilla_state, interferometer_signal, \
+    normalization_signal, postselect_map, project_ancilla, verify_pulse_sequences
 from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
 from .linalg import SIGMA_Z, dagger, dist_upto_phase, rot
 from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
@@ -245,19 +244,19 @@ def _run_k3_curves(config: RunConfig):
     phis_deg = [90.0, 135.0, 160.0] if config.phi is None else [config.phi]
     table, checks = {"omega_t": us}, []
     for pd in phis_deg:
-        curve = k3_curve(planar(alpha, np.deg2rad(pd), config.omega), us)
+        c12, c13, k3 = k3_curve(planar(alpha, np.deg2rad(pd), config.omega), us)
         label = f"{pd:g}"
         if len(phis_deg) == 1:
-            table.update({f"c12_phi{label}": curve.c12, f"c13_phi{label}": curve.c13})
-        table[f"k3_phi{label}"] = curve.k3
-        start_err = abs(float(curve.k3[0]) - 1.0)
-        sym_err = float(np.abs(curve.k3 - curve.k3[::-1]).max())
+            table.update({f"c12_phi{label}": c12, f"c13_phi{label}": c13})
+        table[f"k3_phi{label}"] = k3
+        start_err = abs(float(k3[0]) - 1.0)
+        sym_err = float(np.abs(k3 - k3[::-1]).max())
         checks.append(Check(f"K3 starts at 1 (phi = {label} deg)", start_err < 1e-9,
                             f"|K3(0) - 1| = {start_err:.3e}"))
         checks.append(Check(f"K3 symmetric about omega*t = pi (phi = {label} deg)",
                             sym_err < 1e-9, f"max asymmetry = {sym_err:.3e}"))
         if abs(alpha - np.pi / 4) < 1e-12 and abs(pd - 160.0) < 1e-9:
-            peak = float(curve.k3.max())
+            peak = float(k3.max())
             checks.append(Check("equal-weight 160-degree peak", abs(peak - 2.883110) < 0.01,
                                 f"max K3 = {peak!r}"))
     meta = {"alpha": alpha, "omega": config.omega, "points": n + 1,
@@ -271,17 +270,18 @@ def _run_lifetime(config: RunConfig, model: str):
     n = config.grid or 4
     alphas = np.linspace(0.0, np.pi / 4, n + 1)
     phis_deg = [90.0, 115.0, 140.0] if config.phi is None else [config.phi]
-    rows, checks = [], []
+    curves, checks = [], []
     for pd in phis_deg:
-        points = gain_curve(np.deg2rad(pd), noise, alphas, model=model, omega=config.omega)
-        rows += [(float(pd), p.alpha, p.tau_alpha, p.gain, p.status) for p in points]
+        tau, gain, status = gain_curve(np.deg2rad(pd), noise, alphas, model=model,
+                                       omega=config.omega)
+        curves.append((tau, gain, status))
         label = f"{pd:g}"
-        ok = all(p.status == "ok" for p in points)
+        ok = all(s == "ok" for s in status)
         checks.append(Check(f"every scan found a crossing (phi = {label} deg)", ok,
-                            f"{sum(p.status == 'ok' for p in points)}/{len(points)} ok"))
+                            f"{status.count('ok')}/{len(status)} ok"))
         if not ok:
             continue
-        gains = [p.gain for p in points]
+        gains = gain.tolist()
         checks.append(Check(f"no-superposition gain is 1 (phi = {label} deg)",
                             gains[0] == 1.0, f"gain(alpha=0) = {gains[0]!r}"))
         diffs = np.diff(gains)
@@ -299,7 +299,17 @@ def _run_lifetime(config: RunConfig, model: str):
                                 gains[-1] > 1.0, f"gain(alpha=pi/4) = {gains[-1]!r}"))
     meta = {"model": model, "gamma": gamma, "omega": config.omega,
             "alpha_points": n + 1, "phi_deg": ",".join(f"{p:g}" for p in phis_deg)}
-    return dict(zip(("phi_deg", "alpha", "tau_alpha", "gain", "status"), zip(*rows))), meta, checks
+    tau, gain, status = zip(*curves)
+    table = {"phi_deg": np.repeat(np.array(phis_deg, dtype=float), n + 1),
+             "alpha": np.tile(alphas, len(phis_deg)),
+             "tau_alpha": _none_for_nan(tau), "gain": _none_for_nan(gain),
+             "status": sum(status, [])}
+    return table, meta, checks
+
+
+def _none_for_nan(arrays) -> list:
+    """The arrays' values in one list, None (an empty CSV cell, JSON null) for each NaN."""
+    return [None if math.isnan(v) else v for v in np.concatenate(arrays).tolist()]
 
 
 def _run_soe_profiles(config: RunConfig):
@@ -418,8 +428,8 @@ def _run_selftest(config: RunConfig):
                         spread < 1e-12, f"max spread = {spread:.3e}"))
 
     cfgs, deltas = stacked(10, lambda: (random_planar(), rng.uniform(0.1, 5.0)))
-    sig = interferometer_signal(AncillaCircuit(cfgs, 0.0, deltas))
-    norm = normalization_signal(AncillaCircuit(cfgs, 0.0, deltas, include_q_controls=False))
+    sig = interferometer_signal(cfgs, 0.0, deltas)
+    norm = normalization_signal(cfgs, 0.0, deltas)
     worst_id = float(np.abs(sig.re_cm - 0.25 * (sig.t_plus + sig.t_minus)).max())
     worst_corr = float(np.abs(sig.t_plus / norm.n_plus - correlator(cfgs, 0.0, deltas)).max())
     checks.append(Check("interferometer coherence identity", worst_id < 1e-10,
@@ -430,7 +440,7 @@ def _run_selftest(config: RunConfig):
     quiet = NoiseConfig(gamma=0.0)
     cfg = planar(np.pi / 8, np.deg2rad(135.0), omega)
     ts = np.array([0.4, 1.1]) / omega
-    exact = k3_at(cfg, ts).k3
+    exact = k3_at(cfg, ts)[2]
     c = noisy_correlator(cfg, quiet, 0.0, np.concatenate([ts, 2.0 * ts]))
     worst = float(max(np.abs(k3_bloch(cfg, quiet, ts) - exact).max(),
                       np.abs(2.0 * c[:2] - c[2:] - exact).max()))
@@ -467,8 +477,8 @@ def _run_selftest(config: RunConfig):
     cfg = planar(np.pi / 4, np.deg2rad(135.0), omega)
     closed, _ = k3_max(cfg)
     coarse = np.linspace(0.0, 2.0 * np.pi, 2001)
-    centre = coarse[np.argmax(k3_curve(cfg, coarse).k3)]
-    dense = float(k3_curve(cfg, centre + coarse[1] * np.linspace(-1.0, 1.0, 2001)).k3.max())
+    centre = coarse[np.argmax(k3_curve(cfg, coarse)[2])]
+    dense = float(k3_curve(cfg, centre + coarse[1] * np.linspace(-1.0, 1.0, 2001))[2].max())
     delta = closed - dense
     checks.append(Check("closed-form K3 maximum tops a dense scan", -1e-15 <= delta < 1e-9,
                         f"closed - dense = {delta:.3e}"))

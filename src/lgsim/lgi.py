@@ -12,7 +12,8 @@ bounded by 1.5; superpositions push it toward the algebraic bound of 3.
 U is again an SU(2) rotation, so C has a closed form in which a config enters
 through three scalars only; it is the one route here. `correlator` and `k3_at`
 take it at a config or a stack of configs (as superpose takes them) and at times
-that broadcast against it; k3_curve samples it over a grid of omega*t. The
+that broadcast against it; k3_curve samples it over a grid of omega*t. Both
+return the plain tuple (C12, C13, K3), arrays or floats as the inputs give. The
 maximum of K3 over omega*t is solved for, not searched for: K3 rises to the
 one root of a quartic in sin^2(omega*t / 2) that is monotone on [0, 1], so
 k3_max, ttb_map and k3max_surface report it with its first location, in
@@ -21,21 +22,10 @@ k3_max, ttb_map and k3max_surface report it with its first location, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import X_AXIS, Z_AXIS, as_unit_vector
 from .superpose import SuperpositionConfig, UnsupportedGeometry, _checked_norm_sq, _fields
-
-@dataclass(frozen=True)
-class CorrelatorSet:
-    """Correlators on the t, 2t grid plus their K3 combination."""
-
-    c12: float
-    c23: float
-    c13: float
-    k3: float
 
 
 def _dot3(a, b) -> np.ndarray:
@@ -150,15 +140,14 @@ def _k3_maxima(coef) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(u, best, axis=1)[:, 0])
 
 
-def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS) -> CorrelatorSet:
-    """Correlators and K3 at the grid (0, t, 2t), for t and cfg as correlator takes them.
+def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS):
+    """(C12, C13, K3) at the grid (0, t, 2t), for t and cfg as correlator takes them.
 
     C23 is C12: the correlator depends on the delay only, and 2t - t == t
     exactly in floating point (Sterbenz's lemma).
     """
     c12, c13 = correlator(cfg, 0.0, np.multiply.outer((1.0, 2.0), t), q_axis)
-    c23 = c12
-    return CorrelatorSet(c12=c12, c23=c23, c13=c13, k3=c12 + c23 - c13)
+    return c12, c13, c12 + c12 - c13
 
 
 def k3_max(cfg: SuperpositionConfig, q_axis=Z_AXIS) -> tuple[float, float]:
@@ -218,20 +207,11 @@ def k3max_surface(alpha_grid, phi_grid) -> np.ndarray:
     return k3m.reshape(len(alphas), len(phis))
 
 
-@dataclass(frozen=True)
-class K3Curve:
-    """Correlators and K3 for one configuration, sampled on the caller's omega*t grid."""
-
-    c12: np.ndarray
-    c13: np.ndarray
-    k3: np.ndarray
-
-
-def k3_curve(cfg: SuperpositionConfig, omega_t, q_axis=Z_AXIS) -> K3Curve:
-    """Sample C12, C13 and K3 over a grid of omega*t (pure sampling, no refinement)."""
+def k3_curve(cfg: SuperpositionConfig, omega_t, q_axis=Z_AXIS):
+    """(C12, C13, K3) sampled over a grid of omega*t (pure sampling, no refinement)."""
     us = np.asarray(omega_t, dtype=float)
     cos_h, sin_h, cos_f, sin_f = _trig(us)
     coef = _config_coefficients(cfg, q_axis)
     c12 = _correlator_terms(coef, cos_h, sin_h)
     c13 = _correlator_terms(coef, cos_f, sin_f)
-    return K3Curve(c12=c12, c13=c13, k3=2.0 * c12 - c13)
+    return c12, c13, 2.0 * c12 - c13

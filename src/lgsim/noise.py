@@ -25,6 +25,8 @@ K3 keeps the stationary grid (0, u, 2u): 2 sz(u) - sz(2u) for the Bloch route,
 first u where K3 drops through 1, found for a whole batch by one engine
 (_first_crossings: a chunked scan, then Chandrupatla's root step to a bracket a
 few ulps wide) in which every row takes exactly the steps it would take alone.
+gain_curve returns one phi's lifetimes as arrays over the alpha grid: (tau, gain,
+status), NaN in tau and gain where a row's status gives no value.
 
 Besides alpha and phi, kappa is the one parameter of the lifetime problem, so omega
 stays out of the K3 models and the engine: the one-config functions convert on entry
@@ -100,13 +102,15 @@ def _magnus_steps(a, b, kappa, u0, u1) -> np.ndarray:
     span{Z, X, J}. They take k capped at pi / 2: the series' convergence bound, integral of
     ||A|| < pi, fails once kappa h >= pi, where its k^3 terms add error, not accuracy, and
     the exact first term alone holds the Zeno decay of s_z; the cap keeps products finite.
+    kappa enters capped at 2^1020, far past where exp(-2k) is 0, so that k stays finite (h
+    is at most 2 pi) and a kappa near the float range gives the frozen s_z of its limit.
     """
     h = u1 - u0
     x = 0.5 * np.stack([u0, u1, *(u0 + c * h for c in _GAUSS)])
     ca, sb = a * np.cos(x), b * np.sin(x)
     df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
     g1, g2, g3 = h * a * b / (ca[2:] ** 2 + sb[2:] ** 2)
-    k = 0.5 * kappa * h
+    k = 0.5 * min(kappa, 2.0 ** 1020) * h
     p, q = (math.sqrt(15.0) / 3.0) * (g3 - g1), (10.0 / 3.0) * (g3 - 2.0 * g2 + g1)
     kc = np.minimum(k, 0.5 * np.pi)
     w, v = 1.0 - kc * kc / 15.0, (20.0 * g2 + q) / 15.0
@@ -574,23 +578,8 @@ def _brackets(alphas, phi, kappa, model: str):
     return _first_crossings(_K3_MODELS[model](alphas, phi, kappa), horizon)
 
 
-@dataclass(frozen=True)
-class GainPoint:
-    """One row of a gain curve; gain is None unless status is "ok".
-
-    status "unresolved": the peak K3 - 1 before the crossing is below PEAK_RESOLUTION;
-    "no-crossing": no crossing up to the horizon (both without tau_alpha);
-    "no-reference": the row has a tau but its alpha = 0 reference has none.
-    """
-
-    alpha: float
-    tau_alpha: float | None
-    gain: float | None
-    status: str
-
-
 def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bloch",
-               omega: float = 1.0) -> list[GainPoint]:
+               omega: float = 1.0) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Lifetime gain against the superposition weight at fixed branch angle.
 
     The one public route to violation lifetimes. phi is the planar angle between the
@@ -598,6 +587,12 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
     _first_crossings batch in u = omega t at kappa = gamma / omega, and the alpha = 0
     reference is an ordinary row of it (added when the grid lacks it). Rows without a
     tau or a reference are flagged, not fatal.
+
+    Returns (tau, gain, status) over the alpha grid: tau and gain are float arrays, NaN
+    where the status gives no value, and status is one string per alpha. "ok" has both;
+    "no-reference", a tau whose alpha = 0 reference has none, has tau only; "unresolved",
+    a peak K3 - 1 before the crossing below PEAK_RESOLUTION, and "no-crossing", none up
+    to the horizon, have neither.
     """
     alphas = np.asarray(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid, float).tolist()
     if not all(0.0 <= a <= np.pi / 2 for a in alphas):
@@ -605,10 +600,11 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
     rows = alphas if 0.0 in alphas else alphas + [0.0]
     angle = planar_angle(planar(0.0, phi, omega))
     lo, hi, peak = _brackets(np.array(rows), angle, _kappa(noise, omega), model)
-    taus = [float(t) for t in 0.5 * (lo + hi) / omega]
+    taus = 0.5 * (lo + hi) / omega
     status = ["unresolved" if p < PEAK_RESOLUTION else "no-crossing" if math.isnan(t) else "ok"
-              for t, p in zip(taus, peak)]
-    tau_0 = taus[rows.index(0.0)] if status[rows.index(0.0)] == "ok" else None
-    return [GainPoint(a, None, None, s) if s != "ok"
-            else GainPoint(a, tau, None, "no-reference") if tau_0 is None
-            else GainPoint(a, tau, tau / tau_0, "ok") for a, tau, s in zip(alphas, taus, status)]
+              for t, p in zip(taus.tolist(), peak)]
+    ref, n = rows.index(0.0), len(alphas)
+    tau_0 = taus[ref] if status[ref] == "ok" else np.nan
+    tau = np.where([s == "ok" for s in status[:n]], taus[:n], np.nan)
+    return tau, tau / tau_0, ["no-reference" if s == "ok" and math.isnan(tau_0) else s
+                              for s in status[:n]]

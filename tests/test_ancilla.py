@@ -10,7 +10,6 @@ from lgsim.ancilla import (
     KET_PLUS,
     PROJ0,
     PROJ1,
-    AncillaCircuit,
     PostSelectionStarved,
     Rotation,
     ancilla_state,
@@ -165,8 +164,8 @@ def test_interferometer_identities():
     for _ in range(50):
         cfg = _random_planar(rng)
         ti, tj = 0.0, rng.uniform(0.05, 6.0)
-        sig = interferometer_signal(AncillaCircuit(cfg, ti, tj))
-        norm = normalization_signal(AncillaCircuit(cfg, ti, tj, include_q_controls=False))
+        sig = interferometer_signal(cfg, ti, tj)
+        norm = normalization_signal(cfg, ti, tj)
 
         plus, minus = u_tilde_pm(cfg, tj - ti)
         t_plus_direct = np.trace(SIGMA_Z @ plus @ SIGMA_Z @ (0.5 * dagger(plus))).real
@@ -182,24 +181,16 @@ def test_interferometer_identities():
 def test_normalization_run_at_right_angles():
     # axes at 90 degrees, half cycle: the branch norms coincide
     cfg = planar(np.pi / 4, np.pi / 2)
-    norm = normalization_signal(AncillaCircuit(cfg, 0.0, np.pi, include_q_controls=False))
+    norm = normalization_signal(cfg, 0.0, np.pi)
     assert np.isclose(norm.n_plus, 1.0, atol=1e-12)
     assert np.isclose(norm.n_minus, 1.0, atol=1e-12)
-
-
-def test_signal_mode_guards():
-    cfg = planar(0.4, 1.0)
-    with pytest.raises(ValueError):
-        interferometer_signal(AncillaCircuit(cfg, 0.0, 1.0, include_q_controls=False))
-    with pytest.raises(ValueError):
-        normalization_signal(AncillaCircuit(cfg, 0.0, 1.0))
 
 
 def test_interferometer_without_superposition():
     cfg = planar(0.0, 1.0, omega=1.3)
     for t in (0.4, 1.1, 2.2):
-        sig = interferometer_signal(AncillaCircuit(cfg, 0.0, t))
-        norm = normalization_signal(AncillaCircuit(cfg, 0.0, t, include_q_controls=False))
+        sig = interferometer_signal(cfg, 0.0, t)
+        norm = normalization_signal(cfg, 0.0, t)
         assert np.isclose(sig.t_plus / norm.n_plus, np.cos(1.3 * t), atol=1e-10)
 
 
@@ -215,10 +206,10 @@ def test_pulse_sequences_hit_their_targets():
 
 
 def test_pulse_sequence_matrices_are_unitary():
-    for entry in build_pulse_library(2.2, 1.7):
-        assert is_unitary(entry.sequence.matrix())
-        assert is_unitary(entry.target)
-        assert entry.sequence.matrix().shape == (4, 4)
+    for seq, target in build_pulse_library(2.2, 1.7):
+        assert is_unitary(seq.matrix())
+        assert is_unitary(target)
+        assert seq.matrix().shape == (4, 4)
 
 
 def _per_point_matrix(sequence):
@@ -254,18 +245,18 @@ _OMEGA_TS = st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4)
 def test_batched_pulse_programs_match_per_point_oracle(phis, omega_ts):
     phi, omega_t = np.meshgrid(phis, omega_ts, indexing="ij")
     library = build_pulse_library(phi, omega_t)
-    stacks = [np.broadcast_to(e.sequence.matrix(), phi.shape + (4, 4)) for e in library]
-    targets = [np.broadcast_to(e.target, phi.shape + (4, 4)) for e in library]
+    stacks = [np.broadcast_to(seq.matrix(), phi.shape + (4, 4)) for seq, _ in library]
+    targets = [np.broadcast_to(target, phi.shape + (4, 4)) for _, target in library]
     for i, j in np.ndindex(phi.shape):
         point = build_pulse_library(phis[i], omega_ts[j])
         expected_targets = _per_point_targets(phis[i], omega_ts[j])
-        for k, entry in enumerate(point):
-            assert entry.name == library[k].name
-            assert np.abs(stacks[k][i, j] - _per_point_matrix(entry.sequence)).max() < 1e-14
+        for k, (seq, _) in enumerate(point):
+            assert seq.name == library[k][0].name
+            assert np.abs(stacks[k][i, j] - _per_point_matrix(seq)).max() < 1e-14
             assert np.abs(targets[k][i, j] - expected_targets[k]).max() < 1e-14
 
     report = verify_pulse_sequences(phis, omega_ts)
-    assert list(report.distances) == [e.name for e in library]
+    assert list(report.distances) == [seq.name for seq, _ in library]
     assert all(d.shape == phi.shape and np.all(np.isfinite(d))
                for d in report.distances.values())
 
@@ -274,7 +265,7 @@ def test_pulse_targets_match_evolution_gates():
     # swapping the ancilla branches maps the hardware axis assignment onto
     # the controlled evolution gates used by the channel simulation
     phi, omega_t = 1.9, 2.3
-    entries = {e.name: e.target for e in build_pulse_library(phi, omega_t)}
+    entries = {seq.name: target for seq, target in build_pulse_library(phi, omega_t)}
     product = entries["controlled_evolution_1"] @ entries["controlled_evolution_0"]
     flip = kron(SIGMA_X, ID2)
     cfg = planar(0.5, phi)  # the targets do not depend on the mixing angle
@@ -349,18 +340,16 @@ def _project_oracle(rho_as, ket):
     return np.einsum("a,aibj,b->ij", ket.conj(), rho_as.reshape(2, 2, 2, 2), ket)
 
 
-def _register_oracle(circuit):
+def _register_oracle(cfg, ti, tj, tagged):
     """The register as first written: every gate built by kron, traces by einsum."""
-    cfg = circuit.cfg
     csz = kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, SIGMA_Z))
     rho = kron(PROJ0, kron(PROJ0, 0.5 * ID2))
     gates = [kron(HADAMARD, kron(ID2, ID2)),
              kron(ID2, kron(rot(np.array([0.0, 1.0, 0.0]), np.pi - 2.0 * cfg.alpha), ID2))]
-    if circuit.include_q_controls:
+    if tagged:
         gates.append(csz)
-    gates.append(kron(ID2, controlled_u_t1(cfg, circuit.ti, circuit.tj)
-                      @ controlled_u_t0(cfg, circuit.ti, circuit.tj)))
-    if circuit.include_q_controls:
+    gates.append(kron(ID2, controlled_u_t1(cfg, ti, tj) @ controlled_u_t0(cfg, ti, tj)))
+    if tagged:
         gates.append(csz)
     gates.append(kron(ID2, kron(HADAMARD, ID2)))
     for g in gates:
@@ -382,8 +371,8 @@ def test_projection_and_partial_traces_match_their_einsum_forms():
     for cfg in _signed_zero_cfgs():
         for ti, tj in _DELAYS:
             for tags in (True, False):
-                circuit = AncillaCircuit(cfg, ti, tj, include_q_controls=tags)
-                for block, expect in zip(ancilla._run_register(circuit), _register_oracle(circuit)):
+                for block, expect in zip(ancilla._run_register(cfg, ti, tj, tags),
+                                         _register_oracle(cfg, ti, tj, tags)):
                     assert np.abs(block - expect).max() < 1e-15
 
 
@@ -462,12 +451,11 @@ def test_register_runs_on_a_stack_are_each_circuit_alone(seed, k):
     rng = np.random.default_rng(seed)
     cfgs = [_random_planar(rng) for _ in range(k)]
     deltas = rng.uniform(0.1, 5.0, size=k)
-    sig = interferometer_signal(AncillaCircuit(cfgs, 0.0, deltas))
-    norm = normalization_signal(AncillaCircuit(cfgs, 0.0, deltas, include_q_controls=False))
+    sig = interferometer_signal(cfgs, 0.0, deltas)
+    norm = normalization_signal(cfgs, 0.0, deltas)
     for i in range(k):
-        one = interferometer_signal(AncillaCircuit(cfgs[i], 0.0, deltas[i]))
-        one_norm = normalization_signal(AncillaCircuit(cfgs[i], 0.0, deltas[i],
-                                                       include_q_controls=False))
+        one = interferometer_signal(cfgs[i], 0.0, deltas[i])
+        one_norm = normalization_signal(cfgs[i], 0.0, deltas[i])
         assert all(type(v) is float for v in one + one_norm)
         assert all(_within(a[i], b) for a, b in zip(sig + norm, one + one_norm))
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -18,9 +19,9 @@ import lgsim.cli as cli
 import lgsim.lgi as lgi
 import lgsim.noise as noise
 import lgsim.superpose as superpose
-from lgsim.ancilla import (KET_PLUS, PROJ0, PROJ1, AncillaCircuit, ancilla_state,
-                           build_pulse_library, interferometer_signal, normalization_signal,
-                           postselect_map, project_ancilla)
+from lgsim.ancilla import (KET_PLUS, PROJ0, PROJ1, ancilla_state, build_pulse_library,
+                           interferometer_signal, normalization_signal, postselect_map,
+                           project_ancilla)
 from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
                        main, run)
 from lgsim.lgi import correlator, k3_at
@@ -222,6 +223,65 @@ def test_columnar_writer_matches_the_row_writer_on_edge_cells(tmp_path):
     for data in tables:
         _assert_writers_agree(tmp_path, "edge", [f"c{i}" for i in range(len(data))], data,
                               {"k": -0.0, "note": "a b"})
+
+
+def _tuple_rows(phi_deg, alphas, lo, hi, peak):
+    """The lifetime rows as the runner built them from one GainPoint each (omega = 1)."""
+    taus = [float(t) for t in 0.5 * (lo + hi)]
+    status = ["unresolved" if p < noise.PEAK_RESOLUTION else "no-crossing" if math.isnan(t)
+              else "ok" for t, p in zip(taus, peak)]
+    tau_0 = taus[alphas.index(0.0)] if status[alphas.index(0.0)] == "ok" else None
+    return [(phi_deg, a, None, None, s) if s != "ok"
+            else (phi_deg, a, t, None, "no-reference") if tau_0 is None
+            else (phi_deg, a, t, t / tau_0, "ok") for a, t, s in zip(alphas, taus, status)]
+
+
+@pytest.mark.parametrize("model", ("bloch", "lindblad"))
+@pytest.mark.parametrize("row, crossing, peak, flags", (
+    (2, False, None, {"no-crossing": 1, "ok": 4}),
+    (2, True, 0.5 * noise.PEAK_RESOLUTION, {"unresolved": 1, "ok": 4}),
+    (0, False, None, {"no-crossing": 1, "no-reference": 4}),
+))
+def test_flagged_lifetime_rows_reach_the_writer_as_the_tuple_rows_did(
+        tmp_path, monkeypatch, model, row, crossing, peak, flags):
+    # one row of each phi's batch loses its crossing or its peak: its tau and gain are NaN
+    # in gain_curve's arrays, and the runner writes them as the None of the tuple rows,
+    # an empty CSV cell and a JSON null, in both formats byte for byte
+    real, seen = noise._brackets, []
+
+    def patched(alphas, phi, kappa, model):
+        lo, hi, peaks = real(alphas, phi, kappa, model)
+        if not crossing:
+            lo[row] = hi[row] = np.nan
+        if peak is not None:
+            peaks[row] = peak
+        seen.append((list(alphas), lo, hi, peaks))
+        return lo, hi, peaks
+
+    monkeypatch.setattr(noise, "_brackets", patched)
+    experiment = f"lifetime-{model}"
+    meta = {"model": model, "gamma": DEFAULT_GAMMA, "omega": 1.0, "alpha_points": 5,
+            "phi_deg": "90,115,140"}
+    columns = ["phi_deg", "alpha", "tau_alpha", "gain", "status"]
+    for fmt in ("csv", "json"):
+        seen.clear()
+        new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        assert main([experiment, "--grid", "4", "--format", fmt, "--out", str(new)]) == 1
+        rows = [r for pd, batch in zip((90.0, 115.0, 140.0), seen) for r in _tuple_rows(pd, *batch)]
+        for status, count in flags.items():
+            assert [r[4] for r in rows].count(status) == 3 * count, (fmt, status)
+        _reference_emit(experiment, columns, rows, fmt, str(old), meta)
+        assert new.read_bytes() == old.read_bytes(), fmt
+        if fmt == "csv":
+            cells = [(r["tau_alpha"], r["gain"]) for r in _rows(new)]
+            expect = [("" if t is None else repr(t), "" if g is None else repr(g))
+                      for *_, t, g, _ in rows]
+        else:
+            cells = [tuple(r[2:4]) for r in json.loads(new.read_text())["rows"]]
+            expect = [(t, g) for *_, t, g, _ in rows]
+            assert new.read_text().count("      null") == sum(v is None for r in rows
+                                                             for v in r[2:4])
+        assert cells == expect, fmt
 
 
 def test_soe_profiles_runs_clean(tmp_path, capsys):
@@ -468,13 +528,13 @@ def test_verify_circuits_table_nests_and_matches_the_per_point_oracle():
     table, _, _ = cli._run_verify_circuits(RunConfig(experiment="verify-circuits", grid=n))
     phis = np.linspace(0.0, np.pi, n + 2)[1:-1]
     omega_ts = np.linspace(0.0, 2.0 * np.pi, n)
-    names = [e.name for e in build_pulse_library(1.0, 1.0)]
+    names = [seq.name for seq, _ in build_pulse_library(1.0, 1.0)]
     nested = [(name, p, w) for p in phis for w in omega_ts for name in names]
     assert list(zip(table["sequence"], table["phi"], table["omega_t"])) == nested
     assert len(table["distance"]) == len(nested)
     for (name, p, w), d in zip(nested, table["distance"]):
         k = names.index(name)
-        m = _per_point_matrix(build_pulse_library(p, w)[k].sequence)
+        m = _per_point_matrix(build_pulse_library(p, w)[k][0])
         expected = max(1.0 - abs(np.trace(m.conj().T @ _per_point_targets(p, w)[k])) / 4, 0.0)
         assert abs(d - expected) < 1e-14
 
@@ -626,8 +686,8 @@ def _per_draw_selftest(seed, omega):
     for _ in range(10):
         cfg = random_planar()
         delta = rng.uniform(0.1, 5.0)
-        sig = interferometer_signal(AncillaCircuit(cfg, 0.0, delta))
-        norm = normalization_signal(AncillaCircuit(cfg, 0.0, delta, include_q_controls=False))
+        sig = interferometer_signal(cfg, 0.0, delta)
+        norm = normalization_signal(cfg, 0.0, delta)
         worst_id = max(worst_id, abs(sig.re_cm - 0.25 * (sig.t_plus + sig.t_minus)))
         worst_corr = max(worst_corr, abs(sig.t_plus / norm.n_plus - correlator(cfg, 0.0, delta)))
     details["interferometer coherence identity"] = f"max = {worst_id:.3e}"
@@ -637,7 +697,7 @@ def _per_draw_selftest(seed, omega):
     cfg = planar(np.pi / 8, np.deg2rad(135.0), omega)
     worst = 0.0
     for t in (0.4 / omega, 1.1 / omega):
-        exact = k3_at(cfg, t).k3
+        exact = k3_at(cfg, t)[2]
         bloch = noise.k3_bloch(cfg, quiet, t)
         joint = (2.0 * noise.noisy_correlator(cfg, quiet, 0.0, t)
                  - noise.noisy_correlator(cfg, quiet, 0.0, 2.0 * t))
@@ -678,19 +738,23 @@ def test_stacked_selftest_reads_what_the_draw_by_draw_checks_read(tmp_path, omeg
         assert {name: written[name] for name in expect} == expect, seed
 
 
-@pytest.mark.parametrize("argv", (["--omega", "1e-308"], ["--gamma", "1e308"]))
+@pytest.mark.parametrize("argv", (["lifetime-lindblad", "--omega", "1e-308"],
+                                  ["lifetime-lindblad", "--gamma", "1e308"],
+                                  ["lifetime-bloch", "--omega", "1e-308"],
+                                  ["lifetime-bloch", "--gamma", "1e308"]))
 def test_lindblad_lifetimes_at_kappa_near_the_float_range_run_cleanly(tmp_path, argv):
-    # kappa = gamma / omega ~ 8e306 and 1e308: kappa u overflowed to inf in the correlator
-    # ("overflow encountered in multiply"); e^(-kappa u) = 0 is the limit it stands for.
+    # kappa = gamma / omega ~ 8e306 and 1e308: kappa u overflowed to inf in the Lindblad
+    # correlator, and k = kappa h / 2 in the Bloch model's Magnus steps ("overflow
+    # encountered in multiply"); e^(-kappa u) = 0 is the limit both stand for.
     # K3 stays 1 (s_z frozen): every row reads unresolved, and no scan finds a crossing
     out = tmp_path / "l.csv"
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgsim",
-                           "lifetime-lindblad", *argv, "--grid", "2", "--out", str(out)],
+                           *argv, "--grid", "2", "--out", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert _statuses(out) == ["unresolved"] * 9
-    assert proc.stdout.count("FAIL lifetime-lindblad: every scan found a crossing") == 3
+    assert proc.stdout.count(f"FAIL {argv[0]}: every scan found a crossing") == 3
 
 
 def test_selftest_runs_cleanly_at_tiny_omega(tmp_path, capsys):

@@ -405,7 +405,7 @@ def test_k3_bloch_limits():
     # gamma = 0 reduces to the algebraic K3
     for t in (0.4, 1.1, 2.7):
         assert np.isclose(k3_bloch(cfg, NoiseConfig(gamma=0.0), t),
-                          k3_at(cfg, t).k3, atol=1e-6)
+                          k3_at(cfg, t)[2], atol=1e-6)
 
 
 def test_joint_hamiltonian_generates_the_controlled_gates():
@@ -521,7 +521,7 @@ def test_lindblad_k3_reduces_to_algebraic_at_zero_noise():
     for t in (0.4, 1.1, 2.7):
         k3 = 2.0 * noisy_correlator(cfg, quiet, 0.0, t) \
             - noisy_correlator(cfg, quiet, 0.0, 2.0 * t)
-        assert np.isclose(k3, k3_at(cfg, t).k3, atol=1e-6)
+        assert np.isclose(k3, k3_at(cfg, t)[2], atol=1e-6)
 
 
 def test_lifetime_requires_noise():
@@ -531,25 +531,25 @@ def test_lifetime_requires_noise():
 
 def test_lifetime_without_superposition_has_unit_gain():
     noise = NoiseConfig(gamma=GAMMA_REF)
-    (pt,) = gain_curve(2.0, noise, alpha_grid=(0.0,))
-    assert pt.status == "ok" and pt.gain == 1.0
+    (tau,), (gain,), (status,) = gain_curve(2.0, noise, alpha_grid=(0.0,))
+    assert status == "ok" and gain == 1.0
     lo, hi, _ = noise_mod._brackets(*_batch([planar(0.0, 2.0)], noise), "bloch")
-    assert lo[0] <= pt.tau_alpha <= hi[0]
+    assert lo[0] <= tau <= hi[0]
 
 
 def test_lifetime_bloch_anchor():
-    ref, pt = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF),
-                         alpha_grid=(0.0, np.pi / 4))
-    assert np.isclose(pt.tau_alpha, BLOCH_TAU, atol=1e-8)
-    assert np.isclose(ref.tau_alpha, BLOCH_TAU0, atol=1e-8)
-    assert np.isclose(pt.gain, BLOCH_GAIN, atol=1e-8)
+    tau, gain, _ = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF),
+                              alpha_grid=(0.0, np.pi / 4))
+    assert np.isclose(tau[1], BLOCH_TAU, atol=1e-8)
+    assert np.isclose(tau[0], BLOCH_TAU0, atol=1e-8)
+    assert np.isclose(gain[1], BLOCH_GAIN, atol=1e-8)
 
 
 def test_lifetime_lindblad_anchor():
-    (pt,) = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alpha_grid=(np.pi / 4,),
-                       model="lindblad")
-    assert np.isclose(pt.tau_alpha, LINDBLAD_TAU, atol=1e-8)
-    assert np.isclose(pt.gain, LINDBLAD_GAIN, atol=1e-8)
+    (tau,), (gain,), _ = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF),
+                                    alpha_grid=(np.pi / 4,), model="lindblad")
+    assert np.isclose(tau, LINDBLAD_TAU, atol=1e-8)
+    assert np.isclose(gain, LINDBLAD_GAIN, atol=1e-8)
 
 
 def test_lifetime_rejects_unknown_model():
@@ -566,9 +566,9 @@ def test_subnormal_gamma_scans_to_an_unbounded_horizon(model, gamma, alphas):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for phi in (90.0, 115.0, 140.0):
-            points = gain_curve(np.deg2rad(phi), NoiseConfig(gamma), alphas, model=model)
-            assert [p.status for p in points] == ["ok"] * len(points), (phi, points)
-            assert all(0.0 < p.tau_alpha < 2.0 * np.pi for p in points), (phi, points)
+            tau, _, status = gain_curve(np.deg2rad(phi), NoiseConfig(gamma), alphas, model=model)
+            assert status == ["ok"] * len(status), (phi, status)
+            assert np.all((0.0 < tau) & (tau < 2.0 * np.pi)), (phi, tau)
 
 
 def test_no_crossing_when_horizon_precedes_first_scan_point():
@@ -590,10 +590,13 @@ def test_no_crossing_when_horizon_precedes_first_scan_point():
 def test_gain_curve_shape_and_determinism():
     noise = NoiseConfig(gamma=GAMMA_REF)
     alphas = (0.0, np.pi / 4)
-    pts = gain_curve(np.deg2rad(115.0), noise, alpha_grid=alphas)
-    assert [p.status for p in pts] == ["ok", "ok"]
-    assert pts[0].gain == 1.0
-    assert np.isclose(pts[1].gain, BLOCH_GAIN, atol=1e-8)
+    tau, gain, status = gain_curve(np.deg2rad(115.0), noise, alpha_grid=alphas)
+    assert tau.shape == gain.shape == (2,) and tau.dtype == gain.dtype == float
+    assert status == ["ok", "ok"]
+    assert gain[0] == 1.0
+    assert np.isclose(gain[1], BLOCH_GAIN, atol=1e-8)
+    again = gain_curve(np.deg2rad(115.0), noise, alpha_grid=alphas)
+    assert np.array_equal(again[0], tau) and np.array_equal(again[1], gain)
 
 
 def test_gain_curve_default_grid():
@@ -625,12 +628,12 @@ def test_gain_curve_flags_no_crossing_rows(monkeypatch):
     for model in ("bloch", "lindblad"):
         with monkeypatch.context() as m:
             _patched_brackets(m, np.pi / 8, crossing=False)
-            pts = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alphas, model=model)
-        assert [p.status for p in pts] == ["ok", "no-crossing", "ok"]
-        assert pts[1].tau_alpha is None and pts[1].gain is None
+            tau, gain, status = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF),
+                                           alphas, model=model)
+        assert status == ["ok", "no-crossing", "ok"]
+        assert np.isnan(tau[1]) and np.isnan(gain[1])
         full = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alphas, model=model)
-        assert [(p.tau_alpha, p.gain) for p in pts[::2]] == [(p.tau_alpha, p.gain)
-                                                             for p in full[::2]]
+        assert np.array_equal(tau[::2], full[0][::2]) and np.array_equal(gain[::2], full[1][::2])
 
 
 def test_gain_curve_flags_unresolved_rows(monkeypatch):
@@ -642,15 +645,15 @@ def test_gain_curve_flags_unresolved_rows(monkeypatch):
             return gain_curve(np.deg2rad(115.0), noise, alphas)
 
     # an alpha > 0 row whose violation is below resolution gives no tau
-    pts = statuses(np.pi / 4, 0.5 * PEAK_RESOLUTION)
-    assert [p.status for p in pts] == ["ok", "unresolved"]
-    assert pts[1].tau_alpha is None and pts[1].gain is None
+    tau, gain, status = statuses(np.pi / 4, 0.5 * PEAK_RESOLUTION)
+    assert status == ["ok", "unresolved"]
+    assert np.isnan(tau[1]) and np.isnan(gain[1])
     # an unresolved reference leaves the other rows without a gain; the bound
     # itself counts as resolved
-    pts = statuses(0.0, np.nextafter(PEAK_RESOLUTION, 0.0))
-    assert [p.status for p in pts] == ["unresolved", "no-reference"]
-    assert pts[1].gain is None and np.isclose(pts[1].tau_alpha, BLOCH_TAU, atol=1e-8)
-    assert [p.status for p in statuses(0.0, PEAK_RESOLUTION)] == ["ok", "ok"]
+    tau, gain, status = statuses(0.0, np.nextafter(PEAK_RESOLUTION, 0.0))
+    assert status == ["unresolved", "no-reference"]
+    assert np.isnan(gain[1]) and np.isclose(tau[1], BLOCH_TAU, atol=1e-8)
+    assert statuses(0.0, PEAK_RESOLUTION)[2] == ["ok", "ok"]
 
 
 def _lindblad_expm_k3(cfg, noise):
@@ -672,14 +675,15 @@ def test_zeno_regime_rows_cross_where_the_oracles_do():
     noise = NoiseConfig(gamma=100.0)
     for model in ("bloch", "lindblad"):
         for phi_deg in (90.0, 115.0, 175.0):
-            pts = gain_curve(np.deg2rad(phi_deg), noise, (0.0, 0.4, np.pi / 4), model=model)
-            assert [p.status for p in pts] == ["ok"] * 3, (model, phi_deg)
-            for p in pts:
-                cfg, tau = planar(p.alpha, np.deg2rad(phi_deg)), p.tau_alpha
-                assert 0.5 < tau < 3.2, (model, phi_deg, p.alpha)
+            alphas = (0.0, 0.4, np.pi / 4)
+            taus, _, status = gain_curve(np.deg2rad(phi_deg), noise, alphas, model=model)
+            assert status == ["ok"] * 3, (model, phi_deg)
+            for alpha, tau in zip(alphas, taus.tolist()):
+                cfg = planar(alpha, np.deg2rad(phi_deg))
+                assert 0.5 < tau < 3.2, (model, phi_deg, alpha)
                 k3 = (_lindblad_expm_k3(cfg, noise) if model == "lindblad"
                       else _bloch_dop853_k3(cfg, noise, 2.0 * tau + 0.1))
-                assert k3(tau * (1.0 - 1e-5)) >= 1.0 > k3(tau * (1.0 + 1e-5)), (model, p.alpha)
+                assert k3(tau * (1.0 - 1e-5)) >= 1.0 > k3(tau * (1.0 + 1e-5)), (model, alpha)
                 scan = SCAN_OMEGA_STEP * np.arange(1, int(tau / SCAN_OMEGA_STEP) + 1)
                 assert min(k3(t) for t in scan[scan < tau * (1.0 - 1e-5)]) >= 1.0
 
@@ -688,9 +692,10 @@ def test_gain_curve_flags_rows_without_a_reference(monkeypatch):
     # the gain models never give an alpha > 0 row a crossing its reference lacks,
     # so the reference row's scan is made to fail
     _patched_brackets(monkeypatch, 0.0, crossing=False)
-    pts = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alpha_grid=(0.0, np.pi / 4))
-    assert [p.status for p in pts] == ["no-crossing", "no-reference"]
-    assert pts[1].gain is None and np.isclose(pts[1].tau_alpha, BLOCH_TAU, atol=1e-8)
+    tau, gain, status = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF),
+                                   alpha_grid=(0.0, np.pi / 4))
+    assert status == ["no-crossing", "no-reference"]
+    assert np.isnan(gain[1]) and np.isclose(tau[1], BLOCH_TAU, atol=1e-8)
 
 
 def test_gain_curve_is_one_batch_with_one_reference(monkeypatch):
@@ -703,11 +708,11 @@ def test_gain_curve_is_one_batch_with_one_reference(monkeypatch):
 
     monkeypatch.setattr(noise_mod, "_brackets", record)
     noise = NoiseConfig(gamma=GAMMA_REF)
-    pts = gain_curve(np.deg2rad(115.0), noise, alpha_grid=(0.0, np.pi / 8, np.pi / 4))
+    tau, gain, _ = gain_curve(np.deg2rad(115.0), noise, alpha_grid=(0.0, np.pi / 8, np.pi / 4))
     assert calls == [[0.0, np.pi / 8, np.pi / 4]]
     without = gain_curve(np.deg2rad(115.0), noise, alpha_grid=(np.pi / 8, np.pi / 4))
     assert calls[1] == [np.pi / 8, np.pi / 4, 0.0]
-    assert [(p.tau_alpha, p.gain) for p in without] == [(p.tau_alpha, p.gain) for p in pts[1:]]
+    assert np.array_equal(without[0], tau[1:]) and np.array_equal(without[1], gain[1:])
 
 
 # --- the batched lifetime engine against the one-row scan it replaced -------
@@ -841,8 +846,8 @@ def test_neighbouring_alphas_keep_distinct_gains():
     # of the bisection the root step replaced, which gave both rows one gain
     alphas = (0.0, np.pi / 4 - np.pi / 8000, np.pi / 4)
     for model in ("bloch", "lindblad"):
-        pts = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alphas, model=model)
-        gains = [p.gain for p in pts]
+        gains = gain_curve(np.deg2rad(115.0), NoiseConfig(gamma=GAMMA_REF), alphas,
+                           model=model)[1].tolist()
         assert gains[0] == 1.0 < gains[1] < gains[2], (model, gains)
 
 
@@ -996,18 +1001,18 @@ def test_lifetimes_depend_only_on_gamma_over_omega(alphas, phi, kappa, log_omega
     ref = gain_curve(np.deg2rad(phi), NoiseConfig(gamma=kappa), alphas, model=model)
     scaled = gain_curve(np.deg2rad(phi), NoiseConfig(gamma=kappa * omega), alphas, model=model,
                         omega=omega)
-    assert [p.status for p in scaled] == [p.status for p in ref]
-    for p, q in zip(ref, scaled):
-        if p.tau_alpha is not None:
-            assert abs(omega * q.tau_alpha - p.tau_alpha) <= 1e-9 * p.tau_alpha
-        if p.gain is not None:
-            assert abs(q.gain - p.gain) <= 1e-9 * p.gain
+    assert scaled[2] == ref[2]
+    for p, q in zip(ref[:2], scaled[:2]):  # tau, then gain: NaN on the same rows
+        assert np.array_equal(np.isnan(p), np.isnan(q))
+    tau, gain = ref[0], ref[1]
+    assert np.all(np.abs(omega * scaled[0] - tau) <= 1e-9 * tau, where=~np.isnan(tau))
+    assert np.all(np.abs(scaled[1] - gain) <= 1e-9 * gain, where=~np.isnan(gain))
 
 
 def test_lindblad_k3_holds_down_to_tiny_gamma():
     # the closed form needs no eigenbasis, so it reaches the unitary K3 smoothly
     cfg = planar(np.pi / 4, np.deg2rad(90.0))
-    exact = [k3_at(cfg, 1.0).k3, k3_at(cfg, 3.0).k3]
+    exact = [k3_at(cfg, 1.0)[2], k3_at(cfg, 3.0)[2]]
     for gamma in (1e-20, 1e-44, 1e-50, 1e-62, 1e-100, 1e-300):
         model = noise_mod._LindbladK3(*_batch([cfg], NoiseConfig(gamma)))
         values = model(np.array([0]), np.array([[1.0, 3.0]]))[0]
