@@ -19,10 +19,10 @@ from .superpose import (NORM_FLOOR, DegenerateSuperposition, SuperpositionConfig
                         unnormalized_superposed)
 from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
 from .ancilla import (Coupling, InterferometerSignal, NormalizationSignal,
-                      PostSelectionStarved, PulseSequence, Rotation, VerificationReport,
-                      ancilla_state, build_pulse_library, controlled_u_t0, controlled_u_t1,
+                      PostSelectionStarved, PulseSequence, Rotation, ancilla_state,
+                      build_pulse_library, controlled_u_t0, controlled_u_t1,
                       interferometer_signal, normalization_signal, postselect_map,
-                      project_ancilla, u_tilde_pm, verify_pulse_sequences)
+                      project_ancilla, verify_pulse_sequences)
 from .noise import (DEFAULT_ALPHA_GRID, NoiseConfig, evolve_lindblad, gain_curve,
                     hamiltonian_as, integrate_bloch, k3_bloch, liouvillian, noisy_correlator)
 
@@ -39,10 +39,9 @@ __all__ = [
     "unnormalized_superposed",
     "correlator", "k3_at", "k3_curve", "k3_max", "k3max_surface", "ttb_map",
     "Coupling", "InterferometerSignal", "NormalizationSignal", "PostSelectionStarved",
-    "PulseSequence", "Rotation", "VerificationReport", "ancilla_state",
-    "build_pulse_library", "controlled_u_t0", "controlled_u_t1", "interferometer_signal",
-    "normalization_signal", "postselect_map", "project_ancilla", "u_tilde_pm",
-    "verify_pulse_sequences",
+    "PulseSequence", "Rotation", "ancilla_state", "build_pulse_library",
+    "controlled_u_t0", "controlled_u_t1", "interferometer_signal", "normalization_signal",
+    "postselect_map", "project_ancilla", "verify_pulse_sequences",
     "DEFAULT_ALPHA_GRID", "NoiseConfig", "evolve_lindblad", "gain_curve", "hamiltonian_as",
     "integrate_bloch", "k3_bloch", "liouvillian", "noisy_correlator",
     "__version__",

@@ -16,8 +16,11 @@ coherence then reads (T+ + T-)/4 where
 
 interferometer_signal(cfg, ti, tj) reads the tagged run and
 normalization_signal(cfg, ti, tj) the same run without the tags.
-build_pulse_library gives (PulseSequence, target) pairs, the program's name
-being PulseSequence.name.
+build_pulse_library gives (PulseSequence, target) pairs, and
+verify_pulse_sequences maps each PulseSequence.name to its distances from the
+target over a grid. One builder, _block_diagonal, fills every gate that is
+block-diagonal in its control: U_T0, U_T1, the pulse targets, controlled-sigma_z.
+A program is multiplied out pulse by pulse with kron, independently of its target.
 
 Register order is always M (x) A (x) S; two-qubit helpers are control (x)
 target with the same relative order (A (x) S, M (x) S). Wherever a function
@@ -62,10 +65,11 @@ def ancilla_state(alpha: float) -> np.ndarray:
 
 
 def _block_diagonal(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """kron(PROJ0, u0) + kron(PROJ1, u1) for 2x2 blocks (or stacks), filled block by block."""
-    out = np.zeros(np.broadcast_shapes(u0.shape, u1.shape)[:-2] + (4, 4), dtype=complex)
-    out[..., :2, :2] = u0
-    out[..., 2:, 2:] = u1
+    """kron(PROJ0, u0) + kron(PROJ1, u1) for square blocks (or stacks), filled block by block."""
+    n = u0.shape[-1]
+    out = np.zeros(np.broadcast_shapes(u0.shape, u1.shape)[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = u0
+    out[..., n:, n:] = u1
     out += 0.0  # a -0.0 entry becomes 0.0, as in the sum of the two krons
     return out
 
@@ -83,16 +87,6 @@ def controlled_u_t1(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarra
 def _evolution(cfg: SuperpositionConfig, ti: float, tj: float) -> np.ndarray:
     """U_T1 U_T0, filled as its two blocks: the n rotation on A=|0>, the m one on A=|1>."""
     return _block_diagonal(*_branches(cfg, np.asarray(tj, dtype=float) - ti)[2:])
-
-
-def u_tilde_pm(cfg: SuperpositionConfig, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized branch combinations sin(a) U0 +/- cos(a) U1.
-
-    The + combination is exactly the unnormalized superposed rotation; the -
-    one is what the orthogonal ancilla outcome prepares.
-    """
-    sa, ca, u0, u1 = _branches(cfg, delta)
-    return sa * u0 + ca * u1, sa * u0 - ca * u1
 
 
 def project_ancilla(rho_as: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -141,7 +135,7 @@ class NormalizationSignal(NamedTuple):
 # applied to |0><0|_M (x) |0><0|_A (x) 1/2
 _HADAMARD_M = _frozen(kron(HADAMARD, kron(ID2, ID2)))
 _HADAMARD_A = _frozen(kron(ID2, kron(HADAMARD, ID2)))
-_CONTROLLED_SZ_MS = _frozen(kron(PROJ0, kron(ID2, ID2)) + kron(PROJ1, kron(ID2, SIGMA_Z)))
+_CONTROLLED_SZ_MS = _frozen(_block_diagonal(np.eye(4), kron(ID2, SIGMA_Z)))
 _RHO_M_PLUS = _frozen(_HADAMARD_M @ kron(PROJ0, kron(PROJ0, 0.5 * ID2)) @ dagger(_HADAMARD_M))
 
 
@@ -235,11 +229,10 @@ class PulseSequence:
         for gate in self.gates:
             if isinstance(gate, Rotation):
                 single = rot(_AXIS_VECTORS[gate.axis], gate.angle)
-                full = kron(single, ID2) if gate.qubit == 0 else kron(ID2, single)
+                u = (kron(single, ID2) if gate.qubit == 0 else kron(ID2, single)) @ u
             else:
                 half = 0.5 * np.asarray(gate.angle, dtype=float)[..., None, None]
-                full = np.cos(half) * np.eye(4) - 1j * np.sin(half) * kron(SIGMA_Z, SIGMA_Z)
-            u = full @ u
+                u = (np.cos(half) * np.eye(4) - 1j * np.sin(half) * kron(SIGMA_Z, SIGMA_Z)) @ u
         return u
 
 
@@ -267,7 +260,7 @@ def build_pulse_library(phi, omega_t) -> list[tuple[PulseSequence, np.ndarray]]:
         Rotation(qs, "x", np.pi / 2),
         Rotation(qs, "y", np.pi / 2),
     ))
-    cz_target = kron(PROJ0, ID2) + kron(PROJ1, SIGMA_Z)
+    cz_target = _block_diagonal(ID2, SIGMA_Z)
 
     t0_seq = PulseSequence("controlled_evolution_0", (
         Rotation(qs, "y", -np.pi / 2),
@@ -288,42 +281,16 @@ def build_pulse_library(phi, omega_t) -> list[tuple[PulseSequence, np.ndarray]]:
     # rot about the phi axis, written out because that axis varies over the grid
     half = 0.5 * omega_t[..., None, None]
     phi_spin = np.cos(phi)[..., None, None] * SIGMA_X + np.sin(phi)[..., None, None] * SIGMA_Y
-    t0_target = kron(PROJ0, rot(X_AXIS, omega_t)) + kron(PROJ1, ID2)
-    t1_target = kron(PROJ0, ID2) + kron(PROJ1, np.cos(half) * ID2 - 1j * np.sin(half) * phi_spin)
+    t0_target = _block_diagonal(rot(X_AXIS, omega_t), ID2)
+    t1_target = _block_diagonal(ID2, np.cos(half) * ID2 - 1j * np.sin(half) * phi_spin)
 
     return [(cz_seq, cz_target), (t0_seq, t0_target), (t1_seq, t1_target)]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Sequence-vs-target distances: program name -> (len(phi), len(omega_t)) array."""
-
-    distances: dict
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(np.all(d < self.tolerance) for d in self.distances.values())
-
-    def max_distance(self) -> dict[str, float]:
-        return {name: float(d.max()) for name, d in self.distances.items() if d.size}
-
-    def summary(self) -> str:
-        lines = [f"{'sequence':<24} {'max distance':>14} {'tolerance':>11} {'status':>8}"]
-        dists = self.max_distance()
-        for name, dist in dists.items():
-            status = "ok" if dist < self.tolerance else "FAIL"
-            lines.append(f"{name:<24} {dist:>14.3e} {self.tolerance:>11.0e} {status:>8}")
-        if not dists:
-            lines.append("(empty grid: nothing to verify)")
-        return "\n".join(lines)
-
-
-def verify_pulse_sequences(phi_values, omega_t_values) -> VerificationReport:
-    """Check every pulse program against its target over a parameter grid, as one batch."""
+def verify_pulse_sequences(phi_values, omega_t_values) -> dict[str, np.ndarray]:
+    """Every program's distance from its target over a (phi, omega_t) grid, as one batch:
+    name -> (len(phi_values), len(omega_t_values)) array, in the library's order."""
     phi, omega_t = np.meshgrid(np.asarray(phi_values, dtype=float),
                                np.asarray(omega_t_values, dtype=float), indexing="ij")
-    return VerificationReport(
-        distances={seq.name: np.broadcast_to(dist_upto_phase(seq.matrix(), target), phi.shape)
-                   for seq, target in build_pulse_library(phi, omega_t)},
-        tolerance=VERIFY_TOL)
+    return {seq.name: np.broadcast_to(dist_upto_phase(seq.matrix(), target), phi.shape)
+            for seq, target in build_pulse_library(phi, omega_t)}

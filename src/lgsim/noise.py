@@ -277,7 +277,8 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
         if flow is None:
             return np.where(u[0, :, None] > 0.0, [0.0, 0.0, s0[2]], s0).reshape(t.shape + (3,))
         bz = flow.flow(np.array([0]), u, np.array([[s_b, s_z]]))[0]
-        s = np.column_stack([np.exp(-kappa * u[0]) * s_a, bz]) @ frame
+        with np.errstate(over="ignore"):  # kappa u past the float range: e^-kappa u is 0
+            s = np.column_stack([np.exp(-kappa * u[0]) * s_a, bz]) @ frame
         return s.reshape(t.shape + (3,))
 
     return trajectory

@@ -128,7 +128,8 @@ def norm_factor_sq(cfg: SuperpositionConfig, delta: float):
     """
     alpha, n, m, omega = _fields(cfg, "alpha", "n_axis", "m_axis", "omega")
     x = 0.5 * omega * np.asarray(delta, dtype=float)
-    nsq = 1.0 + np.sin(2.0 * alpha) * (np.cos(x) ** 2 + np.vecdot(n, m) * np.sin(x) ** 2)
+    c, s = np.cos(x), np.sin(x)  # squared as c * c: ** is C pow on a numpy scalar
+    nsq = 1.0 + np.sin(2.0 * alpha) * (c * c + np.vecdot(n, m) * (s * s))
     return nsq if nsq.shape else float(nsq)
 
 

@@ -10,6 +10,7 @@ from lgsim.ancilla import (
     KET_PLUS,
     PROJ0,
     PROJ1,
+    VERIFY_TOL,
     PostSelectionStarved,
     Rotation,
     ancilla_state,
@@ -20,25 +21,26 @@ from lgsim.ancilla import (
     normalization_signal,
     postselect_map,
     project_ancilla,
-    u_tilde_pm,
     verify_pulse_sequences,
 )
 from lgsim.lgi import correlator
 from lgsim.linalg import (
     ID2,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
     dagger,
+    dist_upto_phase,
     is_density_matrix,
     is_unitary,
     kron,
     rot,
 )
-from lgsim.superpose import (SuperpositionConfig, norm_factor_sq, planar, superposed_unitary,
-                             unnormalized_superposed)
+from lgsim.superpose import (SuperpositionConfig, _branches, norm_factor_sq, planar,
+                             superposed_unitary, unnormalized_superposed)
 
 
 def _random_density(rng):
@@ -54,6 +56,13 @@ def _random_planar(rng):
 
 def _trace_distance(a, b):
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
+
+
+def _branch_combinations(cfg, delta):
+    """sin(a) U0 +/- cos(a) U1: the + one is the unnormalized superposed rotation, the -
+    one what the orthogonal ancilla outcome prepares."""
+    sa, ca, u0, u1 = _branches(cfg, delta)
+    return sa * u0 + ca * u1, sa * u0 - ca * u1
 
 
 def test_ancilla_state():
@@ -91,7 +100,7 @@ def test_branch_combinations():
     for _ in range(20):
         cfg = _random_planar(rng)
         delta = rng.uniform(0.0, 6.0)
-        plus, minus = u_tilde_pm(cfg, delta)
+        plus, minus = _branch_combinations(cfg, delta)
         assert np.allclose(plus, unnormalized_superposed(cfg, delta), atol=1e-12)
         # the two branch norms always add up to 2
         n_plus = 0.5 * np.trace(plus @ dagger(plus)).real
@@ -167,7 +176,7 @@ def test_interferometer_identities():
         sig = interferometer_signal(cfg, ti, tj)
         norm = normalization_signal(cfg, ti, tj)
 
-        plus, minus = u_tilde_pm(cfg, tj - ti)
+        plus, minus = _branch_combinations(cfg, tj - ti)
         t_plus_direct = np.trace(SIGMA_Z @ plus @ SIGMA_Z @ (0.5 * dagger(plus))).real
         t_minus_direct = np.trace(SIGMA_Z @ minus @ SIGMA_Z @ (0.5 * dagger(minus))).real
         assert np.isclose(sig.t_plus, t_plus_direct, atol=1e-10)
@@ -195,14 +204,13 @@ def test_interferometer_without_superposition():
 
 
 def test_pulse_sequences_hit_their_targets():
-    report = verify_pulse_sequences(np.linspace(0.2, np.pi - 0.2, 7),
-                                    np.linspace(0.0, 2 * np.pi, 9))
-    assert report.passed
-    dists = report.max_distance()
-    assert set(dists) == {"controlled_sz", "controlled_evolution_0",
-                          "controlled_evolution_1"}
-    assert max(dists.values()) < 1e-12
-    assert [d.shape for d in report.distances.values()] == [(7, 9)] * 3
+    distances = verify_pulse_sequences(np.linspace(0.2, np.pi - 0.2, 7),
+                                       np.linspace(0.0, 2 * np.pi, 9))
+    assert all(np.all(d < VERIFY_TOL) for d in distances.values())
+    assert set(distances) == {"controlled_sz", "controlled_evolution_0",
+                              "controlled_evolution_1"}
+    assert max(d.max() for d in distances.values()) < 1e-12
+    assert [d.shape for d in distances.values()] == [(7, 9)] * 3
 
 
 def test_pulse_sequence_matrices_are_unitary():
@@ -255,10 +263,9 @@ def test_batched_pulse_programs_match_per_point_oracle(phis, omega_ts):
             assert np.abs(stacks[k][i, j] - _per_point_matrix(seq)).max() < 1e-14
             assert np.abs(targets[k][i, j] - expected_targets[k]).max() < 1e-14
 
-    report = verify_pulse_sequences(phis, omega_ts)
-    assert list(report.distances) == [seq.name for seq, _ in library]
-    assert all(d.shape == phi.shape and np.all(np.isfinite(d))
-               for d in report.distances.values())
+    distances = verify_pulse_sequences(phis, omega_ts)
+    assert list(distances) == [seq.name for seq, _ in library]
+    assert all(d.shape == phi.shape and np.all(np.isfinite(d)) for d in distances.values())
 
 
 def test_pulse_targets_match_evolution_gates():
@@ -274,21 +281,41 @@ def test_pulse_targets_match_evolution_gates():
 
 
 def test_verification_report_shape():
-    report = verify_pulse_sequences([1.0], [0.5])
-    assert report.tolerance == 1e-9
-    assert report.passed is True
-    assert set(report.max_distance()) == {"controlled_sz", "controlled_evolution_0",
-                                          "controlled_evolution_1"}
-    assert list(report.distances) == ["controlled_sz", "controlled_evolution_0",
-                                      "controlled_evolution_1"]
-    assert [d.shape for d in report.distances.values()] == [(1, 1)] * 3
-    assert "controlled_sz" in report.summary()
+    # name -> (len(phi), len(omega_t)) distance array, in the library's order
+    distances = verify_pulse_sequences([1.0], [0.5])
+    assert VERIFY_TOL == 1e-9
+    assert all(np.all(d < VERIFY_TOL) for d in distances.values())
+    assert list(distances) == ["controlled_sz", "controlled_evolution_0",
+                               "controlled_evolution_1"]
+    assert [d.shape for d in distances.values()] == [(1, 1)] * 3
+    assert all(d.dtype == float for d in distances.values())
 
     empty = verify_pulse_sequences([], [])
-    assert [d.shape for d in empty.distances.values()] == [(0, 0)] * 3
-    assert empty.max_distance() == {}
-    assert empty.passed  # vacuous
-    assert "nothing to verify" in empty.summary()
+    assert [d.shape for d in empty.values()] == [(0, 0)] * 3
+    assert all(np.all(d < VERIFY_TOL) for d in empty.values())  # vacuous
+
+
+def _kron_targets(phi, omega_t):
+    """The three targets over a stacked grid as kron(PROJ0, u0) + kron(PROJ1, u1) sums."""
+    half = 0.5 * omega_t[..., None, None]
+    phi_spin = np.cos(phi)[..., None, None] * SIGMA_X + np.sin(phi)[..., None, None] * SIGMA_Y
+    return [kron(PROJ0, ID2) + kron(PROJ1, SIGMA_Z),
+            kron(PROJ0, rot(X_AXIS, omega_t)) + kron(PROJ1, ID2),
+            kron(PROJ0, ID2) + kron(PROJ1, np.cos(half) * ID2 - 1j * np.sin(half) * phi_spin)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 9), (0, 0)])
+def test_verified_distances_are_bitwise_those_against_kron_targets(shape):
+    rng = np.random.default_rng(sum(shape))
+    phis = rng.uniform(0.0, np.pi, shape[0])
+    omega_ts = rng.uniform(-4 * np.pi, 4 * np.pi, shape[1])
+    phi, omega_t = np.meshgrid(phis, omega_ts, indexing="ij")
+    library = build_pulse_library(phi, omega_t)
+    distances = verify_pulse_sequences(phis, omega_ts)
+    assert list(distances) == [seq.name for seq, _ in library]
+    for (seq, target), oracle, d in zip(library, _kron_targets(phi, omega_t), distances.values()):
+        _assert_bitwise(np.broadcast_to(target, oracle.shape), oracle)
+        _assert_bitwise(d, np.broadcast_to(dist_upto_phase(seq.matrix(), oracle), phi.shape))
 
 
 # --- the replaced forms, kept as oracles ------------------------------------
@@ -467,9 +494,9 @@ def test_gates_and_projections_on_stacks_are_bitwise_each_alone():
     for func in (controlled_u_t0, controlled_u_t1, ancilla._evolution):
         _assert_bitwise(func(cfgs, ti, tj),
                         np.array([func(c, a, b) for c, a, b in zip(cfgs, ti, tj)]))
-    plus, minus = u_tilde_pm(cfgs, tj)
+    plus, minus = _branch_combinations(cfgs, tj)
     for c, t, p, m in zip(cfgs, tj, plus, minus):
-        one_p, one_m = u_tilde_pm(c, t)
+        one_p, one_m = _branch_combinations(c, t)
         _assert_bitwise(p, one_p)
         _assert_bitwise(m, one_m)
         _assert_bitwise(p, unnormalized_superposed(c, t))

@@ -515,6 +515,22 @@ def test_verify_circuits_json_report(tmp_path):
     assert max(max_dists) < 1e-9
 
 
+def test_verify_circuits_prints_its_summary_table(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run(RunConfig(experiment="verify-circuits", grid=4, out=str(out))) == 0
+    assert capsys.readouterr().out == f"""\
+sequence                   max distance   tolerance   status
+controlled_sz                 1.110e-16       1e-09       ok
+controlled_evolution_0        0.000e+00       1e-09       ok
+controlled_evolution_1        1.110e-16       1e-09       ok
+PASS verify-circuits: all pulse sequences realize their gates (tolerance = 1e-09)
+PASS verify-circuits: controlled_evolution_0 within tolerance (max distance = 0.000e+00)
+PASS verify-circuits: controlled_evolution_1 within tolerance (max distance = 1.110e-16)
+PASS verify-circuits: controlled_sz within tolerance (max distance = 1.110e-16)
+wrote {out}: 48 rows, 4/4 checks passed
+"""
+
+
 def test_verify_circuits_distances_are_never_negative(tmp_path):
     out = tmp_path / "verify.json"
     assert run(RunConfig(experiment="verify-circuits", out=str(out))) == 0

@@ -397,6 +397,17 @@ def test_bloch_at_infinite_kappa_is_the_zeno_limit():
     assert traj(np.array([1e-3, 5e9, 1e10])).tolist() == [[0.0, 0.0, -0.8]] * 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bloch_trajectory_at_kappa_near_the_float_range():
+    # kappa = 1e308 is finite but kappa u is not: the s_a term takes its limit 0, no warning
+    cfg, noise, u = planar(np.pi / 4, 2.0), NoiseConfig(1e308), np.array([0.5, 2.0, 5.0])
+    assert integrate_bloch(cfg, noise, 5.0)(u)[:, 2].tolist() == [1.0] * 3
+    s = integrate_bloch(cfg, noise, 5.0, s0=[0.6, 0.0, 0.8])(u)
+    theta = axis_theta(cfg)
+    assert np.abs(s @ [np.cos(theta), np.sin(theta), 0.0]).max() <= 1e-300  # the s_a term
+    assert np.abs(s - [0.0, 0.0, 0.8]).max() <= 1e-300  # s_z frozen, as at kappa = inf
+
+
 def test_k3_bloch_limits():
     cfg = planar(np.pi / 4, 2.0)
     assert k3_bloch(cfg, NoiseConfig(gamma=0.5), 0.0) == 1.0

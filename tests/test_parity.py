@@ -7,8 +7,8 @@ from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from tools.parity import (_fold, diff_datasets, parse_seeds, rerun_differences,  # noqa: E402
-                          text_delta)
+from tools.parity import (_fold, _line, console_differences, diff_datasets,  # noqa: E402
+                          parse_seeds, rerun_differences, text_delta)
 
 COLUMNS = ["phi_deg", "alpha", "tau_alpha", "gain", "status"]
 
@@ -108,3 +108,21 @@ def test_row_moves_add_up_over_items():
     assert total["detail"]["changed"] == 2 and total["detail"]["max_abs"] is None
     assert total["detail"]["by_row"]["c"]["changed"] == 2
     assert math.isclose(total["detail"]["by_row"]["c"]["max_abs"], 2e-16)
+
+
+def _record(console, rc=0):
+    return {"rc": rc, "status": "ok" if rc == 0 else "exit1", "error": None, "oracle": "ok",
+            "console": console}
+
+
+def test_console_differences_list_items_whose_console_text_differs():
+    items = [("circuits", SimpleNamespace(argv=("verify-circuits", "--grid", str(k))))
+             for k in (2, 3, 4)]
+    table = "sequence  max distance\ncontrolled_sz  1.110e-16\nwrote <out>: 12 rows\n"
+    base = [_record(table), _record(table), _record("FAIL x\n", rc=1)]
+    head = [_record(table), _record(table.replace("1.110e-16", "0.000e+00")),
+            _record("FAIL x\n", rc=1)]
+    assert console_differences(items, base, head) == ["verify-circuits --grid 3"]
+    assert console_differences(items, base, base) == []
+    lines = [_line(name, item, b, h, True, None) for (name, item), b, h in zip(items, base, head)]
+    assert ["console differs" in line for line in lines] == [False, True, False]

@@ -218,13 +218,6 @@ def _assert_bitwise(a, b):
     assert np.array_equal(_bits(a), _bits(b)), (a, b)
 
 
-def _assert_close(a, b):
-    """Equal to 1e-15, relative past 1: N^2 rounds by its own power x**2 at one scalar time,
-    where a stack squares by x * x."""
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-15 * np.maximum(1.0, np.abs(b)))
-
-
 def _stack_of_configs(seed, k, general):
     """k configs (arbitrary axes, or planar) and k delays drawn from seed."""
     rng = np.random.default_rng(seed)
@@ -242,10 +235,11 @@ def _stack_of_configs(seed, k, general):
 
 
 def _norm_factor_sq_oracle(cfg, delta):
-    """norm_factor_sq as first written, for one config."""
+    """norm_factor_sq as first written, for one config, squaring as x * x."""
     x = 0.5 * cfg.omega * delta
-    return 1.0 + np.sin(2.0 * cfg.alpha) * (np.cos(x) ** 2
-                                            + float(np.dot(cfg.n_axis, cfg.m_axis)) * np.sin(x) ** 2)
+    c, s = np.cos(x), np.sin(x)
+    return 1.0 + np.sin(2.0 * cfg.alpha) * (c * c
+                                            + float(np.dot(cfg.n_axis, cfg.m_axis)) * (s * s))
 
 
 def _unnormalized_oracle(cfg, delta):
@@ -264,7 +258,7 @@ def test_a_stack_of_configs_is_each_config_alone(seed, k, general):
         _assert_bitwise(w, _unnormalized_oracle(cfg, delta))
         _assert_bitwise(norm_factor_sq(cfg, delta), _norm_factor_sq_oracle(cfg, delta))
     for func in (norm_factor_sq, superposed_unitary):
-        _assert_close(func(cfgs, deltas), np.array([func(c, d) for c, d in zip(cfgs, deltas)]))
+        _assert_bitwise(func(cfgs, deltas), np.array([func(c, d) for c, d in zip(cfgs, deltas)]))
     # a (k, 1) stack against k x 3 delays: each row is one config's array call
     stack = np.array(cfgs, dtype=object)[:, None]
     grid = deltas[:, None] * np.array([0.5, 1.0, 2.0])
@@ -273,7 +267,7 @@ def test_a_stack_of_configs_is_each_config_alone(seed, k, general):
         _assert_bitwise(func(stack, grid), np.array([func(c, row) for c, row in zip(cfgs, grid)]))
     if not general:
         _assert_bitwise(f_of_t(cfgs, deltas), np.array([f_of_t(c, d) for c, d in zip(cfgs, deltas)]))
-        _assert_close(soe(cfgs, deltas), np.array([soe(c, d) for c, d in zip(cfgs, deltas)]))
+        _assert_bitwise(soe(cfgs, deltas), np.array([soe(c, d) for c, d in zip(cfgs, deltas)]))
 
 
 def test_one_config_calls_keep_their_types():

@@ -14,16 +14,18 @@ checked with ``perfbench.oracle``. Both ``perfbench`` modules are imported
 from this checkout, unchanged, so the two trees are judged by the same oracle.
 
 For each item it prints the exit code, status and oracle verdict on both
-sides, whether the dataset bytes are identical, and for a dataset that moved
-the largest |delta| of each column that changed. A text cell that moved only
-in the numbers written in it (a selftest detail such as "max = 1.611e-15")
-counts by the largest |delta| of those numbers, per row name (the row's first
-cell, a selftest check name): the summary's "by_row". Status follows
-``perfbench/run.py``: "ok", "exit1", "exit2", or "oracle" for an exit 0 whose
-dataset the oracle rejects. The last line is one JSON summary; its
+sides, whether the dataset bytes are identical, whether the console text
+(stdout and stderr, with the item's ``--out`` path as ``<out>``) differs, and
+for a dataset that moved the largest |delta| of each column that changed. A
+text cell that moved only in the numbers written in it (a selftest detail such
+as "max = 1.611e-15") counts by the largest |delta| of those numbers, per row
+name (the row's first cell, a selftest check name): the summary's "by_row".
+Status follows ``perfbench/run.py``: "ok", "exit1", "exit2", or "oracle" for
+an exit 0 whose dataset the oracle rejects. The last line is one JSON summary; its
 "head_reruns_differ" lists the items whose HEAD datasets differ between the
-two runs. The exit code is 0 when no item changed its exit code, status or
-oracle verdict and both HEAD runs agree, else 1.
+two runs, and its "console_differs" the items whose BASE and HEAD console texts
+differ. The exit code is 0 when no item changed its exit code, status or
+oracle verdict and both HEAD runs agree, else 1; console text does not count.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def run_tree(src: str, out_dir: str, items_path: str) -> None:
                 verdict = f"{type(exc).__name__}: {exc}"
             if verdict != "ok" and status == "ok":
                 status = "oracle"
-        records.append({"rc": rc, "status": status, "error": error, "oracle": verdict})
+        records.append({"rc": rc, "status": status, "error": error, "oracle": verdict,
+                        "console": sink.getvalue().replace(str(path), "<out>")})
     (out / "records.json").write_text(json.dumps(records))
 
 
@@ -210,6 +213,12 @@ def rerun_differences(items, first: Path, second: Path) -> list[str]:
     return differ
 
 
+def console_differences(items, base_records, head_records) -> list[str]:
+    """argv of each item whose console text differs between the two sides' records."""
+    return [" ".join(item.argv) for (_, item), base, head in zip(items, base_records, head_records)
+            if base["console"] != head["console"]]
+
+
 def _fold(total: dict, columns: dict) -> None:
     for name, col in columns.items():
         agg = total.setdefault(name, {"changed": 0, "max_abs": 0.0, "max_rel": 0.0})
@@ -226,6 +235,8 @@ def _line(name, item, base, head, identical, diff) -> str:
 
     text = (f"{name:9s} {' '.join(item.argv)} | rc {pair('rc')} | {pair('status')} | "
             f"oracle {pair('oracle')} | {'identical' if identical else 'bytes differ'}")
+    if base["console"] != head["console"]:
+        text += " | console differs"
     if base["error"] or head["error"]:
         text += f" | {pair('error')}"
     if diff is not None and diff["shape"]:
@@ -277,7 +288,9 @@ def main(argv=None) -> int:
         summary = {"base": args.base, "head": args.head, "seeds": args.seeds,
                    "items": len(items), "changed": [], "workloads": {},
                    "head_reruns_differ": rerun_differences(items, tmp / "head" / "out",
-                                                           tmp / "rerun" / "out")}
+                                                           tmp / "rerun" / "out"),
+                   "console_differs": console_differences(items, records["base"],
+                                                          records["head"])}
         for k, (name, item) in enumerate(items):
             base, head = records["base"][k], records["head"][k]
             identical, diff = _compare(tmp / "base" / "out" / f"{k}.out",
