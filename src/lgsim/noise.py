@@ -92,12 +92,18 @@ def _row_model(model, cfg: SuperpositionConfig, noise: NoiseConfig):
 
 # --- Bloch route ------------------------------------------------------------
 
-def _magnus_steps(a, b, kappa, u0, u1) -> np.ndarray:
+def _half_angle(a, b, u) -> np.ndarray:
+    """f(u) / 2 within one period, for the rows' a and b broadcast against u."""
+    return np.arctan2(b * np.sin(0.5 * u), a * np.cos(0.5 * u))
+
+
+def _magnus_steps(a, b, kappa, u0, u1, psi0, psi1) -> np.ndarray:
     """exp(Omega), shape u0.shape + (2, 2), of the steps [u0, u1] within one period.
 
-    a and b broadcast against u0 and u1. Omega is the 6th-order Magnus exponent on three
-    Gauss nodes (Blanes et al., see _BlochK3) with its first term exact, -k (I + Z) + df J
-    (k = kappa h / 2, df the exact rotation angle); the nested commutators, in G_i = h g(u0
+    a and b broadcast against u0 and u1, and psi0 and psi1 are f / 2 at the ends
+    (_half_angle). Omega is the 6th-order Magnus exponent on three Gauss nodes (Blanes et
+    al., see _BlochK3) with its first term exact, -k (I + Z) + df J (k = kappa h / 2, df =
+    2 (psi1 - psi0) the exact rotation angle); the nested commutators, in G_i = h g(u0
     + c_i h), p = (sqrt 15 / 3)(G3 - G1) and q = (10 / 3)(G3 - 2 G2 + G1), close in
     span{Z, X, J}. They take k capped at pi / 2: the series' convergence bound, integral of
     ||A|| < pi, fails once kappa h >= pi, where its k^3 terms add error, not accuracy, and
@@ -106,10 +112,10 @@ def _magnus_steps(a, b, kappa, u0, u1) -> np.ndarray:
     is at most 2 pi) and a kappa near the float range gives the frozen s_z of its limit.
     """
     h = u1 - u0
-    x = 0.5 * np.stack([u0, u1, *(u0 + c * h for c in _GAUSS)])
+    x = 0.5 * np.stack([u0 + c * h for c in _GAUSS])
     ca, sb = a * np.cos(x), b * np.sin(x)
-    df = 2.0 * (np.arctan2(sb[1], ca[1]) - np.arctan2(sb[0], ca[0]))
-    g1, g2, g3 = h * a * b / (ca[2:] ** 2 + sb[2:] ** 2)
+    df = 2.0 * (psi1 - psi0)
+    g1, g2, g3 = h * a * b / (ca ** 2 + sb ** 2)
     k = 0.5 * min(kappa, 2.0 ** 1020) * h
     p, q = (math.sqrt(15.0) / 3.0) * (g3 - g1), (10.0 / 3.0) * (g3 - 2.0 * g2 + g1)
     kc = np.minimum(k, 0.5 * np.pi)
@@ -136,11 +142,15 @@ def _damped_rotation(mu, z, c, df) -> np.ndarray:
     r2_s = z_s * z_s + c_s * c_s - df_s * df_s
     r_s = np.sqrt(abs(r2_s))
     r, real, zero = s * r_s, r2_s >= 0.0, r_s == 0.0
-    lead = (z_s - mu_s) * (z_s + mu_s) + c_s * c_s - df_s * df_s
-    lead = s * (lead / np.where(r_s == mu_s, 1.0, r_s - mu_s))
-    lead = np.exp(np.where(real, np.minimum(lead, 0.0), mu))
-    half = np.where(real, 0.5 + 0.5 * np.exp(-2.0 * r), np.cos(r))
-    q = np.where(real, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / np.where(zero, 1.0, r)
+    if real.any():
+        lead = (z_s - mu_s) * (z_s + mu_s) + c_s * c_s - df_s * df_s
+        lead = s * (lead / np.where(r_s == mu_s, 1.0, r_s - mu_s))
+        lead = np.exp(np.where(real, np.minimum(lead, 0.0), mu))
+        half = np.where(real, 0.5 + 0.5 * np.exp(-2.0 * r), np.cos(r))
+        q = np.where(real, -0.5 * np.expm1(-2.0 * r), np.sin(r))
+    else:  # every entry rotates
+        lead, half, q = np.exp(mu), np.cos(r), np.sin(r)
+    q = q / np.where(zero, 1.0, r)
     q = np.where(zero, 1.0, q)
     parts = np.stack([half + z * q, q * (c - df), q * (c + df), half - z * q], axis=-1)
     return (lead[..., None] * parts).reshape(mu.shape + (2, 2))
@@ -185,10 +195,12 @@ class _BlochK3:
         self._refine(np.flatnonzero(~exact), 64, None, done)
         self._first = np.concatenate([[0], np.cumsum(self.steps + 1)])  # row r's nodes start here
         self._nodes, self._phi = np.empty(self._first[-1]), np.empty((self._first[-1], 2, 2))
+        self._half = np.empty(self._first[-1])  # f / 2 at each node
         while done:  # the nodes are taken again here, so that no level holds them till now
             rows, phi = done.pop()
             at = self._first[rows, None] + np.arange(phi.shape[1])
             self._nodes[at], self._phi[at] = self._node_table(rows, phi.shape[1] - 1), phi
+            self._half[at] = _half_angle(self._a[rows, None], self._b[rows, None], self._nodes[at])
 
     def _refine(self, rows: np.ndarray, n: int, coarse, done: list) -> None:
         """Take rows from n steps up the doubling levels; coarse is their Phi on n / 2 steps.
@@ -221,11 +233,11 @@ class _BlochK3:
 
     def _tables(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Phi (rows x n + 1 x 2 x 2) at the nodes of n steps."""
-        u = self._node_table(rows, n)
+        a, b, u = self._a[rows, None], self._b[rows, None], self._node_table(rows, n)
+        half = _half_angle(a, b, u)
         phi = np.empty(u.shape + (2, 2))
         phi[:, 0] = np.eye(2)
-        phi[:, 1:] = _magnus_steps(self._a[rows, None], self._b[rows, None], self._kappa,
-                                   u[:, :-1], u[:, 1:])
+        phi[:, 1:] = _magnus_steps(a, b, self._kappa, u[:, :-1], u[:, 1:], half[:, :-1], half[:, 1:])
         for span in (1 << k for k in range(n.bit_length())):  # prefix products, log2(n) passes
             phi[:, span:] = phi[:, span:] @ phi[:, :-span]
         return phi
@@ -236,12 +248,15 @@ class _BlochK3:
         p = np.clip(u - k * _PERIOD, 0.0, _PERIOD)
         a, b, n = self._a[rows, None], self._b[rows, None], self.steps[rows, None]
         # flat index j of the step holding p: from psi = f / 2, uniform in steps (_node_table),
-        psi = np.arctan2(b * np.sin(0.5 * p), a * np.cos(0.5 * p))  # then to the last node <= p
+        psi = _half_angle(a, b, p)  # then to the last node <= p
         j = self._first[rows, None] + np.minimum(psi * n // np.pi, n - 1).astype(int)
         j -= self._nodes[j] > p
         j += (j < self._first[rows + 1, None] - 2) & (self._nodes[j + 1] <= p)
-        v = _powers(self._phi[self._first[rows + 1] - 1], k) @ sbz[:, None, :, None]
-        steps = _magnus_steps(a, b, self._kappa, self._nodes[j], p)
+        if k.any():
+            v = _powers(self._phi[self._first[rows + 1] - 1], k) @ sbz[:, None, :, None]
+        else:  # a contiguous copy: matmul takes another path on a broadcast view
+            v = np.ascontiguousarray(np.broadcast_to(sbz[:, None, :, None], k.shape + (2, 1)))
+        steps = _magnus_steps(a, b, self._kappa, self._nodes[j], p, self._half[j], psi)
         return (steps @ self._phi[j] @ v)[..., 0]
 
     def __call__(self, rows: np.ndarray, u: np.ndarray):

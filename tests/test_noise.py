@@ -256,7 +256,8 @@ def test_bloch_flow_finds_the_step_a_node_search_finds():
         p = np.clip(p, 0.0, np.nextafter(2.0 * np.pi, 0.0))[None]  # u = 2 pi is M^1 at p = 0
         j = np.minimum(nodes.searchsorted(p, side="right"), len(nodes) - 1) - 1
         ab = model._a[[row], None], model._b[[row], None]
-        steps = noise_mod._magnus_steps(*ab, 3.0, nodes[j], p)
+        half = noise_mod._half_angle(*ab, nodes[j]), noise_mod._half_angle(*ab, p)
+        steps = noise_mod._magnus_steps(*ab, 3.0, nodes[j], p, *half)
         v = noise_mod._powers(model._phi[[last]], np.zeros(p.shape)) @ sbz[:, None, :, None]
         ref = (steps @ phi[j] @ v)[..., 0]
         assert np.array_equal(model.flow(np.array([row]), p, sbz), ref), row
@@ -341,6 +342,24 @@ def test_damped_rotation_stays_finite_at_any_magnitude(mu, z, c, df):
         warnings.simplefilter("error", RuntimeWarning)
         out = noise_mod._damped_rotation(np.float64(-abs(mu)), z, c, df)
     assert out.shape == (2, 2) and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("u", [2.2e-309, 5e-324])
+def test_damped_rotation_at_a_subnormal_u_runs_cleanly(u):
+    # a subnormal step, on the rotating side and the real side of r^2 = 0 and through a
+    # Magnus step of the Bloch tables: no warning, and the identity to within kappa u
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kappa in (0.0, 1.0, 3.0, 1e300):
+            mu = np.array([-0.5 * kappa * u])
+            out = noise_mod._damped_rotation(mu, mu, np.zeros(1), np.array([u]))
+            assert np.all(np.isfinite(out)), kappa
+            assert np.abs(out - np.eye(2)).max() <= max(1e-300, kappa * u), kappa
+        a, b = np.array([[1.2]]), np.array([[0.7]])
+        zero, end = np.zeros((1, 1)), np.full((1, 1), u)
+        step = noise_mod._magnus_steps(a, b, 3.0, zero, end, noise_mod._half_angle(a, b, zero),
+                                       noise_mod._half_angle(a, b, end))
+    assert np.all(np.isfinite(step)) and np.abs(step - np.eye(2)).max() <= 1e-300
 
 
 def test_bloch_norm_behavior():
