@@ -32,7 +32,7 @@ from .ancilla import KET_PLUS, PROJ0, PROJ1, VERIFY_TOL, ancilla_state, interfer
 from .lgi import correlator, k3_at, k3_curve, k3_max, k3max_surface, ttb_map
 from .linalg import SIGMA_Z, dagger, dist_upto_phase, rot
 from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
-    k3_bloch, noisy_correlator
+    k3_bloch, lindblad_gain_excess, noisy_correlator
 from .superpose import SuperpositionConfig, f_of_t, norm_factor_sq, planar, soe, soe_span, \
     superposed_unitary, unnormalized_superposed
 
@@ -295,8 +295,12 @@ def _run_lifetime(config: RunConfig, model: str):
             worst = min(gains)
             checks.append(Check(f"dephasing on both qubits never hurts (phi = {label} deg)",
                                 worst >= 1.0 - 1e-6, f"min gain = {worst!r}"))
+            # gain > 1 read from tau(pi/4) - tau(0) formed exactly, not from rounded taus
+            excess = lindblad_gain_excess(np.deg2rad(pd), noise, tau[0], alphas[-1], config.omega)
+            detail = ("cannot decide: e^(-gamma tau(0)) underflows" if math.isnan(excess)
+                      else f"tau(alpha=pi/4) - tau(0) = {excess!r} to first order")
             checks.append(Check(f"full superposition still gains (phi = {label} deg)",
-                                gains[-1] > 1.0, f"gain(alpha=pi/4) = {gains[-1]!r}"))
+                                excess > 0.0, detail))
     meta = {"model": model, "gamma": gamma, "omega": config.omega,
             "alpha_points": n + 1, "phi_deg": ",".join(f"{p:g}" for p in phis_deg)}
     tau, gain, status = zip(*curves)

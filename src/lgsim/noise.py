@@ -21,12 +21,12 @@ eigendecomposition. Both reduce to the unitary picture at gamma = 0, which the
 tests pin.
 
 K3 keeps the stationary grid (0, u, 2u): 2 sz(u) - sz(2u) for the Bloch route,
-2 C(u) - C(2u) for the Lindblad one, on a (rows x u) block. The lifetime is the
-first u where K3 drops through 1, found for a whole batch by one engine
-(_first_crossings: a chunked scan, then Chandrupatla's root step to a bracket a
-few ulps wide) in which every row takes exactly the steps it would take alone.
-gain_curve returns one phi's lifetimes as arrays over the alpha grid: (tau, gain,
-status), NaN in tau and gain where a row's status gives no value.
+2 C(u) - C(2u) for the Lindblad one, and its slope K3', on a (rows x u) block.
+The lifetime is the first u where K3 drops through 1, found for a whole batch by
+one engine (_first_crossings: a chunked scan, then safeguarded Newton on K3 and
+K3' to a bracket a few ulps wide) in which every row takes exactly the steps it
+would take alone. gain_curve returns one phi's lifetimes as arrays over the alpha
+grid: (tau, gain, status), NaN in tau and gain where a row's status gives no value.
 
 Besides alpha and phi, kappa is the one parameter of the lifetime problem, so omega
 stays out of the K3 models and the engine: the one-config functions convert on entry
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import POSTSELECT_FLOOR, PROJ0, PROJ1, PostSelectionStarved
+from .ancilla import POSTSELECT_FLOOR, PostSelectionStarved, _block_diagonal
 from .linalg import ID2, SIGMA_Z, Z_AXIS, _frozen, is_density_matrix, kron, pauli
 from .superpose import SuperpositionConfig, axis_theta, planar, planar_angle
 
@@ -52,7 +52,7 @@ _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 _PERIOD = 2.0 * np.pi  # of the Bloch generator in u = omega t
 SCAN_OMEGA_STEP = 1e-2
 LIFETIME_HORIZON_OVER_MIN_RATE = 50.0  # the scan ends at u = this / min(kappa, 1)
-_EPS = np.finfo(float).eps
+_EPS, _BIG = np.finfo(float).eps, np.finfo(float).max
 # smallest peak K3 - 1 whose tau rounding does not set: K3 carries ~100 eps of rounding, which
 # moves tau by about that / peak relative, so 1e-6 at most from this peak on
 PEAK_RESOLUTION = 100.0 * _EPS / 1e-6
@@ -62,8 +62,10 @@ PEAK_RESOLUTION = 100.0 * _EPS / 1e-6
 # percentile, so a 3-5 row batch mostly ends its scan in one chunk
 _SCAN_FIRST_CHUNK = 16  # scan points per row in a chunk at least
 _SCAN_CHUNK_CAP = 1024  # (rows x points) per chunk at most, unless that is below 16 points per row
-_ROOT_INTERPOLATED_STEPS = 16  # root-step evaluations per row that may interpolate; later bisect
-_ROOT_MAX_STEPS = 80  # root-step evaluations per row at most; bisection from k >= 2 takes <= 50
+_ROOT_POINTS = 16  # per row in a root-step model call: Newton's, its 2 neighbours, 13 in a window
+_ROOT_WINDOW = np.arange(2 - _ROOT_POINTS // 2, _ROOT_POINTS // 2 - 1) / (_ROOT_POINTS // 2 - 1)
+_ROOT_NEIGHBOURS = 1.0 + 2.0 * _EPS * np.array([-1.0, 0.0, 1.0])
+_ROOT_MAX_STEPS = 40  # root-step model calls per row at most; from a 0.01 bracket 25 always do
 
 DEFAULT_ALPHA_GRID = (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)
 
@@ -182,7 +184,8 @@ class _BlochK3:
     level before the next starts, so the rows in flight stay bounded; every row takes the
     arithmetic it would take alone. steps and residuals hold each row's final count and
     last move (0 for one exact step). Called with row indices and a (rows x m) block of u,
-    it returns K3 there and no post-selection probability.
+    it returns K3 there, its slope K3' = 2 g(u) s_b(u) - 2 g(2u) s_b(2u) (s_z' = g s_b), and
+    no post-selection probability.
     """
 
     def __init__(self, alphas, phi, kappa):
@@ -261,8 +264,11 @@ class _BlochK3:
 
     def __call__(self, rows: np.ndarray, u: np.ndarray):
         pole = np.broadcast_to([0.0, 1.0], (len(rows), 2))  # Z_AXIS in every row's frame
-        s_z = self.flow(rows, np.concatenate([u, 2.0 * u], axis=1), pole)[..., 1]
-        return 2.0 * s_z[:, :u.shape[1]] - s_z[:, u.shape[1]:], None
+        both, m = np.concatenate([u, 2.0 * u], axis=1), u.shape[1]
+        s_b, s_z = np.moveaxis(self.flow(rows, both, pole), -1, 0)
+        a, b = self._a[rows, None], self._b[rows, None]
+        slope = a * b / ((a * np.cos(0.5 * both)) ** 2 + (b * np.sin(0.5 * both)) ** 2) * s_b
+        return 2.0 * s_z[:, :m] - s_z[:, m:], 2.0 * (slope[:, :m] - slope[:, m:]), None
 
 
 def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, s0=None):
@@ -322,7 +328,7 @@ def hamiltonian_as(cfg: SuperpositionConfig) -> np.ndarray:
     controlled evolution gates.
     """
     half = 0.5 * cfg.omega
-    return kron(PROJ0, half * pauli(cfg.n_axis)) + kron(PROJ1, half * pauli(cfg.m_axis))
+    return _block_diagonal(half * pauli(cfg.n_axis), half * pauli(cfg.m_axis))
 
 
 # the two sigma_z dephasing superoperators, on the ancilla and on the system:
@@ -398,13 +404,13 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float, tj
     if np.count_nonzero(delta < 0.0):
         raise ValueError("tj must be >= ti")
     u = cfg.omega * delta.reshape(1, -1)
-    c, prob = _row_model(_LindbladK3, cfg, noise).correlator(np.array([0]), u)
+    c, _, prob = _row_model(_LindbladK3, cfg, noise).correlator(np.array([0]), u)
     _check_postselection(prob, u)
     return c.reshape(delta.shape) if delta.shape else float(c[0, 0])
 
 
-def _e_zz(kappa, u) -> np.ndarray:
-    """E_zz of exp(u [[-kappa, -1], [1, 0]]) on an array u >= 0, for one kappa >= 0 (inf included).
+def _e_zz(kappa, u):
+    """(E_zz, E_zz') of exp(u [[-kappa, -1], [1, 0]]) on an array u >= 0, one kappa >= 0 (inf too).
 
     With s = kappa / 2 and r^2 = s^2 - 1 this is e^(-s u) [cosh(r u) + s sinh(r u) / r], taken
     in real arithmetic on each side of critical damping; kappa picks the side once. Below s =
@@ -413,9 +419,8 @@ def _e_zz(kappa, u) -> np.ndarray:
     s^2 / (1 + w), so that the rounding of w u (~1e-14 at u = 60) stays out of the undamped
     cosine. From s = 1 on, with the slow rate a = s - r = 1 / (s + r) and q = -expm1(-2 r u)
     / (2 r) (q = u at r = 0), E_zz = e^(-a u) (1 + a q): every term is positive, so nothing
-    cancels as r -> 0, and at kappa = inf (a = 0) it is the frozen value 1. Past r = 2^26,
-    a q < 2^-54 rounds away beside 1 whatever q is, so q takes r capped there and 2 r u stays
-    finite.
+    cancels as r -> 0, and at kappa = inf (a = 0) it is the frozen value 1. The slope is the
+    bz entry, -e^(-s u) sinh(r u) / r: -e^(-s u) sin(w u) / w, and then -e^(-a u) q (0 at inf).
     """
     s = 0.5 * kappa
     if s < 1.0:
@@ -423,13 +428,18 @@ def _e_zz(kappa, u) -> np.ndarray:
         if s < 0.5:
             e = u * (s * s / (1.0 + w))
             cp, sp, ce, se = np.cos(u), np.sin(u), np.cos(e), np.sin(e)
-            return np.exp(-s * u) * (cp * ce + sp * se + s * (sp * ce - cp * se) / w)
-        p = w * u
-        return np.exp(-s * u) * (np.cos(p) + s * np.sin(p) / w)
+            cos_wu, sin_wu = cp * ce + sp * se, sp * ce - cp * se
+        else:
+            cos_wu, sin_wu = np.cos(w * u), np.sin(w * u)
+        damp = np.exp(-s * u)
+        return damp * (cos_wu + s * sin_wu / w), -damp * sin_wu / w
     r = np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
-    a, r = 1.0 / (s + r), min(r, 2.0 ** 26)
-    q = -np.expm1(-2.0 * r * u) / (2.0 * r) if r > 0.0 else u
-    return np.exp(-a * u) * (1.0 + a * q)
+    if r == np.inf:
+        return np.ones_like(u), np.zeros_like(u)
+    with np.errstate(over="ignore"):  # 2 r u past the float range: e^(-2 r u) is 0
+        q = -np.expm1(-2.0 * r * u) / (2.0 * r) if r > 0.0 else u
+    damp = np.exp(-1.0 / (s + r) * u)
+    return damp * (1.0 + 1.0 / (s + r) * q), -damp * q
 
 
 class _LindbladK3:
@@ -443,7 +453,7 @@ class _LindbladK3:
     d^2 = sin^2(phi / 2), post-selection on |+> gives both branches the probability p =
     [1 + s e^(-kappa u) (c^2 + d^2 E_zz)] / 2 and C = [E_zz + s e^(-kappa u) (c^2 E_zz +
     d^2)] / (2 p); E_zz (_e_zz) is exact at kappa = 2, kappa -> 0 and kappa = inf. On row
-    indices and a (rows x m) block of u it gives K3 and the smaller p at u or 2u.
+    indices and a (rows x m) block of u it gives K3, K3' and the smaller p at u or 2u.
     """
 
     def __init__(self, alphas, phi, kappa):
@@ -452,8 +462,9 @@ class _LindbladK3:
         self._c2, self._d2 = np.cos(0.5 * phi) ** 2, np.sin(0.5 * phi) ** 2
 
     def correlator(self, rows: np.ndarray, u: np.ndarray):
-        """(C, post-selection probability), each of u's shape (rows x m)."""
-        e_zz = _e_zz(self._kappa, u)
+        """(C, C', post-selection probability) on (rows x m) u: with x = s e^(-kappa u), D = 2 p
+        and C = N / D, C' = E_zz' - x d^2 [E_zz' (E_zz + C) + kappa (1 - E_zz^2) / D] / D."""
+        e_zz, e_slope = _e_zz(self._kappa, u)
         c2, d2 = self._c2[rows, None], self._d2[rows, None]
         # kappa u overflows to inf, the limit of e^-kappa u = 0; starved points raise in the caller
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -461,12 +472,15 @@ class _LindbladK3:
             coherent = self._s[rows, None] * np.exp(-ku)
             norm = 1.0 + coherent * (c2 + d2 * e_zz)
             c = (e_zz + coherent * (c2 * e_zz + d2)) / norm
-        return c, 0.5 * norm
+            slope = e_slope - coherent * d2 * (e_slope * (e_zz + c) + min(self._kappa, _BIG)
+                                                * (1.0 - e_zz * e_zz) / norm) / norm
+        return c, slope, 0.5 * norm
 
     def __call__(self, rows: np.ndarray, u: np.ndarray):
-        c, prob = self.correlator(rows, np.concatenate([u, 2.0 * u], axis=1))
+        c, slope, prob = self.correlator(rows, np.concatenate([u, 2.0 * u], axis=1))
         m = u.shape[1]
-        return 2.0 * c[:, :m] - c[:, m:], np.minimum(prob[:, :m], prob[:, m:])
+        return 2.0 * c[:, :m] - c[:, m:], 2.0 * (slope[:, :m] - slope[:, m:]), \
+            np.minimum(prob[:, :m], prob[:, m:])
 
 
 _K3_MODELS = {"bloch": _BlochK3, "lindblad": _LindbladK3}
@@ -488,27 +502,27 @@ def _check_postselection(prob, u: np.ndarray, visited=True) -> None:
 def _first_crossings(k3, horizon: np.ndarray):
     """Brackets (lo, hi) of the first downward crossing of K3 = 1, and peak K3 - 1 before it.
 
-    k3(rows, u) gives (K3, probability or None) on a (len(rows) x m) block of u. The scan
-    points are k * SCAN_OMEGA_STEP, k = 1, 2, ..., up to each row's horizon, in chunks of
-    _SCAN_CHUNK_CAP // rows points per row (_SCAN_FIRST_CHUNK at least) that then double
+    k3(rows, u) gives (K3, K3', probability or None) on a (len(rows) x m) block of u. The
+    scan points are k * SCAN_OMEGA_STEP, k = 1, 2, ..., up to each row's horizon, in chunks
+    of _SCAN_CHUNK_CAP // rows points per row (_SCAN_FIRST_CHUNK at least) that then double
     within the cap, so a default-size batch mostly scans in one chunk; a row leaves
     the scan at its first point with K3 < 1, and rows that reach the horizon first get
     NaN brackets. The peak is over the scan points before the crossing, or up to the
     horizon without one (-inf on none). _root_step then narrows each scan bracket from
-    the K3 the scan found at its ends. Per-row active masks keep each row's steps, and
-    so its result, those it would take alone; the post-selection floor is checked only
-    at the points those steps evaluate, never past a row's crossing.
+    K3 and K3' at its ends (1 and 0 at u = 0). Per-row active masks keep each row's steps,
+    and so its result, those it would take alone; the post-selection floor is checked
+    only at the points those steps evaluate, never past a row's crossing.
     """
     n = len(horizon)
     lo, hi, peak = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -np.inf)
-    f_lo, f_hi = np.zeros(n), np.zeros(n)  # K3 - 1 at the bracket ends (f_lo: last scan point)
+    ends = np.zeros((4, n))  # K3 - 1 and K3' at lo (the last scan point) and at hi
     k0, chunk = 1, _SCAN_CHUNK_CAP
     active = np.flatnonzero(SCAN_OMEGA_STEP <= horizon)
     while active.size:
         chunk = min(chunk, max(_SCAN_FIRST_CHUNK, _SCAN_CHUNK_CAP // active.size))
         u = np.broadcast_to(np.arange(k0, k0 + chunk) * SCAN_OMEGA_STEP, (active.size, chunk))
         inside = u <= horizon[active, None]
-        v, prob = k3(active, u)
+        v, slope, prob = k3(active, u)
         hit = (v < 1.0) & inside
         first = np.where(hit.any(axis=1), hit.argmax(axis=1), chunk)
         _check_postselection(prob, u, inside & (np.arange(chunk) <= first[:, None]))
@@ -517,60 +531,64 @@ def _first_crossings(k3, horizon: np.ndarray):
         found = first < chunk
         done, j = active[found], first[found]
         lo[done], hi[done] = (k0 + j - 1) * SCAN_OMEGA_STEP, (k0 + j) * SCAN_OMEGA_STEP
-        f_lo[done] = np.where(j > 0, v[found, j - 1] - 1.0, f_lo[done])
-        f_hi[done] = v[found, j] - 1.0
+        ends[:2, done] = np.where(j > 0, (v[found, j - 1] - 1.0, slope[found, j - 1]),
+                                  ends[:2, done])
+        ends[2:, done] = v[found, j] - 1.0, slope[found, j]
         going = ~found & inside[:, -1]
         active = active[going]
-        f_lo[active] = v[going, -1] - 1.0
+        ends[:2, active] = v[going, -1] - 1.0, slope[going, -1]
         k0, chunk = k0 + chunk, 2 * chunk
-    return (*_root_step(k3, lo, f_lo, hi, f_hi), peak - 1.0)
+    return (*_root_step(k3, lo, hi, *ends), peak - 1.0)
 
 
-def _root_step(k3, x1, f1, x2, f2):
-    """(lo, hi) narrowed from brackets x1 < x2 with f = K3 - 1: f1 >= 0 > f2 (NaN rows stay).
+def _root_step(k3, lo, hi, f_lo, d_lo, f_hi, d_hi):
+    """(lo, hi) narrowed from brackets lo < hi with f = K3 - 1 and f' = K3': f_lo >= 0 > f_hi.
 
-    Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)): x1 is the newest point, x2
-    the last one on the other side of K3 = 1 and x3 the one dropped. Where the three
-    allow it, the next point comes from inverse quadratic interpolation, else from
-    bisection, and it stays 2 eps hi inside the bracket. A row stops when its bracket is
-    at most 4 eps hi wide, or at a point with K3 = 1 exactly (lo = hi there; u = 0, where
-    K3 is 1 by definition, is never evaluated). After _ROOT_INTERPOLATED_STEPS
-    evaluations it only bisects, and it stops after _ROOT_MAX_STEPS whatever its width.
-    Otherwise K3(lo) >= 1 > K3(hi). The open rows' points live in compact arrays; a row's
-    bracket goes back to its place in (lo, hi) when it stops.
+    Newton's method kept inside the bracket (Numerical Recipes, 9.4 rtsafe), from the root of
+    its Hermite cubic. A model call takes _ROOT_POINTS points per row: the Newton point x, x
+    -+ 2 eps x and a window about x twice Newton's last step wide, or the whole bracket on the
+    first call and where Newton stalls (x outside, then moved to the middle, or a call short
+    of narrowing 4-fold: a tangent crossing, K3's rounding band). So one call can land on the
+    root and certify a 4 eps bracket: the first sign change among the points, K3(lo) >= 1 >
+    K3(hi), or lo = hi at K3 = 1 exactly. A row stops there or after _ROOT_MAX_STEPS calls.
     """
-    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
-    rows = np.flatnonzero(x2 - x1 > 4.0 * _EPS * x2)  # False on NaN
-    x1, f1, x2, f2 = x1[rows], f1[rows], x2[rows], f2[rows]
-    frac = np.full(rows.size, 0.5)
-    for steps in range(1, _ROOT_MAX_STEPS + 1):
+    rows = np.flatnonzero(hi - lo > 4.0 * _EPS * hi)  # False on NaN; lo, hi narrow in place
+    a, b, fa, da, fb, db = (v[rows] for v in (lo, hi, f_lo, d_lo, f_hi, d_hi))
+    h = b - a  # the Hermite cubic in t = (u - a) / h, by Newton's method from the secant root
+    c0, c1, c2 = 2.0 * (fa - fb) + h * (da + db), 3.0 * (fb - fa) - h * (2.0 * da + db), h * da
+    t = fa / (fa - fb)
+    with np.errstate(all="ignore"):  # a NaN t, or one outside (0, 1), moves x to the middle
+        for _ in range(2):
+            t = t - (((c0 * t + c1) * t + c2) * t + fa) / ((3.0 * c0 * t + 2.0 * c1) * t + c2)
+    x, step, grid = a + t * h, h, np.ones(rows.size, dtype=bool)
+    for _ in range(_ROOT_MAX_STEPS):
         if not rows.size:
             break
-        x = x1 + frac * (x2 - x1)
-        v, prob = k3(rows, x[:, None])
-        _check_postselection(prob, x[:, None])
-        fx = v[:, 0] - 1.0
-        same = (fx >= 0.0) == (f1 >= 0.0)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, fx
-        x2 = np.where(fx == 0.0, x, x2)  # an exact root closes the bracket on itself
-        wide = np.abs(x2 - x1) > 4.0 * _EPS * np.maximum(x1, x2)
+        n, width, mid, inside = np.arange(rows.size), b - a, 0.5 * (a + b), (a < x) & (x < b)
+        grid, x = grid | ~inside, np.where(inside, x, mid)
+        centre, radius = np.where(grid, mid, x), np.where(grid, 0.5 * width, step)
+        g = np.empty((3, rows.size, _ROOT_POINTS + 2))  # u, K3 - 1, K3': bracket ends, points
+        g[:, :, 0], g[:, :, -1], u = (a, fa, da), (b, fb, db), g[0, :, 1:-1]
+        u[:, :3] = x[:, None] * _ROOT_NEIGHBOURS  # x - 2 eps x, x, x + 2 eps x: one rounding each
+        u[:, 3:] = centre[:, None] + radius[:, None] * _ROOT_WINDOW
+        np.copyto(u, x[:, None], where=(u <= a[:, None]) | (u >= b[:, None]))
+        v, g[2, :, 1:-1], prob = k3(rows, u)
+        _check_postselection(prob, u)
+        g[1, :, 1:-1] = v - 1.0
+        i = np.where(g[1] < 0.0, g[0], np.inf).argmin(axis=1)  # hi: the first point below 1
+        b, fb, db = g[:, n, i]
+        j = np.where((g[1] >= 0.0) & (g[0] < b[:, None]), g[0], -np.inf).argmax(axis=1)
+        a, fa, da = g[:, n, j]
+        b = np.where((fa == 0.0) & (j > 0), a, b)  # a root evaluated exactly closes the bracket
+        base, f, d = g[:, n, np.where(fa <= -fb, j, i)]  # Newton from the end nearer by |f|
+        with np.errstate(all="ignore"):  # f' = 0 or NaN: x leaves the bracket
+            x = base - f / d
+        step, grid = np.abs(x - base), b - a > 0.25 * width
+        lo[rows], hi[rows] = a, b
+        wide = b - a > 4.0 * _EPS * b
         if not wide.all():
-            stop = rows[~wide]
-            lo[stop], hi[stop] = np.minimum(x1, x2)[~wide], np.maximum(x1, x2)[~wide]
-            rows, x1, f1, x2, f2, x3, f3 = (a[wide] for a in (rows, x1, f1, x2, f2, x3, f3))
-        t = np.full(rows.size, 0.5)
-        if steps < _ROOT_INTERPOLATED_STEPS:
-            with np.errstate(all="ignore"):  # rows that fail the test below bisect
-                xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)  # xi in (0, 1)
-                ok = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
-                al = (x3 - x1) / (x2 - x1)
-                t = np.where(ok, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - al * f1 / (f3 - f1) * f2 / (f2 - f3), t)
-        edge = 2.0 * _EPS * np.maximum(x1, x2) / np.abs(x2 - x1)
-        frac = np.clip(t, edge, 1.0 - edge)
-    lo[rows], hi[rows] = np.minimum(x1, x2), np.maximum(x1, x2)
+            rows, a, b, fa, fb, da, db, x, step, grid = (
+                e[wide] for e in (rows, a, b, fa, fb, da, db, x, step, grid))
     return lo, hi
 
 
@@ -624,3 +642,16 @@ def gain_curve(phi: float, noise: NoiseConfig, alpha_grid=None, model: str = "bl
     tau = np.where([s == "ok" for s in status[:n]], taus[:n], np.nan)
     return tau, tau / tau_0, ["no-reference" if s == "ok" and math.isnan(tau_0) else s
                               for s in status[:n]]
+
+
+def lindblad_gain_excess(phi, noise: NoiseConfig, tau_0, alpha, omega=1.0) -> float:
+    """Lindblad tau_alpha - tau_0 to first order, -Delta / K3_0' at u = omega tau_0: Delta =
+    2 D(u) - D(2u), D = C_alpha - C_0 = s x d^2 (1 - E_zz^2) / (1 + s x (c^2 + d^2 E_zz)) in
+    _LindbladK3's notation, every factor to full precision where tau_alpha / tau_0 rounds to
+    1. NaN where x = e^(-kappa u) underflows: the sign is not known there."""
+    kappa, u = _kappa(noise, omega), omega * tau_0 * np.array([1.0, 2.0])
+    (e_zz, e_slope), s, d2 = _e_zz(kappa, u), math.sin(2.0 * alpha), math.sin(0.5 * phi) ** 2
+    x = np.exp(-kappa * u)
+    diff = s * x * d2 * ((1.0 - e_zz) * (1.0 + e_zz)) / (1.0 + s * x * (1.0 - d2 * (1.0 - e_zz)))
+    excess = -(2.0 * diff[0] - diff[1]) / (2.0 * (e_slope[0] - e_slope[1])) / omega
+    return float(excess) if x[0] > 0.0 else math.nan

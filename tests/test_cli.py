@@ -364,6 +364,20 @@ def test_stiff_lifetime_bloch_exits_cleanly(tmp_path, capsys):
     assert elapsed < 10.0
 
 
+def test_lindblad_gains_check_reads_the_exact_excess(tmp_path, capsys):
+    # at gamma = 35 tau(pi/4) / tau(0) rounds to 1 or just below it, while the excess
+    # tau(pi/4) - tau(0) is about 2e-14: the check passes on the excess. At gamma = 1000
+    # e^(-gamma tau(0)) underflows, and the check fails as undecided
+    argv = ["lifetime-lindblad", "--phi", "116.33245792665211", "--grid", "4",
+            "--out", str(tmp_path / "l.csv")]
+    assert main(argv + ["--gamma", "34.96345822161689"]) == 0
+    line = [s for s in capsys.readouterr().out.splitlines() if "still gains" in s][0]
+    assert line.startswith("PASS") and 1e-14 < float(line.split("= ")[-1].split()[0]) < 3e-14
+    assert main(argv + ["--gamma", "1000"]) == 1
+    assert "FAIL lifetime-lindblad: full superposition still gains (phi = 116.332 deg) " \
+           "(cannot decide: e^(-gamma tau(0)) underflows)" in capsys.readouterr().out
+
+
 def test_huge_gamma_lifetimes_run_without_warnings(tmp_path):
     # gamma = 1e300 once overflowed while squaring -gamma h / 2 in the Magnus steps;
     # the scan now runs to omega t = 50 there, every value finite

@@ -5,6 +5,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,6 +29,7 @@ from lgsim.noise import (
     hamiltonian_as,
     integrate_bloch,
     k3_bloch,
+    lindblad_gain_excess,
     liouvillian,
     noisy_correlator,
 )
@@ -609,7 +611,7 @@ def test_no_crossing_when_horizon_precedes_first_scan_point():
 
     def k3(rows, t):
         seen.extend(rows.tolist())
-        return np.where(t < 0.055, 2.0, 0.0), None
+        return np.where(t < 0.055, 2.0, 0.0), np.zeros_like(t), None
 
     lo, hi, peak = noise_mod._first_crossings(k3, np.array([0.005, 10.0]))
     assert np.isnan(lo[0]) and np.isnan(hi[0]) and peak[0] == -np.inf
@@ -764,36 +766,47 @@ def _scalar_first_crossing(k3, step, t_max):
         t_prev, v_prev, peak = t, v, max(peak, v)
 
 
-def _scalar_root_step(k3, x1, f1, x2, f2):
-    """Chandrupatla's step one point at a time, as _root_step takes it for each row.
+def _scalar_root_step(k3, lo, f_lo, d_lo, hi, f_hi, d_hi):
+    """The safeguarded Newton step one row at a time, as _root_step takes it for each row.
 
-    f = K3 - 1 with f1 = f(x1) >= 0 > f2 = f(x2) and x1 < x2; returns (lo, hi).
+    k3(u) gives (K3, K3') at one point; f = K3 - 1 with f_lo >= 0 > f_hi and lo < hi, and
+    d_lo, d_hi are K3' there. Returns (lo, hi).
     """
-    x3 = f3 = 0.0
-    t = 0.5
-    if not x2 - x1 > 4.0 * EPS * x2:
-        return x1, x2
-    for steps in range(1, noise_mod._ROOT_MAX_STEPS + 1):
-        x = x1 + t * (x2 - x1)
-        fx = k3(x) - 1.0
-        if (fx >= 0.0) == (f1 >= 0.0):
-            x3, f3 = x1, f1
-        else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
-        x1, f1 = x, fx
-        if fx == 0.0:
-            x2 = x
-        if not abs(x2 - x1) > 4.0 * EPS * max(x1, x2):
+    a, b, fa, da, fb, db = (np.float64(v) for v in (lo, hi, f_lo, d_lo, f_hi, d_hi))
+    if not b - a > 4.0 * EPS * b:
+        return a, b
+    n = noise_mod._ROOT_POINTS // 2 - 1
+    window = [k / n for k in range(1 - n, n)]
+    h = b - a
+    c0, c1 = 2.0 * (fa - fb) + h * (da + db), 3.0 * (fb - fa) - h * (2.0 * da + db)
+    t = fa / (fa - fb)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            t = t - (((c0 * t + c1) * t + h * da) * t + fa) / ((3.0 * c0 * t + 2.0 * c1) * t + h * da)
+    x, step, grid = a + t * h, h, True
+    for _ in range(noise_mod._ROOT_MAX_STEPS):
+        width = b - a
+        if not a < x < b:
+            x, grid = 0.5 * (a + b), True
+        centre, radius = (0.5 * (a + b), 0.5 * width) if grid else (x, step)
+        d = 2.0 * EPS * x
+        points = [x - d, x, x + d] + [centre + radius * w for w in window]
+        points = [(p if a < p < b else x) for p in points]
+        evaluated = [(p, *map(np.float64, k3(p))) for p in points]  # f / 0 is inf, as in numpy
+        seen = [(a, fa, da)] + [(p, v - 1.0, dv) for p, v, dv in evaluated] + [(b, fb, db)]
+        b, fb, db = min((e for e in seen if e[1] < 0.0), key=lambda e: e[0])
+        below = [k for k, e in enumerate(seen) if e[1] >= 0.0 and e[0] < b]
+        first = max(below, key=lambda k: seen[k][0])
+        a, fa, da = seen[first]
+        if fa == 0.0 and first > 0:
+            b = a
+        base, f, df = (a, fa, da) if fa <= -fb else (b, fb, db)
+        with np.errstate(all="ignore"):
+            x = base - f / df
+        step, grid = abs(x - base), b - a > 0.25 * width
+        if not b - a > 4.0 * EPS * b:
             break
-        t = 0.5
-        if steps < noise_mod._ROOT_INTERPOLATED_STEPS:
-            xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            if 1.0 - math.sqrt(1.0 - xi) < ph < math.sqrt(xi):
-                al = (x3 - x1) / (x2 - x1)
-                t = f1 / (f1 - f2) * f3 / (f3 - f2) - al * f1 / (f3 - f1) * f2 / (f2 - f3)
-        edge = 2.0 * EPS * max(x1, x2) / abs(x2 - x1)
-        t = min(max(t, edge), 1.0 - edge)
-    return min(x1, x2), max(x1, x2)
+    return a, b
 
 
 def _eigensystem(cfg, noise):
@@ -825,10 +838,17 @@ def _single_point_k3(cfg, noise, model="bloch"):
     return lambda t: float(k3(np.array([0]), np.array([[cfg.omega * t]]))[0][0, 0])
 
 
+def _single_point_k3_and_slope(cfg, noise, model="bloch"):
+    """(K3, K3')(u) from the production evaluator, one row and one point per call."""
+    k3 = noise_mod._K3_MODELS[model](*_batch([cfg], noise))
+    return lambda u: tuple(float(v[0, 0]) for v in k3(np.array([0]), np.array([[u]]))[:2])
+
+
 def test_engine_matches_the_scalar_scan_and_root_step_bitwise():
     # the Lindblad scan oracle is the eigendecomposition route, so its peaks agree
     # to rounding; it must find the same scan bracket, from which the scalar root
-    # step on the one-point production evaluator gives bitwise the engine's bracket,
+    # step on the one-point production evaluator (K3 and K3' at each point, one at a
+    # time) gives bitwise the engine's bracket,
     # for both models. Every row crosses, gamma = 100 (past the horizon 50 / gamma)
     # included
     for model, oracle in (("bloch", _single_point_k3), ("lindblad", _branch_loop_k3)):
@@ -842,15 +862,51 @@ def test_engine_matches_the_scalar_scan_and_root_step_bitwise():
                     oracle(cfg, noise), SCAN_OMEGA_STEP,
                     LIFETIME_HORIZON_OVER_MIN_RATE / min(gamma, 1.0))
                 assert scan is not None, (model, gamma, row)
-                k3 = _single_point_k3(cfg, noise, model)
-                ends = [k3(t) - 1.0 if t > 0.0 else 0.0 for t in scan]
-                step = _scalar_root_step(k3, scan[0], ends[0], scan[1], ends[1])
+                k3 = _single_point_k3_and_slope(cfg, noise, model)
+                (f_lo, d_lo), (f_hi, d_hi) = [(k3(t)[0] - 1.0, k3(t)[1]) if t > 0.0 else (0.0, 0.0)
+                                              for t in scan]
+                step = _scalar_root_step(k3, scan[0], f_lo, d_lo, scan[1], f_hi, d_hi)
                 assert (lo[row], hi[row]) == step, (model, gamma, row)
                 if model == "bloch":
                     assert peak[row] == scan_peak, (gamma, row)
                 else:
                     assert abs(peak[row] - scan_peak) < 1e-12, (gamma, row)
                 assert peak[row] >= PEAK_RESOLUTION
+
+
+def _hard_k3(rows, u):
+    """(K3, K3', None) of five rows that take the root step off its two-call path.
+
+    Row 0 is linear; row 1 crosses in the first scan cell, whose lo = 0 carries K3 = 1
+    and K3' = 0; row 2 has a rounding band 1e-12 wide about its root (a sawtooth in the
+    bits of u); row 3 crosses with K3' = 0 (a triple root); row 4 is a step (K3' = 0).
+    """
+    r, w = np.broadcast_arrays(rows[:, None], u)
+    bits = (w.view(np.int64) % 7 - 3) * 1e-15
+    k3 = np.select([r == 0, r == 1, r == 2, r == 3],
+                   [1.0 + 2.0 * (0.0325 - w), 1.0 - w * (1.0 + w), 1.0 + 1e-3 * (0.55 - w) + bits,
+                    1.0 - 4.0 * ((w - 0.3) * (w - 0.3) * (w - 0.3))], np.where(w < 0.055, 2.0, 0.0))
+    slope = np.select([r == 0, r == 1, r == 2, r == 3],
+                      [np.full(w.shape, -2.0), -1.0 - 2.0 * w, np.full(w.shape, -1e-3),
+                       -12.0 * ((w - 0.3) * (w - 0.3))], np.zeros(w.shape))
+    return k3, slope, None
+
+
+def test_engine_matches_the_scalar_root_step_where_newton_stalls():
+    # exact roots, a crossing next to u = 0, a rounding band, K3' = 0 at the root and
+    # everywhere: each row's bracket is bitwise the scalar step's, and certified
+    lo, hi, _ = noise_mod._first_crossings(_hard_k3, np.full(5, 10.0))
+    for row in range(5):
+        def k3(u):
+            return tuple(float(v[0, 0]) for v in _hard_k3(np.array([row]), np.array([[u]]))[:2])
+
+        scan, _ = _scalar_first_crossing(lambda u: k3(u)[0], SCAN_OMEGA_STEP, 10.0)
+        (f_lo, d_lo), (f_hi, d_hi) = [(k3(t)[0] - 1.0, k3(t)[1]) if t > 0.0 else (0.0, 0.0)
+                                      for t in scan]
+        assert (lo[row], hi[row]) == _scalar_root_step(k3, scan[0], f_lo, d_lo, scan[1], f_hi,
+                                                       d_hi), row
+        assert 0.0 < lo[row] <= hi[row] <= lo[row] + 4.0 * EPS * hi[row], row
+        assert k3(lo[row])[0] >= 1.0 > k3(hi[row])[0] or lo[row] == hi[row], row
 
 
 def test_root_step_matches_brentq():
@@ -881,6 +937,155 @@ def test_neighbouring_alphas_keep_distinct_gains():
         assert gains[0] == 1.0 < gains[1] < gains[2], (model, gains)
 
 
+_SLOPE_KAPPAS = (0.0, 1e-3, np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 10.0, 1e3)
+_SLOPE_ROWS = [(np.pi / 8, 50.0), (np.pi / 4, 140.0), (0.0, 115.0)]
+
+
+def _mp_lindblad_k3(alpha, phi_deg, kappa):
+    """K3(u) of the Lindblad closed form in mpmath, E_zz from the 2x2 exponential itself."""
+    s, half = mpmath.sin(2 * mpmath.mpf(alpha)), mpmath.radians(phi_deg) / 2
+    c2, d2, kappa = mpmath.cos(half) ** 2, mpmath.sin(half) ** 2, mpmath.mpf(kappa)
+
+    def c(v):
+        e_zz = mpmath.expm(mpmath.matrix([[-kappa, -1], [1, 0]]) * v)[1, 1]
+        x = s * mpmath.exp(-kappa * v)
+        return (e_zz + x * (c2 * e_zz + d2)) / (1 + x * (c2 + d2 * e_zz))
+
+    return lambda v: 2 * c(v) - c(2 * v)
+
+
+def test_k3_slopes_match_central_differences_and_mpmath():
+    # K3' of both models against central differences of their own K3, on both sides of
+    # critical damping and one ulp from it; the Lindblad K3' against mpmath's derivative
+    # of the closed form, and the Bloch rate g = df/du inside K3' = 2 g(u) s_b(u) -
+    # 2 g(2u) s_b(2u) against mpmath's derivative of f. At kappa = inf K3' is 0 (to 1e-300)
+    u = np.array([[0.004, 0.3, 1.1, 2.7]])
+    for kappa in _SLOPE_KAPPAS:
+        for model in ("bloch", "lindblad"):
+            for alpha, phi in _SLOPE_ROWS:
+                k3 = noise_mod._K3_MODELS[model](np.array([alpha]), np.deg2rad(phi), kappa)
+                value, slope, _ = k3(np.array([0]), u)
+                h = 1e-5 * u
+                central = (k3(np.array([0]), u + h)[0] - k3(np.array([0]), u - h)[0]) / (2.0 * h)
+                assert np.allclose(slope, central, rtol=1e-6, atol=1e-6), (model, kappa, alpha)
+        with mpmath.workdps(30):
+            for alpha, phi in _SLOPE_ROWS:
+                ref = _mp_lindblad_k3(alpha, phi, kappa)
+                slope = noise_mod._LindbladK3(np.array([alpha]), np.deg2rad(phi), kappa)(
+                    np.array([0]), u)[1][0]
+                for v, got in zip(u[0], slope):
+                    want = float(mpmath.diff(ref, mpmath.mpf(v)))
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (kappa, alpha, v)
+                bloch = noise_mod._BlochK3(np.array([alpha]), np.deg2rad(phi), kappa)
+                a, b = float(bloch._a[0]), float(bloch._b[0])
+                both = np.concatenate([u, 2.0 * u], axis=1)
+                s_b = bloch.flow(np.array([0]), both, np.array([[0.0, 1.0]]))[0, :, 0]
+                g = [float(mpmath.diff(lambda w: 2 * mpmath.atan2(b * mpmath.sin(w / 2),
+                                                                  a * mpmath.cos(w / 2)), v))
+                     for v in both[0]]
+                want = 2.0 * (g * s_b)[:4] - 2.0 * (g * s_b)[4:]
+                got = bloch(np.array([0]), u)[1][0]
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-14), (kappa, alpha)
+    for model in ("bloch", "lindblad"):
+        k3 = noise_mod._K3_MODELS[model](np.array([np.pi / 4]), np.deg2rad(115.0), np.inf)
+        value, slope, _ = k3(np.array([0]), u)  # the Bloch s_b is gone to below 1e-300
+        assert np.all(value == 1.0) and np.all(np.abs(slope) <= 1e-300), model
+
+
+def _counted_root_steps(monkeypatch):
+    """Patch _root_step to record each batch's model calls; returns the list it fills."""
+    calls, real = [], noise_mod._root_step
+
+    def counting(k3, *args):
+        n = [0]
+
+        def k3_counted(rows, u):
+            n[0] += 1
+            return k3(rows, u)
+
+        out = real(k3_counted, *args)
+        calls.append(n[0])
+        return out
+
+    monkeypatch.setattr(noise_mod, "_root_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["bloch", "lindblad"])
+def test_root_step_takes_about_two_model_calls_per_batch(monkeypatch, model):
+    # the Hermite start lands within ~1e-9 of the root, one Newton step within rounding,
+    # and the Newton point's neighbours certify the 4 eps bracket: on these 24 batches
+    # a median of 2 calls, mean 2.5 (bloch) and 2.0 (lindblad), max 4, against a median
+    # of 5, mean 5.5 and 5.3, max 10 and 7 for the Chandrupatla step it replaced
+    calls = _counted_root_steps(monkeypatch)
+    for phi in (30.0, 75.0, 115.0, 160.0):
+        for gamma in (0.003, 0.05, 0.5, 3.0, 20.0, 60.0):
+            gain_curve(np.deg2rad(phi), NoiseConfig(gamma), model=model)
+    assert len(calls) == 24
+    assert np.median(calls) <= 2 and np.mean(calls) <= 3.0 and max(calls) <= 6, calls
+
+
+# lindblad items of the benchmark whose 'full superposition still gains' check failed on
+# rounding when it read tau(pi/4) / tau(0) > 1: (phi in degrees, gamma), omega = 1
+_GAIN_BY_ROUNDING = [
+    (32.813068399518556, 74.34574229019033), (63.54943444217816, 40.68007114499883),
+    (54.38106180119409, 58.29325364769402), (89.34358872360862, 76.81838283721972),
+    (126.03672962195584, 81.70861202003121), (173.94168004518406, 86.0351103357909),
+    (143.02172785649762, 86.93842383725506), (156.60606907029245, 72.69909028173291),
+    (74.30964637423968, 67.82434651145303), (116.33245792665211, 34.96345822161689),
+    (160.93276563392527, 39.33673725031552), (102.70215672435715, 60.28394501993513),
+    (48.57847484887657, 57.304648352354754), (138.64887911849843, 41.38187344036309),
+    (31.14175942004062, 41.80541426889999), (108.46808137136003, 56.72408101038183),
+    (34.49560376021333, 53.57924427238664), (142.63656985746758, 44.25918539660702),
+    (39.659979074072766, 79.09815029798983), (66.90638485026663, 80.84155487655347),
+    (124.67348618621118, 49.91208567230703), (154.8794569693442, 47.51101208694584),
+    (113.91267262340803, 34.007500282991394), (125.40880910835104, 69.73090306339512),
+    (76.97496627175661, 57.25408472630535), (142.71786197144888, 41.41841961141559),
+    (164.2162120951869, 94.12140464196925), (92.95913327407573, 52.26174174841203),
+    (113.093222549124, 45.374945922725765), (133.16663550699369, 40.83565827241385),
+    (139.97439805614644, 58.07115168420377), (137.19182508112073, 80.44778112535292),
+    (53.16862068957329, 89.5955599245502), (138.15574313694236, 56.109386710600404),
+    (33.718807878603684, 42.26340447976499), (90.9007739713011, 54.74237264843522),
+    (68.41484844864158, 43.31879659091539), (107.57420989871646, 65.43275437198004),
+    (117.22521992362779, 89.1447306619053), (52.60099922283055, 34.95459183121915),
+    (129.54543424132052, 67.84155046387066), (48.783339321043854, 33.47503162080098),
+    (65.71498813149526, 70.84007365621464), (45.75131239751036, 40.22813835140707),
+    (34.644833880215, 58.94813438660433), (135.13333799211182, 45.486947614966155),
+    (102.87742648520631, 52.133058602539066),
+]
+
+
+def _mp_root(alpha, phi_deg, kappa, u0):
+    """The root near u0 of the Lindblad K3 = 1, in mpmath from the closed form of E_zz."""
+    s, half = mpmath.sin(2 * mpmath.mpf(alpha)), mpmath.radians(phi_deg) / 2
+    c2, d2, kappa = mpmath.cos(half) ** 2, mpmath.sin(half) ** 2, mpmath.mpf(kappa)
+    r = mpmath.sqrt(kappa ** 2 / 4 - 1)
+
+    def c(v):
+        e_zz = mpmath.exp(-kappa * v / 2) * (mpmath.cosh(r * v) + kappa / 2 * mpmath.sinh(r * v) / r)
+        x = s * mpmath.exp(-kappa * v)
+        return (e_zz + x * (c2 * e_zz + d2)) / (1 + x * (c2 + d2 * e_zz))
+
+    return mpmath.findroot(lambda v: 2 * c(v) - c(2 * v) - 1, mpmath.mpf(u0))
+
+
+def test_lindblad_gain_excess_matches_the_mpmath_root_difference():
+    # on every benchmark item where tau(pi/4) / tau(0) rounded to 1 or below, the first-
+    # order excess from the float tau(0) has the sign and, to 1e-10, the value of the
+    # difference of the two roots at 80 digits (the excess is down to 1e-44 of tau)
+    for phi, gamma in _GAIN_BY_ROUNDING:
+        tau, _, status = gain_curve(np.deg2rad(phi), NoiseConfig(gamma), (0.0, np.pi / 4),
+                                    model="lindblad")
+        assert status == ["ok", "ok"], (phi, gamma)
+        excess = lindblad_gain_excess(np.deg2rad(phi), NoiseConfig(gamma), tau[0], np.pi / 4)
+        with mpmath.workdps(80):
+            ref = float(_mp_root(np.pi / 4, phi, gamma, tau[0]) - _mp_root(0.0, phi, gamma, tau[0]))
+        assert 0.0 < excess and abs(excess - ref) <= 1e-10 * ref, (phi, gamma, excess, ref)
+    # past kappa tau_0 ~ 745 e^(-kappa tau_0) underflows: the sign cannot be told
+    tau = gain_curve(np.deg2rad(115.0), NoiseConfig(1e3), (0.0,), model="lindblad")[0]
+    assert math.isnan(lindblad_gain_excess(np.deg2rad(115.0), NoiseConfig(1e3), tau[0], np.pi / 4))
+
+
 def test_lindblad_closed_form_matches_the_eigensystem_and_expm():
     # against the per-row eigendecomposition away from its weak spots, and against
     # expm(L t) everywhere, the exceptional point gamma = 2 omega included
@@ -892,7 +1097,7 @@ def test_lindblad_closed_form_matches_the_eigensystem_and_expm():
             noise = NoiseConfig(gamma=gamma * cfg.omega)
             t = rng.uniform(0.05, 6.0, size=6) / cfg.omega
             lindblad = noise_mod._LindbladK3(*_batch([cfg], noise))
-            c, prob = lindblad.correlator(np.array([0]), cfg.omega * t[None])
+            c, _, prob = lindblad.correlator(np.array([0]), cfg.omega * t[None])
             for j, tj in enumerate(t):
                 c_ref, p_ref = _expm_correlator(cfg, noise, tj)
                 assert abs(c[0, j] - c_ref) < 1e-12 and abs(prob[0, j] - p_ref) < 1e-12, gamma
@@ -903,9 +1108,9 @@ def test_lindblad_closed_form_matches_the_eigensystem_and_expm():
 
 
 def _fake_k3(starved):
-    """K3 = 2 before t = 0.055 and 0 from there on; probability 0 on the interval starved."""
+    """K3 = 2 before t = 0.055 and 0 from there on (K3' = 0); probability 0 on starved."""
     def k3(rows, t):
-        return (np.where(t < 0.055, 2.0, 0.0),
+        return (np.where(t < 0.055, 2.0, 0.0), np.zeros_like(t),
                 np.where((starved[0] <= t) & (t < starved[1]), 0.0, 0.5))
     return k3
 
@@ -998,7 +1203,7 @@ def test_k3_never_exceeds_three(alpha, phi, gamma, lindblad_gamma, t):
 def test_noiseless_branch_postselection_probability_is_half_the_norm(alpha, phi, omega, t):
     cfg = planar(alpha, np.deg2rad(phi), omega)
     lindblad = noise_mod._LindbladK3(*_batch([cfg], NoiseConfig(gamma=0.0)))
-    _, prob = lindblad.correlator(np.array([0]), omega * np.array([t]))
+    _, _, prob = lindblad.correlator(np.array([0]), omega * np.array([t]))
     assert np.allclose(prob[0], 0.5 * norm_factor_sq(cfg, np.array(t)), rtol=0.0, atol=1e-12)
 
 
@@ -1075,10 +1280,11 @@ def test_e_zz_matches_the_damped_rotation(kappa, u):
     u = np.array(u)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        e_zz = noise_mod._e_zz(np.array(kappa), u)
+        e_zz, slope = noise_mod._e_zz(np.array(kappa), u)
         mu = -0.5 * kappa * u
-        ref = noise_mod._damped_rotation(mu, mu, 0.0, u)[..., 1, 1]
-    assert np.abs(e_zz - ref).max() <= 1e-14, kappa
+        ref = noise_mod._damped_rotation(mu, mu, 0.0, u)
+    assert np.abs(e_zz - ref[..., 1, 1]).max() <= 1e-14, kappa
+    assert np.abs(slope - ref[..., 0, 1]).max() <= 1e-14, kappa  # E_zz' is the bz entry
 
 
 def _broadcast_e_zz(kappa, u) -> np.ndarray:
@@ -1112,7 +1318,7 @@ def test_e_zz_equals_the_broadcast_form_bitwise():
                         rng.uniform(0.0, 60.0, 40)]).reshape(6, 8)
     for kappa in (0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
                   np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 2.0 ** 27, np.inf):
-        got, ref = noise_mod._e_zz(np.float64(kappa), u), _broadcast_e_zz(np.float64(kappa), u)
+        got, ref = noise_mod._e_zz(np.float64(kappa), u)[0], _broadcast_e_zz(np.float64(kappa), u)
         assert got.shape == u.shape and got.tobytes() == ref.tobytes(), kappa
 
 
@@ -1122,11 +1328,11 @@ def test_e_zz_limits():
     u = np.array([0.0, 5e-324, 1e-300, 1e-160, 0.7, 60.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert np.array_equal(noise_mod._e_zz(np.array(np.inf), u), np.ones(6))
+        assert np.array_equal(noise_mod._e_zz(np.array(np.inf), u), [np.ones(6), np.zeros(6)])
         for kappa in (0.0, 1e-66, 1.0, 2.0, 3.0, 1e300):
-            assert np.array_equal(noise_mod._e_zz(np.array(kappa), u[:4]), np.ones(4)), kappa
-        assert np.allclose(noise_mod._e_zz(np.array(0.0), u), np.cos(u), rtol=0.0, atol=1e-15)
-        assert np.allclose(noise_mod._e_zz(np.array(2.0), u), np.exp(-u) * (1.0 + u),
+            assert np.array_equal(noise_mod._e_zz(np.array(kappa), u[:4])[0], np.ones(4)), kappa
+        assert np.allclose(noise_mod._e_zz(np.array(0.0), u)[0], np.cos(u), rtol=0.0, atol=1e-15)
+        assert np.allclose(noise_mod._e_zz(np.array(2.0), u)[0], np.exp(-u) * (1.0 + u),
                            rtol=0.0, atol=1e-15)
 
 
