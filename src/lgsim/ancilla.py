@@ -23,10 +23,10 @@ block-diagonal in its control: U_T0, U_T1, the pulse targets, controlled-sigma_z
 A program is multiplied out pulse by pulse with kron, independently of its target.
 
 Register order is always M (x) A (x) S; two-qubit helpers are control (x)
-target with the same relative order (A (x) S, M (x) S). Wherever a function
-takes a config, an alpha, a time or a state, it takes a stack of them, as
-superpose does; the stacks broadcast against each other in front of the matrix
-axes. The module constants, PROJ0, PROJ1, HADAMARD, KET_PLUS and the register's
+target with the same relative order (A (x) S, M (x) S). A config is a batch, as
+in superpose, and wherever a function takes an alpha, a time or a state, it takes
+a stack of them; batch and stacks broadcast against each other in front of the
+matrix axes. The module constants, PROJ0, PROJ1, HADAMARD, KET_PLUS and the register's
 fixed gates and initial state, are shared read-only arrays, built once at import.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .linalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, X_AXIS, Y_AXIS, Z_AXIS, _frozen, dagger,
                      dist_upto_phase, is_density_matrix, kron, rot)
-from .superpose import SuperpositionConfig, _branches, _fields
+from .superpose import SuperpositionConfig, _branches
 
 POSTSELECT_FLOOR = 1e-12
 VERIFY_TOL = 1e-9  # largest pulse-program distance from its target that passes
@@ -107,8 +107,7 @@ def postselect_map(cfg: SuperpositionConfig, rho_s: np.ndarray,
     rho_s = np.asarray(rho_s, dtype=complex)
     if not is_density_matrix(rho_s):
         raise ValueError("rho_s must be a 2x2 density matrix")
-    (alpha,) = _fields(cfg, "alpha")
-    anc = ancilla_state(alpha)
+    anc = ancilla_state(cfg.alpha)
     rho_as = kron(anc[..., :, None] * anc.conj()[..., None, :], rho_s)
     gate = _evolution(cfg, ti, tj)
     rho_as = gate @ rho_as @ dagger(gate)
@@ -151,10 +150,9 @@ def _run_register(cfg: SuperpositionConfig, ti: float, tj: float,
     The Hadamard on M meets the same initial state in every run, so it is
     applied once, at import (_RHO_M_PLUS).
     """
-    (alpha,) = _fields(cfg, "alpha")
     rho = _RHO_M_PLUS
     tags = [_CONTROLLED_SZ_MS] if tagged else []
-    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * alpha), ID2)), *tags,
+    gates = [kron(ID2, kron(rot(Y_AXIS, np.pi - 2.0 * cfg.alpha), ID2)), *tags,
              kron(ID2, _evolution(cfg, ti, tj)), *tags, _HADAMARD_A]
     for g in gates:
         rho = g @ rho @ dagger(g)

@@ -347,9 +347,7 @@ def _run_soe_profiles(config: RunConfig):
         rel = float(np.abs(fd / (12.0 * d) - g_vals).max() / g_vals.min())
         checks.append(Check(f"rate is the derivative of the accumulated angle (alpha = {a:.4f})",
                             rel < 1e-4, f"max relative FD mismatch = {rel:.3e}"))
-    span_grid = np.linspace(0.0, np.pi / 4, 9)
-    spans = [soe_span(planar(a, phi, config.omega)) for a in span_grid]
-    span_diffs = np.diff(spans)
+    span_diffs = np.diff(soe_span(planar(np.linspace(0.0, np.pi / 4, 9), phi, config.omega)))
     checks.append(Check("rate modulation depth grows with the superposition weight",
                         bool(np.all(span_diffs >= -1e-12)), f"min step = {span_diffs.min():.3e}"))
     meta = {"phi_deg": pd, "omega": config.omega, "points": n + 1,
@@ -394,18 +392,17 @@ def _run_selftest(config: RunConfig):
         v = rng.normal(size=3)
         return v / math.sqrt(v.dot(v))  # np.linalg.norm(v), as that computes it
 
-    def random_cfg():
+    def random_cfg():  # alpha, n_axis, m_axis
         while True:
             n_axis, m_axis = random_axis(), random_axis()
             if float(n_axis @ m_axis) > -0.99:
-                return SuperpositionConfig(alpha=rng.uniform(0.0, np.pi / 2),
-                                           n_axis=n_axis, m_axis=m_axis, omega=omega)
+                return rng.uniform(0.0, np.pi / 2), n_axis, m_axis
 
-    def random_planar():
-        return planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.05, np.pi - 0.05), omega)
+    def random_planar():  # alpha, phi
+        return rng.uniform(0.0, np.pi / 2), rng.uniform(0.05, np.pi - 0.05)
 
     # each randomized check draws all its inputs first, in the order one draw at a time
-    # takes them, then evaluates its identity once over the stacks (configs as objects)
+    # takes them, then evaluates its identity once over the stacks (configs as one batch)
     def stacked(k, draw):
         return [np.array(col) for col in zip(*[draw() for _ in range(k)])]
 
@@ -414,17 +411,18 @@ def _run_selftest(config: RunConfig):
     worst = float(dist_upto_phase(r_a @ r_b, r_ab).max())
     checks.append(Check("rotations about one axis compose", worst < 1e-12, f"max = {worst:.3e}"))
 
-    cfgs, deltas = stacked(20, lambda: (random_cfg(), rng.uniform(0.0, 6.0)))
+    alpha, n_axis, m_axis, deltas = stacked(20, lambda: (*random_cfg(), rng.uniform(0.0, 6.0)))
+    cfgs = SuperpositionConfig(alpha, n_axis, m_axis, omega)
     ut = unnormalized_superposed(cfgs, deltas)
     direct = 0.5 * np.trace(ut @ dagger(ut), axis1=-2, axis2=-1).real
     worst = float(np.abs(norm_factor_sq(cfgs, deltas) - direct).max())
     checks.append(Check("norm factor matches the trace definition", worst < 1e-12,
                         f"max = {worst:.3e}"))
 
-    # a (10, 1) stack of configs and delays against a (10, 3) stack of states a a^dag / tr
-    cfgs, deltas, a = stacked(10, lambda: (random_planar(), rng.uniform(0.1, 5.0), [
+    # a (10, 1) batch of configs and delays against a (10, 3) stack of states a a^dag / tr
+    alpha, phi, deltas, a = stacked(10, lambda: (*random_planar(), rng.uniform(0.1, 5.0), [
         rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]))
-    cfgs, deltas, rhos = cfgs[:, None], deltas[:, None], a @ dagger(a)
+    cfgs, deltas, rhos = planar(alpha[:, None], phi[:, None], omega), deltas[:, None], a @ dagger(a)
     rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
     u = superposed_unitary(cfgs, deltas)
     out, prob = postselect_map(cfgs, rhos, 0.0, deltas)
@@ -435,7 +433,8 @@ def _run_selftest(config: RunConfig):
     checks.append(Check("post-selection probability is state-independent",
                         spread < 1e-12, f"max spread = {spread:.3e}"))
 
-    cfgs, deltas = stacked(10, lambda: (random_planar(), rng.uniform(0.1, 5.0)))
+    alpha, phi, deltas = stacked(10, lambda: (*random_planar(), rng.uniform(0.1, 5.0)))
+    cfgs = planar(alpha, phi, omega)
     sig = interferometer_signal(cfgs, 0.0, deltas)
     norm = normalization_signal(cfgs, 0.0, deltas)
     worst_id = float(np.abs(sig.re_cm - 0.25 * (sig.t_plus + sig.t_minus)).max())
@@ -475,7 +474,8 @@ def _run_selftest(config: RunConfig):
                         f"max = {worst:.3e}"))
 
     # omega*t in [0, 12], like the other draws
-    cfgs, ts = stacked(15, lambda: (random_planar(), rng.uniform(0.0, 12.0) / omega))
+    alpha, phi, ts = stacked(15, lambda: (*random_planar(), rng.uniform(0.0, 12.0) / omega))
+    cfgs = planar(alpha, phi, omega)
     worst = float(np.abs(np.cos(f_of_t(cfgs, ts)) - correlator(cfgs, 0.0, ts)).max())
     checks.append(Check("accumulated angle reproduces the correlator", worst < 1e-10,
                         f"max = {worst:.3e}"))

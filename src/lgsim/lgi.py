@@ -11,21 +11,21 @@ bounded by 1.5; superpositions push it toward the algebraic bound of 3.
 
 U is again an SU(2) rotation, so C has a closed form in which a config enters
 through three scalars only; it is the one route here. `correlator` and `k3_at`
-take it at a config or a stack of configs (as superpose takes them) and at times
-that broadcast against it; k3_curve samples it over a grid of omega*t. Both
-return the plain tuple (C12, C13, K3), arrays or floats as the inputs give. The
-maximum of K3 over omega*t is solved for, not searched for: K3 rises to the
-one root of a quartic in sin^2(omega*t / 2) that is monotone on [0, 1], so
-k3_max, ttb_map and k3max_surface report it with its first location, in
-[0, pi], for whole batches of configs at once.
+take it at a config batch (see superpose) and at times that broadcast against
+it; k3_curve samples it over a grid of omega*t. Both return the plain tuple
+(C12, C13, K3), arrays or floats as the inputs give. The maximum of K3 over
+omega*t is solved for, not searched for: K3 rises to the one root of a quartic
+in sin^2(omega*t / 2) that is monotone on [0, 1], so k3_max reports it with its
+first location, in [0, pi], for a whole config batch at once; ttb_map and
+k3max_surface build their grids as one config batch for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import X_AXIS, Z_AXIS, as_unit_vector
-from .superpose import SuperpositionConfig, UnsupportedGeometry, _checked_norm_sq, _fields
+from .linalg import Z_AXIS, as_unit_vector
+from .superpose import SuperpositionConfig, _checked_norm_sq, planar
 
 
 def _dot3(a, b) -> np.ndarray:
@@ -37,22 +37,18 @@ def _dot3(a, b) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _coefficients(alpha, n_axes, m_axes, q_axis=Z_AXIS):
+def _coefficients(cfg: SuperpositionConfig, q_axis=Z_AXIS):
     """The three scalars through which each config of a batch enters C.
 
     With x = omega*d / 2, U = c 1 - i w.sigma has c = c0 cos x and
     w = sin x v, where v = sin(alpha) n + cos(alpha) m. Returns the arrays
-    c0 = sin(alpha) + cos(alpha), m2 = |v|^2 and mq = v.q, one entry per
-    row of alpha (shape (B,)) and of the (B, 3) axis arrays.
+    c0 = sin(alpha) + cos(alpha), m2 = |v|^2 and mq = v.q, of shape S + (1,) for
+    a batch of shape S: on that trailing axis of one, a one-config call takes a
+    batch's array arithmetic (x**2 as x * x, not C pow on a numpy scalar).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    v = sa[..., None] * n_axes + ca[..., None] * m_axes
+    sa, ca = np.sin(cfg.alpha)[..., None], np.cos(cfg.alpha)[..., None]
+    v = sa[..., None] * cfg.n_axis[..., None, :] + ca[..., None] * cfg.m_axis[..., None, :]
     return sa + ca, _dot3(v, v), _dot3(v, as_unit_vector(q_axis))
-
-
-def _config_coefficients(cfg: SuperpositionConfig, q_axis=Z_AXIS):
-    return _coefficients([cfg.alpha], cfg.n_axis[None], cfg.m_axis[None], q_axis)
 
 
 def _trig(omega_t):
@@ -77,16 +73,14 @@ def _correlator_terms(coef, cos_x, sin_x):
 def correlator(cfg: SuperpositionConfig, ti: float, tj: float, q_axis=Z_AXIS) -> float:
     """Two-time correlator (1/2) tr[Q U Q U^dag] of the observable along q_axis.
 
-    The closed form, clamped to [-1, 1], at one config or a stack of them and at
-    times that broadcast against it; raises DegenerateSuperposition where
+    The closed form, clamped to [-1, 1], at a config batch and at times that
+    broadcast against it; raises DegenerateSuperposition where
     superposed_unitary would.
     """
     delta = np.asarray(tj, dtype=float) - ti
     _checked_norm_sq(cfg, delta)
-    alpha, n, m, omega = _fields(cfg, "alpha", "n_axis", "m_axis", "omega")
-    # on a trailing axis of one: one config takes a stack's array arithmetic (x**2 as x * x)
-    x = 0.5 * (omega * delta)[..., None]
-    coef = _coefficients(alpha[..., None], n[..., None, :], m[..., None, :], q_axis)
+    x = 0.5 * (cfg.omega * delta)[..., None]  # on the coefficients' trailing axis of one
+    coef = _coefficients(cfg, q_axis)
     c = np.minimum(1.0, np.maximum(-1.0, _correlator_terms(coef, np.cos(x), np.sin(x))[..., 0]))
     return c if c.shape else float(c)
 
@@ -116,9 +110,10 @@ def _peak_s(rho) -> np.ndarray:
 
 
 def _k3_maxima(coef) -> tuple[np.ndarray, np.ndarray]:
-    """max over omega*t of K3 and its first location in [0, pi], for a batch of B configs.
+    """max over omega*t of K3 and its first location in [0, pi], for a batch of configs.
 
-    coef holds (c0, m2, mq), each of shape (B,). With s = sin^2(omega*t / 2)
+    coef holds (c0, m2, mq), each of shape S + (1,), as _coefficients gives them, and
+    both results have shape S. With s = sin^2(omega*t / 2)
     and D = c0^2, C(s) = (D + (2 mq^2 - m2 - D) s) / (D + (m2 - D) s) and
     K3 = 2 C(s) - C(4 s (1 - s)), so omega*t in [0, pi] covers s in [0, 1] once
     and [pi, 2 pi] mirrors it. With rho = m2 / D, in [0, 1] since |v| <= c0,
@@ -131,13 +126,13 @@ def _k3_maxima(coef) -> tuple[np.ndarray, np.ndarray]:
     throughout. K3 at s = 0, s* and 1 rounds differently there, and the
     first largest of the three is kept: location 0 at those poles.
     """
-    c0, m2, mq = coef
-    u = np.zeros((len(c0), 3))
-    u[:, 1], u[:, 2] = 2.0 * np.arcsin(np.sqrt(_peak_s(m2 / (c0 * c0)))), np.pi
-    vals = _k3_terms((c0[:, None], m2[:, None], mq[:, None]), _trig(u))
-    best = np.argmax(vals, axis=1)[:, None]
-    return (np.take_along_axis(vals, best, axis=1)[:, 0],
-            np.take_along_axis(u, best, axis=1)[:, 0])
+    c0, m2, _ = coef
+    u = np.zeros(c0.shape[:-1] + (3,))
+    u[..., 1], u[..., 2] = 2.0 * np.arcsin(np.sqrt(_peak_s(m2 / (c0 * c0))[..., 0])), np.pi
+    vals = _k3_terms(coef, _trig(u))
+    best = np.argmax(vals, axis=-1)[..., None]
+    return (np.take_along_axis(vals, best, axis=-1)[..., 0],
+            np.take_along_axis(u, best, axis=-1)[..., 0])
 
 
 def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS):
@@ -150,17 +145,17 @@ def k3_at(cfg: SuperpositionConfig, t: float, q_axis=Z_AXIS):
     return c12, c13, c12 + c12 - c13
 
 
-def k3_max(cfg: SuperpositionConfig, q_axis=Z_AXIS) -> tuple[float, float]:
-    """Maximum of K3 over omega*t and its location.
+def k3_max(cfg: SuperpositionConfig, q_axis=Z_AXIS):
+    """Maximum of K3 over omega*t and its location, for each config of a batch.
 
-    Solved from the one root of a monotone quartic; the one-config call of
-    the batched kernel behind ttb_map and k3max_surface. K3 is symmetric about
+    Solved from the one root of a monotone quartic. K3 is symmetric about
     omega*t = pi, and the location reported is the first twin peak u* in
     [0, pi], never 2 pi - u*; it is 0 where K3 is 1 for every t.
-    Returns (k3_maximum, omega_t_at_maximum).
+    Returns (k3_maximum, omega_t_at_maximum): arrays of the batch shape, or
+    floats for one config.
     """
-    value, loc = _k3_maxima(_config_coefficients(cfg, q_axis))
-    return float(value[0]), float(loc[0])
+    value, loc = _k3_maxima(_coefficients(cfg, q_axis))
+    return (value, loc) if value.shape else (float(value), float(loc))
 
 
 def ttb_map(eta_grid, xi_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -169,49 +164,35 @@ def ttb_map(eta_grid, xi_grid) -> tuple[np.ndarray, np.ndarray]:
     The observable stays along z; the single rotation axis points at
     (sin eta cos xi, sin eta sin xi, cos eta). Every entry is bounded by 1.5
     (the temporal analogue of the Tsirelson bound) and depends on eta only.
-    The map is in units of omega*t, so the rate does not enter. All cells go
-    through the batched kernel at once; as in k3_max, an argmax entry is the
-    first twin peak u*, in [0, pi] (pi/3 wherever eta is off the poles).
+    The map is in units of omega*t, so the rate does not enter. The grid is one
+    config batch for k3_max; an argmax entry is the first twin peak u*, in
+    [0, pi] (pi/3 wherever eta is off the poles).
     Returns (k3max, argmax_omega_t), each of shape (len(eta), len(xi)).
     """
     etas = np.asarray(eta_grid, dtype=float)
     xis = np.asarray(xi_grid, dtype=float)
-
     axes = np.empty((len(etas), len(xis), 3))
     axes[..., 0] = np.sin(etas)[:, None] * np.cos(xis)
     axes[..., 1] = np.sin(etas)[:, None] * np.sin(xis)
     axes[..., 2] = np.cos(etas)[:, None]
-    axes = axes.reshape(-1, 3)
-    k3m, arg = _k3_maxima(_coefficients(np.zeros(len(axes)), axes, axes))
-    shape = (len(etas), len(xis))
-    return k3m.reshape(shape), arg.reshape(shape)
+    return k3_max(SuperpositionConfig(alpha=0.0, n_axis=axes, m_axis=axes))
 
 
 def k3max_surface(alpha_grid, phi_grid) -> np.ndarray:
     """max over omega*t of K3 for every (alpha, phi) pair of planar configurations.
 
     Returns the array of shape (len(alpha), len(phi)) whose entry (i, j) is
-    k3_max(planar(alpha_i, phi_j, omega))[0] for any omega; the whole grid goes
-    through the batched kernel at once.
+    k3_max(planar(alpha_i, phi_j, omega))[0] for any omega: the grid is one
+    config batch for k3_max.
     """
-    alphas = np.asarray(alpha_grid, dtype=float)
-    phis = np.asarray(phi_grid, dtype=float)
-    if not np.all((alphas >= 0.0) & (alphas <= np.pi / 2)):
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alphas!r}")
-    if not np.all((phis >= 0.0) & (phis < np.pi)):
-        raise UnsupportedGeometry(f"planar longitude must lie in [0, pi), got {phis!r}")
-
-    n_axes = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=-1)
-    coef = _coefficients(np.repeat(alphas, len(phis)), np.tile(n_axes, (len(alphas), 1)), X_AXIS)
-    k3m, _ = _k3_maxima(coef)
-    return k3m.reshape(len(alphas), len(phis))
+    return k3_max(planar(np.asarray(alpha_grid, dtype=float)[:, None], phi_grid))[0]
 
 
 def k3_curve(cfg: SuperpositionConfig, omega_t, q_axis=Z_AXIS):
     """(C12, C13, K3) sampled over a grid of omega*t (pure sampling, no refinement)."""
     us = np.asarray(omega_t, dtype=float)
     cos_h, sin_h, cos_f, sin_f = _trig(us)
-    coef = _config_coefficients(cfg, q_axis)
+    coef = _coefficients(cfg, q_axis)
     c12 = _correlator_terms(coef, cos_h, sin_h)
     c13 = _correlator_terms(coef, cos_f, sin_f)
     return c12, c13, 2.0 * c12 - c13

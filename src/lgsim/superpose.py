@@ -10,23 +10,25 @@ n at longitude phi in the xy-plane) everything has closed form: the rotation
 axis longitude theta, the accumulated angle f(t), and the instantaneous
 angular speed g(t) = df/dt, which is non-uniform in t whenever alpha > 0.
 
-The functions of delta or t also take a stack of configs (any sequence or array
-of them) in place of one, broadcast against delta or t like one more array; one
-config is the stack of shape (), and a float comes back for scalar times.
+A SuperpositionConfig is a batch of configs: its fields are arrays of one batch
+shape S, and one config is the batch of shape (). The functions of delta or t
+broadcast the batch against delta or t like one more array, and a float comes back
+for one config at scalar times; the functions of the config alone return arrays of
+shape S, or a float for one config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .linalg import InvalidAxis, X_AXIS, as_unit_vector, rot
+from .linalg import X_AXIS, as_unit_vector, rot
 
 NORM_FLOOR = 1e-12
 
 _PLANAR_TOL = 1e-10
+_M_BOUND = _PLANAR_TOL + 1e-5 * X_AXIS  # np.allclose(m, X_AXIS, atol=_PLANAR_TOL), entrywise
 
 
 class DegenerateSuperposition(ValueError):
@@ -39,7 +41,11 @@ class UnsupportedGeometry(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionConfig:
-    """Weights, axes and rate defining the superposed rotation family.
+    """Weights, axes and rates defining the superposed rotation family, for a batch of configs.
+
+    The fields broadcast against each other to one batch shape S and are kept as read-only
+    arrays of it: alpha and omega of shape S, n_axis and m_axis of shape S + (3,). One
+    config is the batch of shape (). Every config of the batch must satisfy:
 
     alpha:  mixing angle in [0, pi/2]; sin(alpha) weights the n-axis branch.
     n_axis: unit 3-vector, first rotation axis.
@@ -47,69 +53,68 @@ class SuperpositionConfig:
     omega:  angular rate (radians per second), > 0.
     """
 
-    alpha: float
+    alpha: np.ndarray
     n_axis: np.ndarray
     m_axis: np.ndarray
-    omega: float = 1.0
+    omega: np.ndarray = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= np.pi / 2:
+        alpha, omega = np.asarray(self.alpha, dtype=float), np.asarray(self.omega, dtype=float)
+        if not ((alpha >= 0.0) & (alpha <= np.pi / 2)).all():
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha!r}")
-        if not self.omega > 0.0:
+        if not (omega > 0.0).all():
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         n = as_unit_vector(self.n_axis)
         m = as_unit_vector(self.m_axis)
-        if n.shape != (3,) or m.shape != (3,):
-            raise InvalidAxis("a config takes one n axis and one m axis")
-        n.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "n_axis", n)
-        object.__setattr__(self, "m_axis", m)
-        if float(np.dot(n, m)) <= -1.0:
+        shape = np.broadcast(alpha, omega, n[..., 0], m[..., 0]).shape
+        for name, value, tail in (("alpha", alpha, ()), ("n_axis", n, (3,)),
+                                  ("m_axis", m, (3,)), ("omega", omega, ())):
+            if value.shape != shape + tail:
+                value = np.broadcast_to(value, shape + tail)  # a read-only view
+            elif value.flags.writeable:  # a view, so that the caller's array stays writeable
+                value = value.view()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if np.count_nonzero(np.vecdot(n, m) <= -1.0):
             raise DegenerateSuperposition("anti-parallel axes are excluded (n.m must exceed -1)")
 
 
-def planar(alpha: float, phi: float, omega: float = 1.0) -> SuperpositionConfig:
-    """Canonical planar configuration: m along x, n at longitude phi in [0, pi)."""
-    if not 0.0 <= phi < np.pi:
+def planar(alpha, phi, omega=1.0) -> SuperpositionConfig:
+    """Canonical planar configurations: m along x, n at longitude phi in [0, pi).
+
+    alpha, phi and omega broadcast against each other to the batch shape.
+    """
+    phis = np.asarray(phi, dtype=float)
+    if not ((phis >= 0.0) & (phis < np.pi)).all():
         raise UnsupportedGeometry(f"planar longitude must lie in [0, pi), got {phi!r}")
-    n = np.array([np.cos(phi), np.sin(phi), 0.0])
-    return SuperpositionConfig(alpha=alpha, n_axis=n, m_axis=X_AXIS.copy(), omega=omega)
+    n = np.zeros(phis.shape + (3,))
+    n[..., 0], n[..., 1] = np.cos(phis), np.sin(phis)
+    return SuperpositionConfig(alpha=alpha, n_axis=n, m_axis=X_AXIS, omega=omega)
 
 
-def planar_angle(cfg: SuperpositionConfig) -> float:
-    """Longitude phi of the n axis for a canonical planar configuration.
+def planar_angle(cfg: SuperpositionConfig):
+    """Longitude phi of the n axis for canonical planar configurations, of shape S.
 
     Raises UnsupportedGeometry unless m = x and n = (cos phi, sin phi, 0) with
-    phi in [0, pi); the closed-form kinematics below are derived in that frame.
+    phi in [0, pi) for every config; the closed-form kinematics below are derived
+    in that frame.
     """
-    (mx, my, mz), n = cfg.m_axis.tolist(), cfg.n_axis.tolist()
-    # np.allclose(m, X_AXIS, atol=_PLANAR_TOL) in scalars: |m_i - x_i| <= atol + 1e-5 |x_i|
-    if not (abs(mx - 1.0) <= _PLANAR_TOL + 1e-5 and abs(my) <= _PLANAR_TOL
-            and abs(mz) <= _PLANAR_TOL):
+    n = cfg.n_axis
+    if not (abs(cfg.m_axis - X_AXIS) <= _M_BOUND).all():
         raise UnsupportedGeometry("closed-form kinematics need m_axis along x")
-    if abs(n[2]) > _PLANAR_TOL or n[1] < -_PLANAR_TOL:
+    if ((abs(n[..., 2]) > _PLANAR_TOL) | (n[..., 1] < -_PLANAR_TOL)).any():
         raise UnsupportedGeometry("closed-form kinematics need n_axis in the upper xy half-plane")
-    phi = float(np.arctan2(max(n[1], 0.0), n[0]))
-    if phi >= np.pi:
+    phi = np.arctan2(np.where(0.0 > n[..., 1], 0.0, n[..., 1]), n[..., 0])  # max(n_y, 0.0)
+    if (phi >= np.pi).any():
         raise UnsupportedGeometry("planar longitude must be below pi")
-    return phi
-
-
-def _fields(cfg, *fields) -> list:
-    """Each field (attribute name or function of one config) of a config stack of shape S, as
-    an array of shape S (a number) or S + (3,) (an axis); one config is the stack of shape ()."""
-    cfgs = np.asarray(cfg, dtype=object)
-    cols = [np.array(list(map(f if callable(f) else attrgetter(f), cfgs.ravel().tolist())))
-            for f in fields]
-    return [col.reshape(cfgs.shape + col.shape[1:]) for col in cols]
+    return phi if phi.shape else float(phi)
 
 
 def _branches(cfg: SuperpositionConfig, delta):
     """sin, cos(alpha) as (..., 1, 1) and rot(n, omega*delta), rot(m, omega*delta) from one rot."""
-    alpha, axes, omega = _fields(cfg, "alpha", attrgetter("n_axis", "m_axis"), "omega")
-    u = rot(axes, (omega * np.asarray(delta, dtype=float))[..., None])
-    return (np.sin(alpha)[..., None, None], np.cos(alpha)[..., None, None],
+    axes = np.stack((cfg.n_axis, cfg.m_axis), axis=-2)
+    u = rot(axes, (cfg.omega * np.asarray(delta, dtype=float))[..., None])
+    return (np.sin(cfg.alpha)[..., None, None], np.cos(cfg.alpha)[..., None, None],
             u[..., 0, :, :], u[..., 1, :, :])
 
 
@@ -126,10 +131,9 @@ def norm_factor_sq(cfg: SuperpositionConfig, delta: float):
     valid for arbitrary axes; the trace route is the test-side cross-check.
     Accepts scalar or array delta.
     """
-    alpha, n, m, omega = _fields(cfg, "alpha", "n_axis", "m_axis", "omega")
-    x = 0.5 * omega * np.asarray(delta, dtype=float)
+    x = 0.5 * cfg.omega * np.asarray(delta, dtype=float)
     c, s = np.cos(x), np.sin(x)  # squared as c * c: ** is C pow on a numpy scalar
-    nsq = 1.0 + np.sin(2.0 * alpha) * (c * c + np.vecdot(n, m) * (s * s))
+    nsq = 1.0 + np.sin(2.0 * cfg.alpha) * (c * c + np.vecdot(cfg.n_axis, cfg.m_axis) * (s * s))
     return nsq if nsq.shape else float(nsq)
 
 
@@ -150,14 +154,14 @@ def superposed_unitary(cfg: SuperpositionConfig, delta: float) -> np.ndarray:
 
 def _half_angle_coeffs(cfg: SuperpositionConfig):
     """(A, B, phi, omega): cos(f/2) = A cos(wt/2)/N, sin(f/2) = B sin(wt/2)/N."""
-    alpha, phi, omega = _fields(cfg, "alpha", planar_angle, "omega")
-    a = np.cos(alpha) + np.sin(alpha)
-    b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * alpha))
-    return a, b, phi, omega
+    phi = planar_angle(cfg)
+    a = np.cos(cfg.alpha) + np.sin(cfg.alpha)
+    b = np.sqrt(1.0 + np.cos(phi) * np.sin(2.0 * cfg.alpha))
+    return a, b, phi, cfg.omega
 
 
-def axis_theta(cfg: SuperpositionConfig) -> float:
-    """Longitude theta of the fixed rotation axis of the normalized family.
+def axis_theta(cfg: SuperpositionConfig):
+    """Longitude theta of the fixed rotation axis of the normalized family, of shape S.
 
     Planar configurations only. theta lies in [0, pi) and interpolates from 0
     (pure m-axis rotation at alpha = 0) to phi (pure n-axis at alpha = pi/2).
@@ -165,8 +169,9 @@ def axis_theta(cfg: SuperpositionConfig) -> float:
     _, b, phi, _ = _half_angle_coeffs(cfg)
     cos_t = (np.cos(cfg.alpha) + np.cos(phi) * np.sin(cfg.alpha)) / b
     sin_t = np.sin(cfg.alpha) * np.sin(phi) / b
-    theta = float(np.arctan2(sin_t, cos_t))
-    return theta if theta >= 0.0 else theta + np.pi
+    theta = np.arctan2(sin_t, cos_t)
+    theta = np.where(theta >= 0.0, theta, theta + np.pi)
+    return theta if theta.shape else float(theta)
 
 
 def f_of_t(cfg: SuperpositionConfig, t):
@@ -198,11 +203,12 @@ def soe(cfg: SuperpositionConfig, t):
     return g if g.shape else float(g)
 
 
-def soe_span(cfg: SuperpositionConfig) -> float:
-    """max g - min g over a full cycle, from the analytic extrema of N^2.
+def soe_span(cfg: SuperpositionConfig):
+    """max g - min g over a full cycle, from the analytic extrema of N^2, of shape S.
 
     N^2 ranges over [B^2, A^2] (minimum at omega*t = pi, maximum at 0), so the
     span is omega (A/B - B/A). Grid evaluation of soe() is the test-side check.
     """
     a, b, _, _ = _half_angle_coeffs(cfg)
-    return float(cfg.omega * (a / b - b / a))
+    span = cfg.omega * (a / b - b / a)
+    return span if span.shape else float(span)

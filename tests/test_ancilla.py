@@ -41,6 +41,7 @@ from lgsim.linalg import (
 )
 from lgsim.superpose import (SuperpositionConfig, _branches, norm_factor_sq, planar,
                              superposed_unitary, unnormalized_superposed)
+from test_superpose import _batch
 
 
 def _random_density(rng):
@@ -456,7 +457,7 @@ def test_postselect_map_on_stacked_pairs_is_each_pair_alone(seed, k, general):
     cfgs = _general_cfgs(rng, k) if general else [_random_planar(rng) for _ in range(k)]
     rhos = np.array([_random_density(rng) for _ in range(k)])
     ti, tj = rng.uniform(0.0, 1.0, size=k), rng.uniform(1.0, 6.0, size=k)
-    out, prob = postselect_map(cfgs, rhos, ti, tj)
+    out, prob = postselect_map(_batch(cfgs), rhos, ti, tj)
     assert out.shape == (k, 2, 2) and prob.shape == (k,)
     for i in range(k):
         one_out, one_prob = postselect_map(cfgs[i], rhos[i], ti[i], tj[i])
@@ -464,7 +465,7 @@ def test_postselect_map_on_stacked_pairs_is_each_pair_alone(seed, k, general):
         assert _within(out[i], one_out) and _within(prob[i], one_prob)
     # every config against three states, as selftest draws them
     states = np.array([[_random_density(rng) for _ in range(3)] for _ in range(k)])
-    out, prob = postselect_map(np.array(cfgs, dtype=object)[:, None], states, 0.0, tj[:, None])
+    out, prob = postselect_map(_batch(cfgs, (k, 1)), states, 0.0, tj[:, None])
     assert out.shape == (k, 3, 2, 2) and prob.shape == (k, 3)
     for i in range(k):
         for j in range(3):
@@ -478,8 +479,8 @@ def test_register_runs_on_a_stack_are_each_circuit_alone(seed, k):
     rng = np.random.default_rng(seed)
     cfgs = [_random_planar(rng) for _ in range(k)]
     deltas = rng.uniform(0.1, 5.0, size=k)
-    sig = interferometer_signal(cfgs, 0.0, deltas)
-    norm = normalization_signal(cfgs, 0.0, deltas)
+    sig = interferometer_signal(_batch(cfgs), 0.0, deltas)
+    norm = normalization_signal(_batch(cfgs), 0.0, deltas)
     for i in range(k):
         one = interferometer_signal(cfgs[i], 0.0, deltas[i])
         one_norm = normalization_signal(cfgs[i], 0.0, deltas[i])
@@ -492,9 +493,9 @@ def test_gates_and_projections_on_stacks_are_bitwise_each_alone():
     cfgs = _signed_zero_cfgs()
     ti, tj = rng.uniform(-1.0, 1.0, size=len(cfgs)), rng.uniform(0.0, 5.0, size=len(cfgs))
     for func in (controlled_u_t0, controlled_u_t1, ancilla._evolution):
-        _assert_bitwise(func(cfgs, ti, tj),
+        _assert_bitwise(func(_batch(cfgs), ti, tj),
                         np.array([func(c, a, b) for c, a, b in zip(cfgs, ti, tj)]))
-    plus, minus = _branch_combinations(cfgs, tj)
+    plus, minus = _branch_combinations(_batch(cfgs), tj)
     for c, t, p, m in zip(cfgs, tj, plus, minus):
         one_p, one_m = _branch_combinations(c, t)
         _assert_bitwise(p, one_p)

@@ -18,7 +18,6 @@ import lgsim.ancilla as ancilla
 import lgsim.cli as cli
 import lgsim.lgi as lgi
 import lgsim.noise as noise
-import lgsim.superpose as superpose
 from lgsim.ancilla import (KET_PLUS, PROJ0, PROJ1, ancilla_state, build_pulse_library,
                            interferometer_signal, normalization_signal, postselect_map,
                            project_ancilla)
@@ -646,9 +645,9 @@ def test_selftest_catches_a_misread_interferometer(tmp_path, monkeypatch, capsys
 def test_selftest_catches_a_wrong_norm_factor(tmp_path, monkeypatch, capsys):
     # mutation: the closed form of N^2 with the wrong sign on its n.m term
     def wrong(cfg, delta):
-        alpha, n, m, omega = superpose._fields(cfg, "alpha", "n_axis", "m_axis", "omega")
-        x = 0.5 * omega * np.asarray(delta)
-        return 1.0 + np.sin(2.0 * alpha) * (np.cos(x) ** 2 - np.vecdot(n, m) * np.sin(x) ** 2)
+        x = 0.5 * cfg.omega * np.asarray(delta)
+        return 1.0 + np.sin(2.0 * cfg.alpha) * (np.cos(x) ** 2
+                                                - np.vecdot(cfg.n_axis, cfg.m_axis) * np.sin(x) ** 2)
 
     monkeypatch.setattr(cli, "norm_factor_sq", wrong)
     code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
@@ -866,6 +865,13 @@ def test_run_reports_failed_checks(tmp_path, monkeypatch, capsys):
     stdout = capsys.readouterr().out
     assert "FAIL selftest: always-fails (synthetic)" in stdout
     assert "0/1 checks passed" in stdout
+
+
+@pytest.mark.parametrize("experiment", ("k3-curves", "soe-profiles"))
+def test_a_bad_alpha_exits_2_with_the_one_config_message(tmp_path, capsys, experiment):
+    code = main([experiment, "--alpha", "1.7", "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: alpha must lie in [0, pi/2], got 1.7\n"
 
 
 def test_main_exit_codes(tmp_path):

@@ -123,7 +123,7 @@ def test_k3_max_grid_independence():
     cfg = planar(np.pi / 4, 3 * np.pi / 4)
     value, loc = k3_max(cfg)
     assert 0.0 <= loc <= np.pi
-    coef = lgi._config_coefficients(cfg)
+    coef = lgi._coefficients(cfg)
     for grid in (_ORACLE_GRID, np.linspace(0.0, 2 * np.pi, 1237)):
         v_grid, loc_grid = _golden_k3_maxima(coef, grid)
         assert np.isclose(v_grid[0], value, atol=1e-9)
@@ -302,25 +302,27 @@ def test_batched_maxima_equal_single_config_calls_bitwise():
             assert surface[i, j] == k3_max(planar(alpha, phi))[0]
 
 
-def test_golden_section_steps_do_not_depend_on_the_batch():
-    # on this grid the steps are ten times finer below omega*t = 1.2, so the
-    # oracle's configs that peak there (near pi/3) start from narrower
-    # brackets and need fewer golden-section steps than those peaking above
-    # (near 1.5); the closed form takes no steps at all
+def test_closed_form_maxima_do_not_depend_on_the_batch():
+    # one (3, 4) batch of configs against each config alone, and against the golden-section
+    # oracle. On this grid the steps are ten times finer below omega*t = 1.2, so the
+    # oracle's configs that peak there (near pi/3) start from narrower brackets and need
+    # fewer golden-section steps than those peaking above (near 1.5); the closed form
+    # takes no steps at all
     grid = np.concatenate([np.linspace(0.0, 1.2, 500, endpoint=False),
                            np.linspace(1.2, 2 * np.pi, 200)])
-    cfgs = [planar(alpha, phi) for alpha in (0.0, 0.1, np.pi / 4)
-            for phi in (0.5, 1.5, 2.4, 3.0)]
-    coefs = [lgi._config_coefficients(cfg) for cfg in cfgs]
-    coef = [np.concatenate(c) for c in zip(*coefs)]
-    values, locs = lgi._k3_maxima(coef)
-    singles = [k3_max(cfg) for cfg in cfgs]
-    assert list(zip(values, locs)) == singles
+    alphas, phis = np.array([0.0, 0.1, np.pi / 4]), np.array([0.5, 1.5, 2.4, 3.0])
+    batch = planar(alphas[:, None], phis)
+    values, locs = k3_max(batch)
+    assert values.shape == locs.shape == (3, 4)
+    singles = [k3_max(planar(alpha, phi)) for alpha in alphas for phi in phis]
+    assert list(zip(values.ravel(), locs.ravel())) == singles
+    coef = [c.ravel() for c in lgi._coefficients(batch)]
     g_values, g_locs = _golden_k3_maxima(coef, grid)
-    g_singles = [tuple(v[0] for v in _golden_k3_maxima(c, grid)) for c in coefs]
+    g_singles = [tuple(v[0] for v in _golden_k3_maxima(lgi._coefficients(planar(alpha, phi)), grid))
+                 for alpha in alphas for phi in phis]
     assert min(loc for _, loc in g_singles) < 1.2 < max(loc for _, loc in g_singles)
     assert list(zip(g_values, g_locs)) == g_singles
-    assert np.allclose(values, g_values, rtol=0, atol=1e-10)
+    assert np.allclose(values.ravel(), g_values, rtol=0, atol=1e-10)
 
 
 def test_k3max_surface_memory_is_bounded():
@@ -368,7 +370,7 @@ def test_closed_form_correlator_matches_the_trace(n, m, q, alpha, omega, ti, del
     cfg = SuperpositionConfig(alpha, n, m, omega=omega)
     tj = ti + delay
     x = 0.5 * (omega * (tj - ti))
-    raw = lgi._correlator_terms(lgi._config_coefficients(cfg, q), np.cos(x), np.sin(x))[0]
+    raw = lgi._correlator_terms(lgi._coefficients(cfg, q), np.cos(x), np.sin(x))[0]
     assert abs(raw) <= 1.0 + 1e-15  # before the clamp
     assert abs(raw - _trace_correlator(cfg, tj - ti, q)) <= 1e-12
     assert correlator(cfg, ti, tj, q) == min(1.0, max(-1.0, raw))
@@ -388,8 +390,8 @@ _Q_ALONG_V = dict(n=(-0.6637026320966307, 0.7431693656398208, 0.0848416768016218
 def test_closed_form_maximum_tops_the_scans(n, m, q, alpha):
     n, m, q = _unit(n), _unit(m), _unit(q)
     assume(n @ m > -0.9)
-    coef = lgi._config_coefficients(SuperpositionConfig(alpha, n, m), q)
-    (value,), (loc,) = lgi._k3_maxima(coef)
+    coef = lgi._coefficients(SuperpositionConfig(alpha, n, m), q)
+    value, loc = lgi._k3_maxima(coef)
     assert value >= _dense_k3_maxima(coef)[0] - 1e-15
     assert value <= 3.0
     assert abs(value - _golden_k3_maxima(coef)[0][0]) <= 1e-10
@@ -420,7 +422,7 @@ def test_peak_s_is_the_root_of_the_monotone_quartic(rho):
 def test_k3_rises_to_the_peak_root_and_falls_after_it(n, m, q, alpha):
     n, m, q = _unit(n), _unit(m), _unit(q)
     assume(n @ m > -0.9)
-    c0, m2, mq = lgi._config_coefficients(SuperpositionConfig(alpha, n, m), q)
+    c0, m2, mq = lgi._coefficients(SuperpositionConfig(alpha, n, m), q)
     u_star = 2.0 * np.arcsin(np.sqrt(lgi._peak_s(m2 / (c0 * c0))[0]))
     us = np.linspace(0.0, np.pi, 4001)
     k3 = lgi._k3_terms((c0, m2, mq), lgi._trig(us))
@@ -458,7 +460,7 @@ def _correlator_oracle(cfg, ti, tj, q_axis=Z_AXIS):
     """
     delta = tj - ti
     x = np.array([0.5 * (cfg.omega * delta)])
-    c = lgi._correlator_terms(lgi._config_coefficients(cfg, q_axis), np.cos(x), np.sin(x))[0]
+    c = lgi._correlator_terms(lgi._coefficients(cfg, q_axis), np.cos(x), np.sin(x))[0]
     return float(min(1.0, max(-1.0, c)))
 
 
@@ -466,21 +468,23 @@ def _correlator_oracle(cfg, ti, tj, q_axis=Z_AXIS):
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 7))
 def test_correlator_on_a_stack_is_each_config_alone(seed, k):
     rng = np.random.default_rng(seed)
-    cfgs = [planar(rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, np.pi - 0.05),
-                   omega=rng.uniform(0.2, 3.0)) for _ in range(k)]
+    draws = [(rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, np.pi - 0.05), rng.uniform(0.2, 3.0))
+             for _ in range(k)]
+    alphas, phis, omegas = map(np.array, zip(*draws))
+    batch, cfgs = planar(alphas, phis, omegas), [planar(*d) for d in draws]
     ti, tj = rng.uniform(0.0, 2.0), rng.uniform(0.0, 12.0, size=k)
     q = np.array([0.6, 0.0, 0.8])
     for q_axis in (Z_AXIS, q):
-        stacked = correlator(cfgs, ti, tj, q_axis)
+        stacked = correlator(batch, ti, tj, q_axis)
         assert stacked.shape == (k,)
         for cfg, t, c in zip(cfgs, tj, stacked):
             one = correlator(cfg, ti, t, q_axis)
             assert type(one) is float and one == c == _correlator_oracle(cfg, ti, t, q_axis)
-    for cfg, t, c12, c13, k3 in zip(cfgs, tj, *k3_at(cfgs, tj)):
+    for cfg, t, c12, c13, k3 in zip(cfgs, tj, *k3_at(batch, tj)):
         one = k3_at(cfg, t)
         assert one == (c12, c13, k3)
         assert one[1] == _correlator_oracle(cfg, 0.0, 2.0 * t)
     # every config against every time
-    grid = correlator(np.array(cfgs, dtype=object)[:, None], 0.0, tj)
+    grid = correlator(planar(alphas[:, None], phis[:, None], omegas[:, None]), 0.0, tj)
     assert grid.shape == (k, k)
     assert all(grid[i, j] == correlator(cfgs[i], 0.0, tj[j]) for i in range(k) for j in range(k))

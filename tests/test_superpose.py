@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgsim.lgi import correlator
+from lgsim.lgi import correlator, k3_max
 from lgsim.linalg import ID2, X_AXIS, InvalidAxis, dagger, dist_upto_phase, is_unitary, rot
 from lgsim.superpose import (
     DegenerateSuperposition,
@@ -218,6 +218,14 @@ def _assert_bitwise(a, b):
     assert np.array_equal(_bits(a), _bits(b)), (a, b)
 
 
+def _batch(cfgs, shape=None):
+    """The one-config configs cfgs as one batch, of shape (len(cfgs),) or the given shape."""
+    fields = [np.array([getattr(c, name) for c in cfgs])
+              for name in ("alpha", "n_axis", "m_axis", "omega")]
+    shape = (len(cfgs),) if shape is None else shape
+    return SuperpositionConfig(*(f.reshape(shape + f.shape[1:]) for f in fields))
+
+
 def _stack_of_configs(seed, k, general):
     """k configs (arbitrary axes, or planar) and k delays drawn from seed."""
     rng = np.random.default_rng(seed)
@@ -252,22 +260,55 @@ def _unnormalized_oracle(cfg, delta):
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 7), general=st.booleans())
 def test_a_stack_of_configs_is_each_config_alone(seed, k, general):
     cfgs, deltas = _stack_of_configs(seed, k, general)
-    ws = unnormalized_superposed(cfgs, deltas)
+    batch = _batch(cfgs)
+    ws = unnormalized_superposed(batch, deltas)
     for cfg, delta, w in zip(cfgs, deltas, ws):
         _assert_bitwise(w, unnormalized_superposed(cfg, delta))
         _assert_bitwise(w, _unnormalized_oracle(cfg, delta))
         _assert_bitwise(norm_factor_sq(cfg, delta), _norm_factor_sq_oracle(cfg, delta))
     for func in (norm_factor_sq, superposed_unitary):
-        _assert_bitwise(func(cfgs, deltas), np.array([func(c, d) for c, d in zip(cfgs, deltas)]))
-    # a (k, 1) stack against k x 3 delays: each row is one config's array call
-    stack = np.array(cfgs, dtype=object)[:, None]
+        _assert_bitwise(func(batch, deltas), np.array([func(c, d) for c, d in zip(cfgs, deltas)]))
+    # a (k, 1) batch against k x 3 delays: each row is one config's array call
+    stack = _batch(cfgs, (k, 1))
     grid = deltas[:, None] * np.array([0.5, 1.0, 2.0])
     funcs = (norm_factor_sq, superposed_unitary) + (() if general else (f_of_t, soe))
     for func in funcs:
         _assert_bitwise(func(stack, grid), np.array([func(c, row) for c, row in zip(cfgs, grid)]))
     if not general:
-        _assert_bitwise(f_of_t(cfgs, deltas), np.array([f_of_t(c, d) for c, d in zip(cfgs, deltas)]))
-        _assert_bitwise(soe(cfgs, deltas), np.array([soe(c, d) for c, d in zip(cfgs, deltas)]))
+        for func in (f_of_t, soe):
+            _assert_bitwise(func(batch, deltas),
+                            np.array([func(c, d) for c, d in zip(cfgs, deltas)]))
+
+
+_PLANAR_DRAWS = st.lists(st.tuples(st.floats(0.0, np.pi / 2),
+                                    st.floats(0.0, np.pi - 1e-6),
+                                    st.floats(1e-3, 1e3)), min_size=1, max_size=7)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(draws=_PLANAR_DRAWS)
+def test_batch_calls_are_bitwise_each_config_alone(draws):
+    # planar, and the functions of a config alone, on batches of shape (k,) and (k, 1) and
+    # on a (k, 1) batch that broadcasts one phi and one omega: each entry is the shape-()
+    # call's, and that call gives a float
+    alpha, phi, omega = map(np.array, zip(*draws))
+    k = len(draws)
+    cases = [(planar(alpha, phi, omega), draws),
+             (planar(alpha[:, None], phi[:, None], omega[:, None]), draws),
+             (planar(alpha[:, None], phi[0], omega[0]), [(a, phi[0], omega[0]) for a in alpha])]
+    funcs = (planar_angle, axis_theta, soe_span, lambda c: k3_max(c)[0], lambda c: k3_max(c)[1])
+    for batch, singles in cases:
+        assert batch.alpha.shape == batch.omega.shape == batch.n_axis.shape[:-1] != ()
+        singles = [planar(*d) for d in singles]
+        for field in ("alpha", "n_axis", "m_axis", "omega"):
+            _assert_bitwise(getattr(batch, field).reshape(k, -1),
+                            np.array([getattr(c, field) for c in singles]).reshape(k, -1))
+        for func in funcs:
+            values = func(batch)
+            assert values.shape == batch.alpha.shape
+            ones = [func(c) for c in singles]
+            assert all(type(one) is float for one in ones)
+            _assert_bitwise(values.ravel(), np.array(ones))
 
 
 def test_one_config_calls_keep_their_types():
@@ -276,7 +317,9 @@ def test_one_config_calls_keep_their_types():
         assert type(func(cfg, 0.3)) is float
         assert func(cfg, np.array([0.3, 0.4])).shape == (2,)
     assert superposed_unitary(cfg, 0.3).shape == (2, 2)
-    assert superposed_unitary([cfg], [0.3]).shape == (1, 2, 2)
+    assert superposed_unitary(planar([0.4], 1.1, omega=1.7), [0.3]).shape == (1, 2, 2)
+    for func in (planar_angle, axis_theta, soe_span):
+        assert type(func(cfg)) is float
 
 
 def test_a_stack_raises_where_one_of_its_configs_would():
@@ -286,8 +329,35 @@ def test_a_stack_raises_where_one_of_its_configs_would():
     with pytest.raises(DegenerateSuperposition):
         superposed_unitary(bad, np.pi)
     with pytest.raises(DegenerateSuperposition):
-        superposed_unitary([good, bad], [np.pi, np.pi])
+        superposed_unitary(_batch([good, bad]), [np.pi, np.pi])
     with pytest.raises(UnsupportedGeometry):
-        f_of_t([good, bad], [1.0, 1.0])
+        f_of_t(_batch([good, bad]), [1.0, 1.0])
+    with pytest.raises(UnsupportedGeometry):
+        planar_angle(_batch([good, bad]))
     with pytest.raises(InvalidAxis):
-        SuperpositionConfig(alpha=0.3, n_axis=np.eye(3)[:2], m_axis=np.eye(3)[:2])
+        SuperpositionConfig(alpha=0.3, n_axis=np.eye(3)[:, :2], m_axis=np.eye(3)[:, :2])
+    with pytest.raises(ValueError):  # fields whose batch shapes do not broadcast
+        SuperpositionConfig(alpha=[0.3, 0.4], n_axis=np.eye(3), m_axis=np.eye(3))
+
+
+_GOOD = dict(alpha=0.2, n_axis=(0.0, 1.0, 0.0), m_axis=(1.0, 0.0, 0.0), omega=1.3)
+
+
+@pytest.mark.parametrize("bad, error, message", (
+    (dict(alpha=1.7), ValueError, "alpha must lie in [0, pi/2], got 1.7"),
+    (dict(alpha=-1e-300), ValueError, "alpha must lie in [0, pi/2], got -1e-300"),
+    (dict(omega=0.0), ValueError, "omega must be positive, got 0.0"),
+    (dict(omega=-2.5), ValueError, "omega must be positive, got -2.5"),
+    (dict(n_axis=(1.0, 0.1, 0.0)), InvalidAxis, "axis must have unit norm, got"),
+    (dict(n_axis=(-1.0, 0.0, 0.0)), DegenerateSuperposition, "anti-parallel axes are excluded"),
+))
+def test_a_batch_with_one_bad_config_raises_as_that_config_alone(bad, error, message):
+    one = {**_GOOD, **bad}
+    with pytest.raises(error) as alone:
+        SuperpositionConfig(**one)
+    # one config's message shows the float it was given (got 1.7, never got array(1.7))
+    assert str(alone.value).startswith(message) and "array" not in str(alone.value)
+    fields = {k: np.array([_GOOD[k], _GOOD[k], v], dtype=float) for k, v in one.items()}
+    for shape in ((3,), (3, 1)):
+        with pytest.raises(error):
+            SuperpositionConfig(**{k: f.reshape(shape + f.shape[1:]) for k, f in fields.items()})
