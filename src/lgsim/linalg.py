@@ -8,9 +8,10 @@ fresh conjugate). The module constants ``ID2``, ``SIGMA_X``, ``SIGMA_Y``,
 and ``as_unit_vector`` hands back its argument itself when that is already a
 float array, so for an axis constant it returns that shared read-only array.
 An axis may be a stack of axes, shape (..., 3), wherever ``rot`` or ``pauli``
-takes one; it broadcasts against the angles like one more stack axis.
-Composition, addition and scaling use the native operators (``a @ b``,
-``a + b``, ``z * a``); :func:`dagger` covers the remaining everyday plumbing.
+takes one; it broadcasts against the angles like one more stack axis. ``rot`` is
+computed as its closed form, and ``is_hermitian`` as ``np.allclose``'s judgement
+of a against ``dagger(a)``, for a matrix or a stack. Composition, addition and
+scaling use the native operators (``a @ b``, ``a + b``, ``z * a``).
 
 Register convention used package-wide: multi-qubit operators are ordered
 measurement (x) ancilla (x) system, so ``kron(m_op, kron(a_op, s_op))``.
@@ -19,12 +20,9 @@ Two-qubit helpers keep the same relative order (control first).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-_RTOL = np.float64(1e-5)  # np.allclose's rtol, as the float64 it becomes there
 
 
 class InvalidAxis(ValueError):
@@ -56,7 +54,7 @@ def as_unit_vector(axis, tol: float = 1e-12) -> np.ndarray:
     if v.shape[-1:] != (3,):
         raise InvalidAxis(f"axis must be a 3-vector, got shape {v.shape}")
     off = abs(np.vecdot(v, v) - 1.0)
-    if any((off > tol).flat):
+    if not (off <= tol).all():  # a NaN fails too
         raise InvalidAxis(f"axis must have unit norm, got |v|^2 - 1 = {np.max(off)!r}")
     return v
 
@@ -67,41 +65,18 @@ def pauli(axis) -> np.ndarray:
     return v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
 
 
-# rot's eight real slots per angle, real and imaginary parts interleaved:
-# re00 im00 re01 im01 re10 im10 re11 im11. cos(angle/2) fills the real diagonal;
-# the off-diagonal real slots start from cos * 0 and the imaginary ones from +0.0
-_ROT_COS = _frozen(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
-_ROT_ZERO = _frozen(np.array([0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0]))
-
-
 def rot(axis, angle) -> np.ndarray:
-    """SU(2) rotation exp(-i * pauli(axis) * angle / 2).
+    """SU(2) rotation exp(-i * pauli(axis) * angle / 2), computed as its closed form.
 
-    Closed form cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the tests check
-    it against a Pade matrix exponential. Broadcasts over an array of angles and a
-    stack of axes, shape (..., 3), to broadcast(angle.shape, axis.shape[:-1]) + (2, 2).
-    The entries are written straight into one array, bitwise equal to that complex
-    expression, signed zeros included: with c, s = cos, sin(angle/2), each real slot
-    is c k - (s u - s w), k from _ROT_COS, and each imaginary one 0.0 - (s u - s * 0.0),
-    the values the complex products and sums round to.
+    cos(angle/2) * 1 - i sin(angle/2) * pauli(axis); the tests check it against a Pade
+    exponential. Broadcasts over an array of angles and a stack of axes, shape (..., 3),
+    to broadcast(angle.shape, axis.shape[:-1]) + (2, 2).
     """
     a = np.asarray(angle, dtype=float)
-    if not all(np.isfinite(a).flat):
+    if not np.isfinite(a).all():
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    v = as_unit_vector(axis)
-    half = 0.5 * a[..., None]
-    # u (first eight): pauli's real part in the imaginary slots, signed zeros (pauli's
-    # real part times 0) in the real ones; w (last eight): pauli's imaginary part in
-    # the real slots; one row of sixteen per axis of the stack
-    uw = np.fromiter(itertools.chain.from_iterable(
-        (0.0, z, 0.0 * (x + 0.0), x, 0.0 * (x + 0.0 * y + 0.0 * z), x, 0.0, -z,
-         0.0, 0.0, 0.0 - y, 0.0, y + 0.0, 0.0, 0.0, 0.0) for x, y, z in v.reshape(-1, 3).tolist()),
-        float, v.size // 3 * 16).reshape(v.shape[:-1] + (16,))
-    sw = np.sin(half) * uw
-    start = np.add(np.cos(half) * _ROT_COS, _ROT_ZERO, out=np.empty(sw.shape[:-1] + (8,)))
-    slots = np.subtract(start, np.subtract(sw[..., :8], sw[..., 8:], out=sw[..., :8]),
-                        out=start)
-    return slots.view(complex).reshape(sw.shape[:-1] + (2, 2))
+    half = 0.5 * a[..., None, None]
+    return np.cos(half) * ID2 - 1j * np.sin(half) * pauli(axis)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,18 +116,8 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """a equals dagger(a) entrywise, judged as np.allclose(a, dagger(a), atol=tol) judges it.
-
-    An entry passes if |a - a^dag| <= tol + 1e-5 |a^dag| with a^dag finite, or if the two
-    are equal; so an infinite entry passes only against an equal one, and a NaN never.
-    """
-    a = np.asarray(a)
-    ah = dagger(a)
-    if ah.dtype.kind not in "fc":  # np.isclose compares against an inexact copy
-        ah = ah.astype(np.result_type(ah, 1.0))
-    with np.errstate(invalid="ignore"):  # inf - inf, which the equality test decides
-        close = (abs(a - ah) <= tol + _RTOL * abs(ah)) & np.isfinite(ah) | (a == ah)
-    return bool(close.all())
+    """np.allclose(a, dagger(a), atol=tol): Hermitian, for a matrix or every matrix of a stack."""
+    return bool(np.allclose(a, dagger(a), atol=tol))
 
 
 def is_density_matrix(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -278,8 +278,8 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
     it is the rigid rotation of s0 about the superposition axis by f_of_t; at kappa = inf
     (see _brackets) s_z is frozen and the rest of s0 is gone at any t > 0.
     """
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     s0 = Z_AXIS if s0 is None else np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError("initial Bloch vector must have shape (3,)")
@@ -292,7 +292,7 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
 
     def trajectory(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > t_end + 1e-9):
+        if not ((t >= -1e-12) & (t <= t_end + 1e-9)).all():  # a NaN fails too
             raise ValueError(f"t = {t!r} outside the integrated range [0, {t_end!r}]")
         u = cfg.omega * np.minimum(np.maximum(t, 0.0), t_end).reshape(1, -1)
         if flow is None:
@@ -309,8 +309,8 @@ def k3_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t):
     """K3 on the stationary grid from the Bloch state at t and 2t (1 at t = 0 and kappa = inf),
     at one time or an array of them, all from one model."""
     t = np.asarray(t, dtype=float)
-    if np.count_nonzero(t < 0.0):
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    if not ((t >= 0.0) & (t < np.inf)).all():  # a NaN fails too
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     u = cfg.omega * t.reshape(1, -1)
     k3 = np.ones_like(u)  # at t = 0, and at every t once s_z is frozen, as in _brackets
     if _kappa(noise, cfg.omega) < np.inf:
@@ -385,8 +385,8 @@ def evolve_lindblad(rho0: np.ndarray, cfg: SuperpositionConfig, noise: NoiseConf
     if rho0.shape[-2:] != (4, 4) or not is_density_matrix(rho0):
         raise ValueError("rho0 must be a 4x4 density matrix")
     t = np.asarray(t, dtype=float)
-    if np.count_nonzero(t < 0.0):
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    if not ((t >= 0.0) & (t < np.inf)).all():  # a NaN fails too
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     props = _expm(liouvillian(cfg, noise) * t[..., None, None])
     props = props.reshape(t.shape + (1,) * (rho0.ndim - 2) + (16, 16))
     return (props @ rho0.reshape(rho0.shape[:-2] + (16, 1))).reshape(t.shape + rho0.shape)
@@ -401,8 +401,8 @@ def noisy_correlator(cfg: SuperpositionConfig, noise: NoiseConfig, ti: float, tj
     an array of times, all taken by one model.
     """
     delta = np.asarray(tj, dtype=float) - ti
-    if np.count_nonzero(delta < 0.0):
-        raise ValueError("tj must be >= ti")
+    if not ((delta >= 0.0) & (delta < np.inf)).all():  # a NaN fails too
+        raise ValueError("tj - ti must be finite and >= 0")
     u = cfg.omega * delta.reshape(1, -1)
     c, _, prob = _row_model(_LindbladK3, cfg, noise).correlator(np.array([0]), u)
     _check_postselection(prob, u)

@@ -26,6 +26,7 @@ from lgsim.linalg import (
     pauli,
     rot,
 )
+from lgsim.superpose import SuperpositionConfig
 
 
 def _random_axis(rng):
@@ -373,6 +374,19 @@ def test_axis_checks_and_pauli_on_stacks():
             call(bad)
     with pytest.raises(InvalidAxis):
         as_unit_vector(np.ones((2, 2)))
+
+
+def test_an_axis_with_a_nan_component_is_invalid():
+    for k in range(3):
+        axis = np.array(X_AXIS if k else Y_AXIS)
+        axis[k] = np.nan
+        stack = np.array([X_AXIS, Z_AXIS, axis])  # the NaN axis last of a (3,) stack
+        for v in (axis, stack):
+            for call in (as_unit_vector, pauli, lambda a: rot(a, 0.3),
+                         lambda a: SuperpositionConfig(0.3, a, X_AXIS),
+                         lambda a: SuperpositionConfig(0.3, Y_AXIS, a)):
+                with pytest.raises(InvalidAxis):
+                    call(v)
 
 
 def test_density_matrix_test_on_stacks():

@@ -1469,3 +1469,23 @@ def test_noisy_correlator_and_k3_bloch_at_an_array_of_times_are_each_time_alone(
         evolve_lindblad(np.eye(4) / 4, cfg, NoiseConfig(0.1), np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         evolve_lindblad(np.eye(2) / 2, cfg, NoiseConfig(0.1), 0.5)
+
+
+def test_a_time_that_is_not_finite_and_nonnegative_raises_value_error():
+    cfg, noise = planar(np.pi / 4, np.deg2rad(135.0)), NoiseConfig(0.1)
+    traj = integrate_bloch(cfg, noise, 5.0)
+    calls = {"k3_bloch": lambda t: k3_bloch(cfg, noise, t),
+             "noisy_correlator": lambda t: noisy_correlator(cfg, noise, 0.0, t),
+             "evolve_lindblad": lambda t: evolve_lindblad(np.eye(4) / 4, cfg, noise, t),
+             "integrate_bloch": lambda t: integrate_bloch(cfg, noise, t),
+             "trajectory": traj}
+    for name, call in calls.items():
+        for bad in (np.nan, np.inf, -np.inf, -1.0):
+            for t in (bad, np.array([0.5, bad])):
+                if name == "integrate_bloch" and np.ndim(t):
+                    continue  # t_end is one time
+                with pytest.raises(ValueError):
+                    call(t)
+    for ti in (np.nan, np.inf, -np.inf):  # the elapsed time tj - ti is not finite
+        with pytest.raises(ValueError):
+            noisy_correlator(cfg, noise, ti, 0.5)
