@@ -36,52 +36,13 @@ from .noise import NoiseConfig, evolve_lindblad, gain_curve, integrate_bloch, \
 from .superpose import SuperpositionConfig, f_of_t, norm_factor_sq, planar, soe, soe_span, \
     superposed_unitary, unnormalized_superposed
 
-EXPERIMENTS = ("ttb-map", "k3-surface", "k3-curves", "lifetime-bloch",
-               "lifetime-lindblad", "soe-profiles", "verify-circuits", "selftest")
-
 DEFAULT_SEED = 12345
 MAX_ROWS = 250_000
 DEFAULT_GAMMA = 1.0 / (4.0 * np.pi)
 
-_DEFAULT_FORMATS = {"verify-circuits": "json", "selftest": "json"}
 _CSV_QUOTED = re.compile('[,"\n]')  # what csv.writer(lineterminator="\n") quotes; not "\r"
 _CSV_BLOCK_ROWS = 4096  # rows per write; one string for a 250000-row table adds 14 MB
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json.dumps
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: experiment name plus parameter overrides.
-
-    alpha is in radians, phi in degrees (converted at the dispatch boundary),
-    grid is a per-experiment density knob with per-experiment defaults.
-    """
-
-    experiment: str
-    alpha: float | None = None
-    phi: float | None = None
-    gamma: float | None = None
-    omega: float = 1.0
-    grid: int | None = None
-    out: str | None = None
-    format: str | None = None
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.format not in (None, "csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.grid is not None and self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid!r}")
-        # dataset rows per grid; lifetime grids cost time, not memory, and are not capped
-        g = self.grid or 0
-        rows = {"ttb-map": (g + 1) * g, "k3-surface": (g + 1) * g, "k3-curves": g + 1,
-                "soe-profiles": g + 1, "verify-circuits": 3 * g * g}.get(self.experiment, 0)
-        if rows > MAX_ROWS:
-            raise ValueError(f"grid {g!r} gives {rows} dataset rows, more than {MAX_ROWS}")
-        if not (np.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +145,10 @@ def emit_series(name: str, columns, data, fmt: str, path: str, meta: dict) -> No
 
 
 # --- experiment runners ------------------------------------------------------
-# Each returns (table, meta, checks); table maps column names to columns.
+# Each takes the parsed arguments and returns (table, meta, checks); table maps column
+# names to columns.
 
-def _run_ttb_map(config: RunConfig):
+def _run_ttb_map(config: argparse.Namespace):
     n = config.grid or 50
     eta = np.linspace(0.0, np.pi, n + 1)
     xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -214,7 +176,7 @@ def _run_ttb_map(config: RunConfig):
     return table, meta, checks
 
 
-def _run_k3_surface(config: RunConfig):
+def _run_k3_surface(config: argparse.Namespace):
     n = config.grid or 50
     alphas = np.linspace(0.0, np.pi / 4, n + 1)
     phis = np.linspace(0.0, np.pi, n, endpoint=False)
@@ -237,7 +199,7 @@ def _run_k3_surface(config: RunConfig):
     return table, meta, checks
 
 
-def _run_k3_curves(config: RunConfig):
+def _run_k3_curves(config: argparse.Namespace):
     n = config.grid or 2000
     us = np.linspace(0.0, 2.0 * np.pi, n + 1)
     alpha = np.pi / 4 if config.alpha is None else config.alpha
@@ -264,7 +226,8 @@ def _run_k3_curves(config: RunConfig):
     return table, meta, checks
 
 
-def _run_lifetime(config: RunConfig, model: str):
+def _run_lifetime(config: argparse.Namespace):
+    model = config.experiment.removeprefix("lifetime-")
     gamma = DEFAULT_GAMMA if config.gamma is None else config.gamma
     noise = NoiseConfig(gamma=gamma)
     n = config.grid or 4
@@ -316,7 +279,7 @@ def _none_for_nan(arrays) -> list:
     return [None if math.isnan(v) else v for v in np.concatenate(arrays).tolist()]
 
 
-def _run_soe_profiles(config: RunConfig):
+def _run_soe_profiles(config: argparse.Namespace):
     # the stencil below reaches 2 d <= 0.002 / omega past the last time 2 pi / omega
     if not math.isfinite((2.0 * np.pi + 2e-3) / config.omega):
         raise ValueError(f"--omega {config.omega!r} is too small for soe-profiles: its longest "
@@ -355,7 +318,7 @@ def _run_soe_profiles(config: RunConfig):
     return table, meta, checks
 
 
-def _run_verify_circuits(config: RunConfig):
+def _run_verify_circuits(config: argparse.Namespace):
     n = config.grid or 21
     phis = np.linspace(0.0, np.pi, n + 2)[1:-1]
     omega_ts = np.linspace(0.0, 2.0 * np.pi, n)
@@ -380,7 +343,7 @@ def _run_verify_circuits(config: RunConfig):
     return table, meta, checks
 
 
-def _run_selftest(config: RunConfig):
+def _run_selftest(config: argparse.Namespace):
     rng = np.random.default_rng(config.seed)
     omega = config.omega
     if not math.isfinite(12.0 / omega):
@@ -508,41 +471,19 @@ def _run_selftest(config: RunConfig):
     return table, {"seed": config.seed, "omega": omega}, checks
 
 
-_RUNNERS = {
-    "ttb-map": _run_ttb_map,
-    "k3-surface": _run_k3_surface,
-    "k3-curves": _run_k3_curves,
-    "lifetime-bloch": lambda c: _run_lifetime(c, "bloch"),
-    "lifetime-lindblad": lambda c: _run_lifetime(c, "lindblad"),
-    "soe-profiles": _run_soe_profiles,
-    "verify-circuits": _run_verify_circuits,
-    "selftest": _run_selftest,
+# each experiment's runner, default format and dataset rows for a grid g; lifetime grids
+# cost time, not memory, and are not capped, and selftest has no grid
+_EXPERIMENTS = {
+    "ttb-map": (_run_ttb_map, "csv", lambda g: (g + 1) * g),
+    "k3-surface": (_run_k3_surface, "csv", lambda g: (g + 1) * g),
+    "k3-curves": (_run_k3_curves, "csv", lambda g: g + 1),
+    "lifetime-bloch": (_run_lifetime, "csv", lambda g: 0),
+    "lifetime-lindblad": (_run_lifetime, "csv", lambda g: 0),
+    "soe-profiles": (_run_soe_profiles, "csv", lambda g: g + 1),
+    "verify-circuits": (_run_verify_circuits, "json", lambda g: 3 * g * g),
+    "selftest": (_run_selftest, "json", lambda g: 0),
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one experiment; return the process exit code."""
-    try:
-        table, meta, checks = _RUNNERS[config.experiment](config)
-    except ValueError as exc:  # DegenerateSuperposition and UnsupportedGeometry included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fmt = config.format or _DEFAULT_FORMATS.get(config.experiment, "csv")
-    out = config.out or f"lgsim-{config.experiment}.{fmt}"
-    try:
-        emit_series(config.experiment, list(table), list(table.values()), fmt, out, meta)
-    except OSError as exc:
-        print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
-        return 2
-    failed = 0
-    for check in checks:
-        tag = "PASS" if check.passed else "FAIL"
-        detail = f" ({check.detail})" if check.detail else ""
-        print(f"{tag} {config.experiment}: {check.name}{detail}")
-        failed += 0 if check.passed else 1
-    rows = len(next(iter(table.values()), ()))
-    print(f"wrote {out}: {rows} rows, {len(checks) - failed}/{len(checks)} checks passed")
-    return 0 if failed == 0 else 1
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @functools.cache
@@ -569,15 +510,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one experiment from its command line; return the process exit code.
+
+    The parsed arguments are the run's config: each runner reads its options from them.
+    """
+    config = build_parser().parse_args(argv)
+    runner, default_format, rows_per_grid = _EXPERIMENTS[config.experiment]
     try:
-        config = RunConfig(experiment=args.experiment, alpha=args.alpha, phi=args.phi,
-                           gamma=args.gamma, omega=args.omega, grid=args.grid,
-                           out=args.out, format=args.format, seed=args.seed)
-    except ValueError as exc:
+        if config.grid is not None and config.grid < 2:
+            raise ValueError(f"grid must be >= 2, got {config.grid!r}")
+        g = config.grid or 0
+        if (rows := rows_per_grid(g)) > MAX_ROWS:
+            raise ValueError(f"grid {g!r} gives {rows} dataset rows, more than {MAX_ROWS}")
+        if not (math.isfinite(config.omega) and config.omega > 0.0):
+            raise ValueError(f"omega must be finite and positive, got {config.omega!r}")
+        table, meta, checks = runner(config)
+    except ValueError as exc:  # DegenerateSuperposition and UnsupportedGeometry included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    fmt = config.format or default_format
+    out = config.out or f"lgsim-{config.experiment}.{fmt}"
+    try:
+        emit_series(config.experiment, list(table), list(table.values()), fmt, out, meta)
+    except OSError as exc:
+        print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
+        return 2
+    failed = 0
+    for check in checks:
+        tag = "PASS" if check.passed else "FAIL"
+        detail = f" ({check.detail})" if check.detail else ""
+        print(f"{tag} {config.experiment}: {check.name}{detail}")
+        failed += 0 if check.passed else 1
+    rows = len(next(iter(table.values()), ()))
+    print(f"wrote {out}: {rows} rows, {len(checks) - failed}/{len(checks)} checks passed")
+    return 0 if failed == 0 else 1
 
 
 if __name__ == "__main__":

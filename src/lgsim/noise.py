@@ -292,7 +292,7 @@ def integrate_bloch(cfg: SuperpositionConfig, noise: NoiseConfig, t_end: float, 
 
     def trajectory(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if not ((t >= -1e-12) & (t <= t_end + 1e-9)).all():  # a NaN fails too
+        if not ((t >= -1e-12 * t_end) & (t - t_end <= 1e-9 * t_end)).all():  # a NaN fails too
             raise ValueError(f"t = {t!r} outside the integrated range [0, {t_end!r}]")
         u = cfg.omega * np.minimum(np.maximum(t, 0.0), t_end).reshape(1, -1)
         if flow is None:

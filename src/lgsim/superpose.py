@@ -50,7 +50,7 @@ class SuperpositionConfig:
     alpha:  mixing angle in [0, pi/2]; sin(alpha) weights the n-axis branch.
     n_axis: unit 3-vector, first rotation axis.
     m_axis: unit 3-vector, second rotation axis; n.m > -1 strictly.
-    omega:  angular rate (radians per second), > 0.
+    omega:  angular rate (radians per second), finite and > 0.
     """
 
     alpha: np.ndarray
@@ -62,8 +62,8 @@ class SuperpositionConfig:
         alpha, omega = np.asarray(self.alpha, dtype=float), np.asarray(self.omega, dtype=float)
         if not ((alpha >= 0.0) & (alpha <= np.pi / 2)).all():
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha!r}")
-        if not (omega > 0.0).all():
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+        if not ((omega > 0.0) & (omega < np.inf)).all():  # a NaN fails too
+            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
         n = as_unit_vector(self.n_axis)
         m = as_unit_vector(self.m_axis)
         shape = np.broadcast(alpha, omega, n[..., 0], m[..., 0]).shape

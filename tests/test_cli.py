@@ -21,8 +21,7 @@ import lgsim.noise as noise
 from lgsim.ancilla import (KET_PLUS, PROJ0, PROJ1, ancilla_state, build_pulse_library,
                            interferometer_signal, normalization_signal, postselect_map,
                            project_ancilla)
-from lgsim.cli import (DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, RunConfig, build_parser, emit_series,
-                       main, run)
+from lgsim.cli import DEFAULT_GAMMA, EXPERIMENTS, MAX_ROWS, build_parser, emit_series, main
 from lgsim.lgi import correlator, k3_at
 from lgsim.linalg import SIGMA_Z, dagger, dist_upto_phase, rot
 from lgsim.superpose import (SuperpositionConfig, f_of_t, norm_factor_sq, planar,
@@ -30,19 +29,32 @@ from lgsim.superpose import (SuperpositionConfig, f_of_t, norm_factor_sq, planar
 from test_ancilla import _per_point_matrix, _per_point_targets
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(experiment="unknown")
-    with pytest.raises(ValueError):
-        RunConfig(experiment="selftest", format="yaml")
-    with pytest.raises(ValueError):
-        RunConfig(experiment="ttb-map", grid=1)
-    with pytest.raises(ValueError):
-        RunConfig(experiment="ttb-map", omega=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(experiment="ttb-map", omega=float("inf"))
-    with pytest.raises(ValueError):
-        RunConfig(experiment="ttb-map", omega=float("nan"))
+@pytest.mark.parametrize("argv, message", (
+    (["ttb-map", "--grid", "1"], "grid must be >= 2, got 1"),
+    (["ttb-map", "--grid", "500"], f"grid 500 gives 250500 dataset rows, more than {MAX_ROWS}"),
+    (["ttb-map", "--omega", "0"], "omega must be finite and positive, got 0.0"),
+    (["ttb-map", "--omega", "inf"], "omega must be finite and positive, got inf"),
+    (["ttb-map", "--omega", "nan"], "omega must be finite and positive, got nan"),
+))
+def test_main_rejects_bad_grids_and_omegas_before_any_work(tmp_path, monkeypatch, capsys,
+                                                          argv, message):
+    def runner(config):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "ttb-map", (runner, *cli._EXPERIMENTS["ttb-map"][1:]))
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", (["unknown"], ["selftest", "--format", "yaml"]))
+def test_argparse_rejects_unknown_experiments_and_formats(tmp_path, argv):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_parser_defaults():
@@ -190,8 +202,9 @@ _SMALL_GRIDS = {"ttb-map": 6, "k3-surface": 5, "k3-curves": 40, "lifetime-bloch"
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_columnar_writer_matches_the_row_writer(tmp_path, experiment):
-    table, meta, _ = cli._RUNNERS[experiment](
-        RunConfig(experiment=experiment, grid=_SMALL_GRIDS[experiment]))
+    grid = _SMALL_GRIDS[experiment]
+    argv = [experiment] + ([] if grid is None else ["--grid", str(grid)])
+    table, meta, _ = cli._EXPERIMENTS[experiment][0](build_parser().parse_args(argv))
     _assert_writers_agree(tmp_path, experiment, list(table), list(table.values()), meta)
 
 
@@ -285,7 +298,7 @@ def test_flagged_lifetime_rows_reach_the_writer_as_the_tuple_rows_did(
 
 def test_soe_profiles_runs_clean(tmp_path, capsys):
     out = tmp_path / "soe.csv"
-    code = run(RunConfig(experiment="soe-profiles", out=str(out)))
+    code = main(["soe-profiles", "--out", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert all(line.startswith(("PASS soe-profiles:", "wrote "))
@@ -298,9 +311,10 @@ def test_soe_profiles_runs_clean(tmp_path, capsys):
 def test_soe_profiles_derivative_check_near_antiparallel_axes(tmp_path, capsys):
     # the rate spike at omega*t = pi narrows to ~B/A; the stencil resolves it
     # on any output grid
-    for phi, grid in ((170.0, None), (179.0, 100), (150.0, 4000)):
+    for argv in (["--phi", "170"], ["--phi", "179", "--grid", "100"],
+                 ["--phi", "150", "--grid", "4000"]):
         out = tmp_path / "soe.csv"
-        assert run(RunConfig(experiment="soe-profiles", phi=phi, grid=grid, out=str(out))) == 0
+        assert main(["soe-profiles", *argv, "--out", str(out)]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -308,24 +322,20 @@ def test_soe_profiles_derivative_check_catches_a_wrong_rate(tmp_path, monkeypatc
     # mutation: a rate 0.1 % off the derivative of f must still fail the check
     real = cli.soe
     monkeypatch.setattr(cli, "soe", lambda cfg, t: real(cfg, t) * (1.0 + 1e-3))
-    code = run(RunConfig(experiment="soe-profiles", phi=170.0, out=str(tmp_path / "s.csv")))
+    code = main(["soe-profiles", "--phi", "170", "--out", str(tmp_path / "s.csv")])
     stdout = capsys.readouterr().out
     assert code == 1
     assert stdout.count("FAIL soe-profiles: rate is the derivative of the accumulated angle") == 3
 
 
-def test_map_grids_are_bounded_before_allocation(tmp_path, capsys):
+def test_map_grids_are_bounded_before_allocation(tmp_path, monkeypatch, capsys):
     # the largest grid within MAX_ROWS dataset rows: (g + 1) g for the maps,
     # g + 1 for the curves, 3 g^2 for the circuits
     limits = {"ttb-map": 499, "k3-surface": 499, "k3-curves": MAX_ROWS - 1,
               "soe-profiles": MAX_ROWS - 1, "verify-circuits": 288}
-    RunConfig(experiment="lifetime-bloch", grid=100000)  # lifetime grids cost time, not memory
     tracemalloc.start()
     try:
-        for exp, limit in limits.items():
-            RunConfig(experiment=exp, grid=limit)
-            with pytest.raises(ValueError):
-                RunConfig(experiment=exp, grid=limit + 1)
+        for exp in limits:
             out = tmp_path / f"{exp}.csv"
             assert main([exp, "--grid", "1000000", "--out", str(out)]) == 2
             assert not out.exists()
@@ -333,6 +343,14 @@ def test_map_grids_are_bounded_before_allocation(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+    assert capsys.readouterr().err.count("dataset rows, more than") == len(limits)
+    # main runs the runner at the limit and not past it; a runner that does no work stands in
+    for exp, limit in {**limits, "lifetime-bloch": 100000}.items():  # lifetime grids: not capped
+        monkeypatch.setitem(cli._EXPERIMENTS, exp,
+                            (lambda config: ({}, {}, []), *cli._EXPERIMENTS[exp][1:]))
+        assert main([exp, "--grid", str(limit), "--out", str(tmp_path / "x")]) == 0
+        if exp in limits:
+            assert main([exp, "--grid", str(limit + 1), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.count("dataset rows, more than") == len(limits)
 
 
@@ -465,7 +483,7 @@ def test_import_loads_no_scipy(tmp_path):
 
 def test_k3_curves_single_phi_columns(tmp_path):
     out = tmp_path / "curves.csv"
-    code = run(RunConfig(experiment="k3-curves", phi=90.0, grid=40, out=str(out)))
+    code = main(["k3-curves", "--phi", "90", "--grid", "40", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[1] == "omega_t,c12_phi90,c13_phi90,k3_phi90"
@@ -477,7 +495,7 @@ def test_k3_curves_single_phi_columns(tmp_path):
 
 def test_ttb_map_small_grid(tmp_path, capsys):
     out = tmp_path / "ttb.csv"
-    code = run(RunConfig(experiment="ttb-map", grid=12, out=str(out)))
+    code = main(["ttb-map", "--grid", "12", "--out", str(out)])
     assert code == 0
     assert "3/3 checks passed" in capsys.readouterr().out
     rows = out.read_text().splitlines()[2:]
@@ -490,7 +508,7 @@ def test_ttb_map_odd_grid(tmp_path, capsys):
     # linspace(0, pi, 8) misses eta = pi/2, so the peak is the grid's own
     # closed-form maximum, below 1.5
     out = tmp_path / "ttb.csv"
-    code = run(RunConfig(experiment="ttb-map", grid=7, out=str(out)))
+    code = main(["ttb-map", "--grid", "7", "--out", str(out)])
     stdout = capsys.readouterr().out
     assert code == 0
     assert "PASS ttb-map: peak equals the closed-form maximum on the eta grid" in stdout
@@ -505,7 +523,7 @@ def test_ttb_map_odd_grid(tmp_path, capsys):
 
 def test_lifetime_single_phi(tmp_path, capsys):
     out = tmp_path / "life.csv"
-    code = run(RunConfig(experiment="lifetime-bloch", phi=115.0, grid=2, out=str(out)))
+    code = main(["lifetime-bloch", "--phi", "115", "--grid", "2", "--out", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert "FAIL" not in stdout
@@ -519,7 +537,7 @@ def test_lifetime_single_phi(tmp_path, capsys):
 
 def test_verify_circuits_json_report(tmp_path):
     out = tmp_path / "verify.json"
-    code = run(RunConfig(experiment="verify-circuits", grid=4, out=str(out)))
+    code = main(["verify-circuits", "--grid", "4", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["columns"] == ["sequence", "phi", "omega_t", "distance"]
@@ -530,7 +548,7 @@ def test_verify_circuits_json_report(tmp_path):
 
 def test_verify_circuits_prints_its_summary_table(tmp_path, capsys):
     out = tmp_path / "verify.json"
-    assert run(RunConfig(experiment="verify-circuits", grid=4, out=str(out))) == 0
+    assert main(["verify-circuits", "--grid", "4", "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"""\
 sequence                   max distance   tolerance   status
 controlled_sz                 1.110e-16       1e-09       ok
@@ -546,7 +564,7 @@ wrote {out}: 48 rows, 4/4 checks passed
 
 def test_verify_circuits_distances_are_never_negative(tmp_path):
     out = tmp_path / "verify.json"
-    assert run(RunConfig(experiment="verify-circuits", out=str(out))) == 0
+    assert main(["verify-circuits", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 3 * 21 * 21
     assert min(row[3] for row in rows) >= 0.0
@@ -554,7 +572,8 @@ def test_verify_circuits_distances_are_never_negative(tmp_path):
 
 def test_verify_circuits_table_nests_and_matches_the_per_point_oracle():
     n = 5
-    table, _, _ = cli._run_verify_circuits(RunConfig(experiment="verify-circuits", grid=n))
+    table, _, _ = cli._run_verify_circuits(
+        build_parser().parse_args(["verify-circuits", "--grid", str(n)]))
     phis = np.linspace(0.0, np.pi, n + 2)[1:-1]
     omega_ts = np.linspace(0.0, 2.0 * np.pi, n)
     names = [seq.name for seq, _ in build_pulse_library(1.0, 1.0)]
@@ -572,7 +591,7 @@ def test_selftest_passes(tmp_path, capsys):
     # at omega = 1e6 every random draw is in omega*t, so no check loses precision
     for omega in (1.0, 1e6):
         out = tmp_path / "self.json"
-        code = run(RunConfig(experiment="selftest", omega=omega, out=str(out)))
+        code = main(["selftest", "--omega", repr(omega), "--out", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
         pass_lines = [l for l in stdout.splitlines() if l.startswith("PASS selftest:")]
@@ -586,8 +605,7 @@ def test_selftest_passed_cells_are_booleans(tmp_path):
     # some checks hand Check an np.bool_, which was written as True (CSV) and 1.0 (JSON)
     assert cli.Check("c", np.bool_(False)).passed is False
     for fmt in ("csv", "json"):
-        assert run(RunConfig(experiment="selftest", format=fmt,
-                             out=str(tmp_path / f"self.{fmt}"))) == 0
+        assert main(["selftest", "--format", fmt, "--out", str(tmp_path / f"self.{fmt}")]) == 0
     rows = list(csv.reader((tmp_path / "self.csv").read_text().splitlines()[1:]))
     assert rows[0][1] == "passed" and {row[1] for row in rows[1:]} == {"1"}
     doc = json.loads((tmp_path / "self.json").read_text())
@@ -598,7 +616,7 @@ def test_selftest_catches_a_lowered_k3_maximum(tmp_path, monkeypatch, capsys):
     # mutation: a kernel 1e-6 below the true maximum reads below the dense scan
     real = lgi._k3_maxima
     monkeypatch.setattr(lgi, "_k3_maxima", lambda coef: (real(coef)[0] - 1e-6, real(coef)[1]))
-    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    code = main(["selftest", "--out", str(tmp_path / "self.csv")])
     stdout = capsys.readouterr().out
     assert code == 1
     assert "FAIL selftest: closed-form K3 maximum tops a dense scan" in stdout
@@ -610,7 +628,7 @@ def test_selftest_catches_a_broken_propagator(tmp_path, monkeypatch, capsys):
     real = noise.liouvillian
     monkeypatch.setattr(noise, "liouvillian",
                         lambda cfg, n: real(cfg, noise.NoiseConfig(0.5 * n.gamma)))
-    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    code = main(["selftest", "--out", str(tmp_path / "self.csv")])
     stdout = capsys.readouterr().out
     assert code == 1
     assert "FAIL selftest: joint-state propagator matches the closed-form correlator" in stdout
@@ -623,7 +641,7 @@ def test_selftest_catches_a_wrong_postselected_channel(tmp_path, monkeypatch, ca
     # other superposition
     real = ancilla.ancilla_state
     monkeypatch.setattr(ancilla, "ancilla_state", lambda alpha: real(np.pi / 2 - alpha))
-    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    code = main(["selftest", "--out", str(tmp_path / "self.csv")])
     stdout = capsys.readouterr().out
     assert code == 1
     assert "FAIL selftest: post-selected channel equals the normalized conjugation" in stdout
@@ -635,7 +653,7 @@ def test_selftest_catches_a_misread_interferometer(tmp_path, monkeypatch, capsys
     real = ancilla.InterferometerSignal
     monkeypatch.setattr(ancilla, "InterferometerSignal",
                         lambda t_plus, t_minus, re_cm: real(t_plus, t_minus, 1.01 * re_cm))
-    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    code = main(["selftest", "--out", str(tmp_path / "self.csv")])
     stdout = capsys.readouterr().out
     assert code == 1
     assert "FAIL selftest: interferometer coherence identity" in stdout
@@ -650,7 +668,7 @@ def test_selftest_catches_a_wrong_norm_factor(tmp_path, monkeypatch, capsys):
                                                 - np.vecdot(cfg.n_axis, cfg.m_axis) * np.sin(x) ** 2)
 
     monkeypatch.setattr(cli, "norm_factor_sq", wrong)
-    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "self.csv")))
+    code = main(["selftest", "--out", str(tmp_path / "self.csv")])
     stdout = capsys.readouterr().out
     assert code == 1
     assert "FAIL selftest: norm factor matches the trace definition" in stdout
@@ -821,7 +839,7 @@ def test_soe_profiles_rejects_an_omega_its_times_overflow_at(tmp_path, omega):
 
 
 def test_soe_profiles_still_runs_at_tiny_omega(tmp_path):
-    # just above the cut the run is clean, and its dataset is the one run() writes
+    # just above the cut the run is clean, and its dataset is the one main() writes in-process
     for omega in ("1e-300", "3.5e-308"):
         sub, direct = tmp_path / "sub.csv", tmp_path / "direct.csv"
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgsim",
@@ -831,26 +849,26 @@ def test_soe_profiles_still_runs_at_tiny_omega(tmp_path):
         assert "FAIL" not in proc.stdout and not proc.stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run(RunConfig(experiment="soe-profiles", omega=float(omega), out=str(direct))) == 0
+            assert main(["soe-profiles", "--omega", omega, "--out", str(direct)]) == 0
         assert sub.read_bytes() == direct.read_bytes()
 
 
 def test_reruns_are_byte_identical(tmp_path):
     a, b = (tmp_path / n for n in ("a.csv", "b.csv"))
-    assert run(RunConfig(experiment="ttb-map", grid=6, out=str(a))) == 0
-    assert run(RunConfig(experiment="ttb-map", grid=6, out=str(b))) == 0
+    assert main(["ttb-map", "--grid", "6", "--out", str(a)]) == 0
+    assert main(["ttb-map", "--grid", "6", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    for experiment, extra in (("verify-circuits", {"grid": 7, "format": "csv"}),
-                              ("verify-circuits", {"grid": 7, "format": "json"}),
-                              ("selftest", {"seed": 3})):
+    for argv in (["verify-circuits", "--grid", "7", "--format", "csv"],
+                 ["verify-circuits", "--grid", "7", "--format", "json"],
+                 ["selftest", "--seed", "3"]):
         for path in (a, b):
-            assert run(RunConfig(experiment=experiment, out=str(path), **extra)) == 0
-        assert a.read_bytes() == b.read_bytes(), (experiment, extra)
+            assert main(argv + ["--out", str(path)]) == 0
+        assert a.read_bytes() == b.read_bytes(), argv
 
 
 def test_unwritable_output_is_reported(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
-    code = run(RunConfig(experiment="soe-profiles", out=str(out)))
+    code = main(["soe-profiles", "--out", str(out)])
     assert code == 2
     assert "cannot write" in capsys.readouterr().err
 
@@ -859,8 +877,8 @@ def test_run_reports_failed_checks(tmp_path, monkeypatch, capsys):
     def fake(config):
         return {"a": [1.0]}, {}, [cli.Check("always-fails", False, "synthetic")]
 
-    monkeypatch.setitem(cli._RUNNERS, "selftest", fake)
-    code = run(RunConfig(experiment="selftest", out=str(tmp_path / "x.json")))
+    monkeypatch.setitem(cli._EXPERIMENTS, "selftest", (fake, *cli._EXPERIMENTS["selftest"][1:]))
+    code = main(["selftest", "--out", str(tmp_path / "x.json")])
     assert code == 1
     stdout = capsys.readouterr().out
     assert "FAIL selftest: always-fails (synthetic)" in stdout

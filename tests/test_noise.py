@@ -407,6 +407,16 @@ def test_bloch_trajectory_takes_arrays_of_t():
         traj(np.array([1.0, 6.5]))
 
 
+def test_bloch_trajectory_rejects_times_outside_a_short_range():
+    # the slack at either end scales with t_end: at t_end = 1e-10, t = 1e-9 is 10 t_end
+    # past the end and t = -1e-12 is 1 % of the range before the start
+    traj = integrate_bloch(planar(np.pi / 8, 2.0, omega=1e9), NoiseConfig(5e7), 1e-10)
+    for t in (1e-9, -1e-12, np.array([0.0, 1e-9])):
+        with pytest.raises(ValueError):
+            traj(t)
+    assert traj(np.array([0.0, 1e-10])).shape == (2, 3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bloch_at_infinite_kappa_is_the_zeno_limit():
     # gamma / omega past the float range: s_z frozen, the rest gone at once, K3 = 1

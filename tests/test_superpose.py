@@ -346,10 +346,11 @@ _GOOD = dict(alpha=0.2, n_axis=(0.0, 1.0, 0.0), m_axis=(1.0, 0.0, 0.0), omega=1.
 @pytest.mark.parametrize("bad, error, message", (
     (dict(alpha=1.7), ValueError, "alpha must lie in [0, pi/2], got 1.7"),
     (dict(alpha=-1e-300), ValueError, "alpha must lie in [0, pi/2], got -1e-300"),
-    (dict(omega=0.0), ValueError, "omega must be positive, got 0.0"),
-    (dict(omega=-2.5), ValueError, "omega must be positive, got -2.5"),
+    (dict(omega=0.0), ValueError, "omega must be finite and positive, got 0.0"),
+    (dict(omega=-2.5), ValueError, "omega must be finite and positive, got -2.5"),
     (dict(n_axis=(1.0, 0.1, 0.0)), InvalidAxis, "axis must have unit norm, got"),
     (dict(n_axis=(-1.0, 0.0, 0.0)), DegenerateSuperposition, "anti-parallel axes are excluded"),
+    (dict(omega=np.inf), ValueError, "omega must be finite and positive, got inf"),
 ))
 def test_a_batch_with_one_bad_config_raises_as_that_config_alone(bad, error, message):
     one = {**_GOOD, **bad}
